@@ -4,12 +4,12 @@ Each check returns (ok, detail).  run_checks executes a named suite and
 reports one line per check with its runtime."""
 
 import time
+from itertools import product
 
 from growth.conic import consistency_with_growth, flag6_example, four_point_solve
 from growth.cylgrowth import (
-    cgd_enumerate, cgd_from_path, cgd_of_matching, cgd_validate,
-    matching_of_cgd, noncrossing_matchings, promotion, rotate_matching,
-    row_path,
+    cgd_enumerate, cgd_from_path, cgd_of_matching, matching_of_cgd,
+    noncrossing_matchings, promotion, rotate_matching, row_path,
 )
 from growth.decgd import decgd_enumerate
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
@@ -19,7 +19,7 @@ from growth.moduli import (
 )
 from growth.partitions import (
     Frame, complement, contains, is_domino, lr_coefficient, normalize,
-    rectangle_syt_formula, size, syt_count,
+    partitions_in, rectangle_syt_formula, size, syt_count,
 )
 from growth.tableaux import (
     dual_classes, enumerate_chains, rectify, shuffle, shuffle_classes,
@@ -29,37 +29,6 @@ F24 = Frame(2, 4)
 F25 = Frame(2, 5)
 F26 = Frame(2, 6)
 BOX = (1,)
-
-
-def _all_partitions(frame):
-    out = []
-
-    def build(prefix, row, limit):
-        out.append(tuple(prefix))
-        if row == frame.d:
-            return
-        for part in range(limit, 0, -1):
-            build(prefix + [part], row + 1, part)
-
-    build([], 0, frame.cols)
-    return out
-
-
-def _shapes_of_total(frame, r):
-    parts = [p for p in _all_partitions(frame) if p]
-    out = []
-
-    def build(acc, left):
-        if len(acc) == r:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        for p in parts:
-            if sum(p) <= left - (r - len(acc) - 1):
-                build(acc + [p], left - sum(p))
-
-    build([], frame.size)
-    return out
 
 
 def check_figure_growth():
@@ -108,8 +77,11 @@ def check_decgd_counts():
     """Class-diagram counts equal multi-factor Littlewood-Richardson
     coefficients computed by independent chain enumeration."""
     rect = F24.rectangle()
+    parts = [p for p in partitions_in(F24) if p]
     for r in (3, 4):
-        for shape in _shapes_of_total(F24, r):
+        for shape in product(parts, repeat=r):
+            if sum(map(size, shape)) != F24.size:
+                continue
             got = len(decgd_enumerate(F24, shape))
             want = lr_coefficient(rect, list(shape))
             if got != want:
@@ -143,8 +115,9 @@ def check_six_point():
     """The boundary labels follow the six-point pattern everywhere, and
     agree with the enumerated growth diagrams."""
     for frame in (F24, F25, F26):
-        for lam in _all_partitions(frame):
-            for mu in _all_partitions(frame):
+        parts = partitions_in(frame)
+        for lam in parts:
+            for mu in parts:
                 if size(lam) + size(mu) != frame.size - 2:
                     continue
                 muc = complement(mu, frame)
@@ -201,7 +174,7 @@ def check_properties():
     reflection, the domino rule, promotion order, the arc bijection with
     rotation as promotion, and tree independence of fiber counts."""
     # shuffle involution on all composable class pairs in the 2x2 frame
-    parts = _all_partitions(F24)
+    parts = partitions_in(F24)
     for inner in parts:
         for mid in parts:
             if not contains(mid, inner):

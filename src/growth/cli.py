@@ -2,34 +2,18 @@
 graphs, and run the verification suites.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
-Outputs are deterministic; the optional GROWTH_THREADS variable caps
-worker counts but never changes the output."""
+Outputs are deterministic, and no environment variable changes them."""
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from growth.checks import SUITES, run_checks
-from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_validate
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
 from growth.moduli import Wall, build_cover_graph, cross_cgd, cross_decgd, \
     export, graph_components
 from growth.partitions import Frame, normalize
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    frame: Frame | None = None
-    shape: tuple | None = None
-    wall: tuple | None = None
-    path: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    only: str | None = None
-    twice: bool = False
 
 
 class UsageError(Exception):
@@ -65,19 +49,6 @@ def parse_wall(text: str, r: int) -> Wall:
         raise UsageError(str(exc))
 
 
-def _threads() -> int:
-    raw = os.environ.get("GROWTH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"GROWTH_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError("GROWTH_THREADS must be at least 1")
-    return value
-
-
 def _frame(args) -> Frame:
     if args.d is None or args.n is None:
         raise UsageError("--d and --n are required")
@@ -86,9 +57,9 @@ def _frame(args) -> Frame:
     return Frame(args.d, args.n)
 
 
-def _write(config: RunConfig, data: bytes) -> None:
-    if config.out:
-        with open(config.out, "wb") as handle:
+def _write(args, data: bytes) -> None:
+    if args.out:
+        with open(args.out, "wb") as handle:
             handle.write(data)
     else:
         sys.stdout.write(data.decode())
@@ -103,26 +74,27 @@ def _diagram_text(obj) -> str:
     return "\n".join(fmt_row(row) for row in rows)
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    frame = config.frame
-    if config.shape is None:
+def cmd_enumerate(args) -> int:
+    frame = _frame(args)
+    if args.shape is None:
         diagrams = cgd_enumerate(frame)
     else:
-        if len(config.shape) < 3:
+        shape = parse_shape(args.shape)
+        if len(shape) < 3:
             raise UsageError("need at least 3 conditions")
-        if sum(sum(lam) for lam in config.shape) != frame.size:
+        if sum(sum(lam) for lam in shape) != frame.size:
             print(f"note: no diagrams, the sizes must satisfy "
                   f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
-        diagrams = decgd_enumerate(frame, config.shape)
-    if config.fmt == "json":
+        diagrams = decgd_enumerate(frame, shape)
+    if args.fmt == "json":
         payload = json.dumps([g.to_json() for g in diagrams],
                              indent=2, sort_keys=True) + "\n"
-    elif config.fmt == "text":
+    elif args.fmt == "text":
         payload = "\n\n".join(_diagram_text(g) for g in diagrams)
         payload += "\n" if payload else ""
     else:
-        raise UsageError(f"format {config.fmt!r} not supported here")
-    _write(config, payload.encode())
+        raise UsageError(f"format {args.fmt!r} not supported here")
+    _write(args, payload.encode())
     print(f"{len(diagrams)} diagrams", file=sys.stderr)
     return 0
 
@@ -141,57 +113,58 @@ def _load_diagram(path: str):
         raise UsageError(f"malformed diagram in {path}: {exc}")
 
 
-def cmd_wallcross(config: RunConfig) -> int:
-    if config.path is None:
+def cmd_wallcross(args) -> int:
+    if args.path is None:
         raise UsageError("--input FILE with the diagram is required")
-    diagram = _load_diagram(config.path)
-    if config.wall is None:
+    diagram = _load_diagram(args.path)
+    if args.wall is None:
         raise UsageError("--wall a,b is required")
-    wall = parse_wall(config.wall, diagram.r)
+    wall = parse_wall(args.wall, diagram.r)
     cross = cross_decgd if isinstance(diagram, Decgd) else cross_cgd
     try:
         crossed = cross(diagram, wall)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if config.twice:
+    if args.twice:
         again = cross(crossed, wall)
         if again != diagram:
             print("crossing twice does not restore the diagram",
                   file=sys.stderr)
             return 1
         print("crossing twice restores the diagram", file=sys.stderr)
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = json.dumps(crossed.to_json(), indent=2, sort_keys=True) \
             + "\n"
-    elif config.fmt == "text":
+    elif args.fmt == "text":
         payload = _diagram_text(crossed) + "\n"
     else:
-        raise UsageError(f"format {config.fmt!r} not supported here")
-    _write(config, payload.encode())
+        raise UsageError(f"format {args.fmt!r} not supported here")
+    _write(args, payload.encode())
     return 0
 
 
-def cmd_cover(config: RunConfig) -> int:
-    frame = config.frame
-    if config.shape is None:
+def cmd_cover(args) -> int:
+    frame = _frame(args)
+    if args.shape is None:
         raise UsageError("--shape is required")
-    if len(config.shape) < 3:
+    shape = parse_shape(args.shape)
+    if len(shape) < 3:
         raise UsageError("need at least 3 conditions")
-    graph = build_cover_graph(frame, config.shape)
-    if config.fmt in ("json", "dot"):
-        _write(config, export(graph, config.fmt))
+    graph = build_cover_graph(frame, shape)
+    if args.fmt in ("json", "dot"):
+        _write(args, export(graph, args.fmt))
     summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "
                f"{graph_components(graph)} components")
-    if config.fmt == "text":
-        _write(config, (summary + "\n").encode())
+    if args.fmt == "text":
+        _write(args, (summary + "\n").encode())
     else:
         print(summary, file=sys.stderr)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     try:
-        results = run_checks(config.only)
+        results = run_checks(args.only)
     except ValueError as exc:
         raise UsageError(str(exc))
     failures = 0
@@ -201,7 +174,7 @@ def cmd_verify(config: RunConfig) -> int:
         failures += 0 if ok else 1
         lines.append(f"{status} {name} ({secs:.2f}s): {detail}")
     payload = "\n".join(lines) + "\n"
-    _write(config, payload.encode())
+    _write(args, payload.encode())
     if failures:
         print(f"{failures} of {len(results)} checks failed", file=sys.stderr)
         return 1
@@ -248,25 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = {"enumerate": cmd_enumerate, "wallcross": cmd_wallcross,
+               "cover": cmd_cover, "verify": cmd_verify}[args.command]
     try:
-        _threads()
-        frame = None
-        if args.command in ("enumerate", "cover"):
-            frame = _frame(args)
-        shape = None
-        if getattr(args, "shape", None):
-            shape = parse_shape(args.shape)
-        config = RunConfig(
-            command=args.command, frame=frame, shape=shape,
-            wall=getattr(args, "wall", None),
-            path=getattr(args, "path", None),
-            fmt=args.fmt, out=args.out,
-            only=getattr(args, "only", None),
-            twice=getattr(args, "twice", False),
-        )
-        handler = {"enumerate": cmd_enumerate, "wallcross": cmd_wallcross,
-                   "cover": cmd_cover, "verify": cmd_verify}[args.command]
-        return handler(config)
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

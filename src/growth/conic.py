@@ -74,10 +74,6 @@ class Monomial:
                         self.tau_pow + other.tau_pow,
                         self.u_pow + other.u_pow)
 
-    def at(self, tau, u) -> Fraction:
-        return (Fraction(self.coeff) * Fraction(tau) ** self.tau_pow
-                * Fraction(u) ** self.u_pow)
-
     def to_json(self):
         return {"coeff": [self.coeff.numerator, self.coeff.denominator],
                 "tau_pow": self.tau_pow, "u_pow": self.u_pow}
@@ -123,9 +119,6 @@ class ConicReport:
     pluecker: tuple[tuple[frozenset, Monomial], ...]
     labels: tuple[tuple[int, ...], ...]
     kind = "conic"
-
-    def pluecker_map(self) -> dict:
-        return dict(self.pluecker)
 
     def to_json(self) -> dict:
         return {

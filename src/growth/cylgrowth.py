@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from growth.partitions import (
-    Frame, added_box, complement, contains, intermediates, intersect,
-    is_domino, normalize, union,
+    Frame, added_box, complement, intersect, is_domino, normalize, union,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,

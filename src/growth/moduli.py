@@ -15,9 +15,11 @@ from growth.cylgrowth import (
     CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
 )
 from growth.decgd import (
-    Decgd, _iota, decgd_enumerate, lift_decgd, restrict_cgd,
+    Decgd, _iota, decgd_enumerate, restrict_cgd,
 )
-from growth.partitions import Frame, complement, lr_coefficient, normalize
+from growth.partitions import (
+    Frame, complement, lr_coefficient, normalize, partitions_in,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +37,6 @@ def canonical_order(order):
     if rot <= ref:
         return rot, ("rot", t)
     return ref, ("ref", t)
-
-
-def apply_index_map(g, q: int, r: int) -> int:
-    """Evaluate a transporter from :func:`canonical_order` on a 0-based
-    position."""
-    kind, t = g
-    return (q + t) % r if kind == "rot" else (t - q) % r
 
 
 def facets(r: int):
@@ -188,59 +183,39 @@ def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
 # ---------------------------------------------------------------------------
 # dihedral transport of diagrams
 
-def rotate_cgd(g: CylGrowthDiagram, t: int) -> CylGrowthDiagram:
-    """Shift marked positions: entry (i, j) of the result is entry
-    (i + t, j + t) of g."""
-    r = g.r
-    rows = tuple(tuple(g.get(i + t, i + t + k) for k in range(r + 1))
-                 for i in range(r))
-    return CylGrowthDiagram(g.frame, r, rows)
+def _transport(gmap, *tables):
+    """Move stored rows (rows[k][m] holds the entry at (k, k+m)) along a
+    transporter from :func:`canonical_order`.
 
-
-def reflect_cgd(g: CylGrowthDiagram, e: int) -> CylGrowthDiagram:
-    """Reverse marked positions around e (0-based): entry (i, j) of the
-    result is entry (e + 1 - j, e + 1 - i) of g."""
-    r = g.r
-    rows = tuple(tuple(g.get(e + 1 - (i + k), e + 1 - i) for k in range(r + 1))
-                 for i in range(r))
-    return CylGrowthDiagram(g.frame, r, rows)
+    After a rotation by t, entry (k, l) is the old entry (k + t, l + t).
+    Order position q corresponds to window element q + 1, so the order
+    reflection q -> t - q acts on entries with axis e = t + 2: entry (k, l)
+    is the old entry (e + 1 - l, e + 1 - k).  A reflection turns
+    row steps into column steps, so it also reverses the order of the
+    tables: given a diagram's row and column classes, it returns them
+    exchanged."""
+    kind, t = gmap
+    if kind == "rot":
+        return tuple(rows[t:] + rows[:t] for rows in tables)
+    out = []
+    for rows in reversed(tables):
+        r = len(rows)
+        out.append(tuple(tuple(rows[(t + 3 - k - m) % r][m]
+                               for m in range(len(rows[k])))
+                         for k in range(r)))
+    return tuple(out)
 
 
 def transport_cgd(g: CylGrowthDiagram, gmap) -> CylGrowthDiagram:
-    # order position q corresponds to window element q + 1, so the order
-    # reflection q -> t - q acts on entries with axis t + 2
-    kind, t = gmap
-    return rotate_cgd(g, t) if kind == "rot" else reflect_cgd(g, t + 2)
-
-
-def rotate_decgd(d: Decgd, t: int) -> Decgd:
-    r = d.r
-    gamma = tuple(tuple(d.get_gamma(k + t, k + t + m) for m in range(r + 1))
-                  for k in range(r))
-    a = tuple(tuple(d.get_a(k + t, k + t + m) for m in range(r))
-              for k in range(r))
-    b = tuple(tuple(d.get_b(k + t, k + t + m) for m in range(r))
-              for k in range(r))
-    shape = tuple(a[0][m].rshape for m in range(r))
-    return Decgd(d.frame, r, shape, gamma, a, b)
-
-
-def reflect_decgd(d: Decgd, e: int) -> Decgd:
-    """Reflection swaps the roles of row and column classes."""
-    r = d.r
-    gamma = tuple(tuple(d.get_gamma(e + 1 - (k + m), e + 1 - k)
-                        for m in range(r + 1)) for k in range(r))
-    a = tuple(tuple(d.get_b(e + 1 - (k + m), e + 1 - k) for m in range(r))
-              for k in range(r))
-    b = tuple(tuple(d.get_a(e + 1 - (k + m), e + 1 - k) for m in range(r))
-              for k in range(r))
-    shape = tuple(a[0][m].rshape for m in range(r))
-    return Decgd(d.frame, r, shape, gamma, a, b)
+    (rows,) = _transport(gmap, g.rows)
+    return CylGrowthDiagram(g.frame, g.r, rows)
 
 
 def transport_decgd(d: Decgd, gmap) -> Decgd:
-    kind, t = gmap
-    return rotate_decgd(d, t) if kind == "rot" else reflect_decgd(d, t + 2)
+    (gamma,) = _transport(gmap, d.gamma)
+    a, b = _transport(gmap, d.a, d.b)
+    shape = tuple(cls.rshape for cls in a[0])
+    return Decgd(d.frame, d.r, shape, gamma, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +265,11 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     edges = {}
     for node_id, (facet, diagram) in enumerate(nodes):
         for wall in wall_list:
-            new_facet, _ = cross_facet(facet, wall)
             # the crossed diagram keeps the wall blocks in place and
             # reflects the complementary blocks, so its raw presentation is
-            # the order with the complementary span reversed
-            _, gmap = cross_facet(facet, wall.complementary())
+            # the order with the complementary span reversed; both spans
+            # give the same facet
+            new_facet, gmap = cross_facet(facet, wall.complementary())
             target = transport(cross(diagram, wall), gmap)
             target_id = index[(new_facet, target)]
             chord = frozenset(facet[(x - 1) % r] for x in
@@ -465,10 +440,7 @@ def node_labelings(tree: LabeledTree, shape, frame: Frame):
     shape = tuple(normalize(lam) for lam in shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return []
-    from growth.partitions import shapes_between
-    all_parts = []
-    for s in range(frame.size + 1):
-        all_parts.extend(shapes_between((), frame.rectangle(), s))
+    all_parts = partitions_in(frame)
     internal_edges = tree.internal_edges
     labelings = []
 

@@ -8,7 +8,6 @@ zeros are stripped, so () is the empty partition.  The box is a
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from math import factorial
 
 
@@ -288,6 +287,14 @@ def _shapes_between(inner: tuple[int, ...], outer: tuple[int, ...],
 def shapes_between(inner, outer, target_size: int):
     """All partitions nu with inner <= nu <= outer and |nu| = target_size."""
     return _shapes_between(normalize(inner), normalize(outer), target_size)
+
+
+def partitions_in(frame: Frame):
+    """Every partition that fits in the frame's box, by size and then in
+    the order of :func:`shapes_between`."""
+    rect = frame.rectangle()
+    return tuple(nu for s in range(frame.size + 1)
+                 for nu in _shapes_between((), rect, s))
 
 
 def lr_coefficient(target: tuple[int, ...], factors, frame: Frame | None = None) -> int:

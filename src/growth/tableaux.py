@@ -9,9 +9,7 @@ done through the local rule on unit squares of a growth rectangle.
 from dataclasses import dataclass
 from functools import cache
 
-from growth.partitions import (
-    added_box, contains, intermediates, intersect, normalize, union,
-)
+from growth.partitions import added_box, contains, intermediates, normalize
 
 Chain = tuple[tuple[int, ...], ...]
 
@@ -25,10 +23,6 @@ def validate_chain(chain) -> Chain:
         if added_box(a, b) is None:
             raise ValueError(f"step {a} -> {b} does not add one box")
     return chain
-
-
-def inner_shape(t: Chain) -> tuple[int, ...]:
-    return t[0]
 
 
 def outer_shape(t: Chain) -> tuple[int, ...]:
@@ -58,21 +52,6 @@ def other_middle(bottom, top, middle):
     if len(mids) == 1:
         return mids[0]
     return mids[0] if middle == mids[1] else mids[1]
-
-
-def top_of_square(bottom, m1, m2):
-    """Top corner forced by two distinct middles (their union).  Raises if
-    the middles coincide, where the top is genuinely ambiguous."""
-    if m1 == m2:
-        raise ValueError("equal middles do not determine the top corner")
-    return union(m1, m2)
-
-
-def bottom_of_square(top, m1, m2):
-    """Bottom corner forced by two distinct middles (their intersection)."""
-    if m1 == m2:
-        raise ValueError("equal middles do not determine the bottom corner")
-    return intersect(m1, m2)
 
 
 def shuffle(lower: Chain, upper: Chain) -> tuple[Chain, Chain]:

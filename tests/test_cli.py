@@ -57,6 +57,12 @@ class TestEnumerate:
                            "--shape", "2,a;1;1")
         assert code == 2 and "error" in err
 
+    def test_empty_shape(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--d", "2", "--n", "4",
+                             "--shape", "")
+        assert code == 2 and "empty condition" in err
+        assert out == ""
+
     def test_missing_frame(self, capsys):
         code, _, err = run(capsys, "enumerate")
         assert code == 2
@@ -152,14 +158,3 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--only", "algebra"])
 
-
-class TestEnvironment:
-    def test_bad_thread_count(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROWTH_THREADS", "zero")
-        code, _, err = run(capsys, "verify", "--only", "conic")
-        assert code == 2
-
-    def test_thread_count_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROWTH_THREADS", "4")
-        code, _, _ = run(capsys, "verify", "--only", "conic")
-        assert code == 0

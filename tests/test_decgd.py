@@ -2,11 +2,9 @@
 lifting, first-row construction, counts against the Littlewood-Richardson
 oracle, and the cellwise shuffle condition."""
 
-from itertools import permutations
-
 import pytest
 
-from growth.cylgrowth import cgd_enumerate, row_path
+from growth.cylgrowth import cgd_enumerate
 from growth.decgd import (
     Decgd, decgd_enumerate, decgd_from_first_row, decgd_validate,
     lift_decgd, restrict_cgd,

@@ -5,16 +5,18 @@ import json
 
 import pytest
 
-from growth.cylgrowth import cgd_enumerate, cgd_validate
-from growth.decgd import decgd_enumerate, decgd_validate
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_validate
+from growth.decgd import (
+    decgd_enumerate, decgd_validate, lift_decgd, restrict_cgd,
+)
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    LabeledTree, MonodromyGraph, Wall, all_trees, build_cover_graph,
-    canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
-    export, facets, fiber_count, graph_components, graph_to_json,
-    node_labelings, star_tree, transport_cgd, walls,
+    Wall, all_trees, build_cover_graph, canonical_order, caterpillar_tree,
+    cross_cgd, cross_decgd, cross_facet, export, facets, fiber_count,
+    graph_components, node_labelings, star_tree, transport_cgd,
+    transport_decgd, walls,
 )
-from growth.partitions import Frame, complement, lr_coefficient, syt_count
+from growth.partitions import Frame, lr_coefficient, syt_count
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
@@ -124,7 +126,6 @@ class TestCrossCgd:
 
 class TestCrossDecgd:
     def test_all_box_matches_cgd(self):
-        from growth.decgd import lift_decgd
         for d in decgd_enumerate(F24, [BOX] * 4):
             for w in walls(4):
                 crossed = cross_decgd(d, w)
@@ -141,8 +142,6 @@ class TestCrossDecgd:
     def test_lift_cross_restrict_two_blocks(self):
         # crossing the lifted diagram along one block of a two-block
         # restriction, then restricting, is an involution on restrictions
-        from growth.decgd import lift_decgd, restrict_cgd
-        from growth.moduli import cross_cgd
         w = Wall(3, 4, 4)
         for g in cgd_enumerate(F24):
             d = restrict_cgd(g, (2, 2))
@@ -168,6 +167,72 @@ class TestCrossDecgd:
                     assert list(crossed.sizes) == expect
                     ok, problems = decgd_validate(crossed)
                     assert ok, problems
+
+
+def transporters(r):
+    """Every transporter that crossing a wall of some facet produces."""
+    return sorted({cross_facet(order, span)[1] for order in facets(r)
+                   for w in walls(r) for span in (w, w.complementary())})
+
+
+def reference_transport(g, gmap):
+    """Entry by entry: a rotation by t reads entry (i + t, j + t), a
+    reflection reads (e + 1 - j, e + 1 - i) with axis e = t + 2."""
+    kind, t = gmap
+    e = t + 2
+
+    def entry(i, j):
+        if kind == "rot":
+            return g.get(i + t, j + t)
+        return g.get(e + 1 - j, e + 1 - i)
+
+    rows = tuple(tuple(entry(i, i + k) for k in range(g.r + 1))
+                 for i in range(g.r))
+    return CylGrowthDiagram(g.frame, g.r, rows)
+
+
+def repeat(fn, x, gmap, times):
+    for _ in range(times):
+        x = fn(x, gmap)
+    return x
+
+
+class TestTransport:
+    def test_cgd_matches_reference(self):
+        gmaps = transporters(6)
+        assert {kind for kind, _ in gmaps} == {"rot", "ref"}
+        for g in cgd_enumerate(F25):
+            for gmap in gmaps:
+                moved = transport_cgd(g, gmap)
+                assert moved == reference_transport(g, gmap)
+                ok, problems = cgd_validate(moved)
+                assert ok, problems
+
+    def test_decgd_valid(self):
+        shape = [(2,), (2,), (2,), BOX, BOX]
+        diagrams = decgd_enumerate(Frame(2, 6), shape)
+        assert diagrams
+        for d in diagrams:
+            for gmap in transporters(5):
+                ok, problems = decgd_validate(transport_decgd(d, gmap))
+                assert ok, problems
+
+    def test_all_box_decgd_matches_cgd(self):
+        for d in decgd_enumerate(F24, [BOX] * 4):
+            for gmap in transporters(4):
+                assert transport_decgd(d, gmap).gamma == \
+                    transport_cgd(lift_decgd(d), gmap).rows
+
+    def test_dihedral_orders(self):
+        cases = [(transport_cgd, cgd_enumerate(F25)),
+                 (transport_decgd,
+                  decgd_enumerate(F25, [(2,), (1, 1), BOX, BOX]))]
+        for fn, diagrams in cases:
+            assert diagrams
+            for x in diagrams:
+                for t in range(x.r):
+                    assert repeat(fn, x, ("rot", t), x.r) == x
+                    assert repeat(fn, x, ("ref", t), 2) == x
 
 
 class TestCoverGraph:

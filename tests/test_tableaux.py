@@ -5,7 +5,7 @@ are checked over every tableau in frame (2,4)."""
 
 import pytest
 
-from growth.partitions import Frame, lr_coefficient, normalize
+from growth.partitions import Frame, lr_coefficient
 from growth.tableaux import (
     DualClass, canonical_rep, dual_classes, dual_equivalent,
     enumerate_chains, other_middle, rectify, rshape, shuffle,
