@@ -1,14 +1,15 @@
 """Command-line interface: enumerate diagrams, cross walls, build cover
 graphs, and run the verification suites.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
+and on input files that are not valid diagrams.
 Outputs are deterministic, and no environment variable changes them."""
 
 import argparse
 import json
 import sys
 
-from growth.checks import SUITES, run_checks
+from growth.checks import CHECKS, SUITES, run_checks
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
 from growth.moduli import Wall, build_cover_graph, cross_cgd, cross_decgd, \
@@ -105,6 +106,8 @@ def _load_diagram(path: str):
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read diagram from {path}: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f"malformed diagram in {path}: not a JSON object")
     try:
         if "a" in data and "b" in data:
             return Decgd.from_json(data)
@@ -163,17 +166,23 @@ def cmd_cover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.fmt not in ("text", "json"):
+        raise UsageError(f"format {args.fmt!r} not supported here")
     try:
         results = run_checks(args.only)
     except ValueError as exc:
         raise UsageError(str(exc))
-    failures = 0
-    lines = []
-    for name, ok, detail, secs in results:
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        lines.append(f"{status} {name} ({secs:.2f}s): {detail}")
-    payload = "\n".join(lines) + "\n"
+    failures = sum(1 for _, ok, _, _ in results if not ok)
+    if args.fmt == "json":
+        suite = {name: s for name, s, _ in CHECKS}
+        records = [{"name": name, "suite": suite[name], "ok": ok,
+                    "detail": detail, "seconds": secs}
+                   for name, ok, detail, secs in results]
+        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    else:
+        payload = "".join(
+            f"{'PASS' if ok else 'FAIL'} {name} ({secs:.2f}s): {detail}\n"
+            for name, ok, detail, secs in results)
     _write(args, payload.encode())
     if failures:
         print(f"{failures} of {len(results)} checks failed", file=sys.stderr)

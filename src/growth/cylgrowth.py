@@ -46,9 +46,30 @@ class CylGrowthDiagram:
 
     @staticmethod
     def from_json(data: dict) -> "CylGrowthDiagram":
+        """Read a diagram from untrusted data; raises ValueError naming
+        the first structural or semantic problem."""
         frame = Frame(data["frame"]["d"], data["frame"]["n"])
-        rows = tuple(tuple(normalize(p) for p in row) for row in data["rows"])
-        return CylGrowthDiagram(frame, data["r"], rows)
+        r = data["r"]
+        if not isinstance(r, int) or r != frame.size:
+            raise ValueError(f"r = {r!r}, but a diagram of {frame} has "
+                             f"r = d(n-d) = {frame.size}")
+        rows = tuple(tuple(normalize(p) for p in row)
+                     for row in _json_table(data, "rows", r, r + 1))
+        g = CylGrowthDiagram(frame, r, rows)
+        ok, problems = cgd_validate(g)
+        if not ok:
+            raise ValueError(problems[0])
+        return g
+
+
+def _json_table(data: dict, key: str, height: int, width: int) -> list:
+    """data[key] after checking that it is a list of height lists of
+    width entries each."""
+    table = data[key]
+    if not isinstance(table, list) or len(table) != height or any(
+            not isinstance(row, list) or len(row) != width for row in table):
+        raise ValueError(f"{key!r} must be {height} rows of {width} entries")
+    return table
 
 
 def row_path(r: int, i: int = 0) -> list[tuple[int, int]]:

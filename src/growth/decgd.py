@@ -10,7 +10,9 @@ periodic under (k, l) -> (k+r, l+r) and stored on residues of k."""
 
 from dataclasses import dataclass
 
-from growth.cylgrowth import CylGrowthDiagram, cgd_from_path, row_path
+from growth.cylgrowth import (
+    CylGrowthDiagram, cgd_from_path, _json_table, row_path,
+)
 from growth.partitions import Frame, normalize, shapes_between
 from growth.tableaux import (
     DualClass, dual_classes, dual_equivalent, shuffle_classes, validate_chain,
@@ -67,18 +69,31 @@ class Decgd:
 
     @staticmethod
     def from_json(data: dict) -> "Decgd":
+        """Read a diagram from untrusted data; raises ValueError naming
+        the first structural or semantic problem."""
         frame = Frame(data["frame"]["d"], data["frame"]["n"])
+        r = data["r"]
+        shape = data["shape"]
+        if not isinstance(r, int) or not isinstance(shape, list) \
+                or len(shape) != r:
+            raise ValueError(f"r = {r!r}, but the shape does not list "
+                             f"r conditions")
 
-        def cls_of(chain):
-            return DualClass.of(validate_chain(chain))
+        def classes(key):
+            return tuple(tuple(DualClass.of(validate_chain(c)) for c in row)
+                         for row in _json_table(data, key, r, r))
 
-        return Decgd(
-            frame, data["r"],
-            tuple(normalize(lam) for lam in data["shape"]),
-            tuple(tuple(normalize(p) for p in row) for row in data["rows"]),
-            tuple(tuple(cls_of(c) for c in row) for row in data["a"]),
-            tuple(tuple(cls_of(c) for c in row) for row in data["b"]),
+        d = Decgd(
+            frame, r,
+            tuple(normalize(lam) for lam in shape),
+            tuple(tuple(normalize(p) for p in row)
+                  for row in _json_table(data, "rows", r, r + 1)),
+            classes("a"), classes("b"),
         )
+        ok, problems = decgd_validate(d)
+        if not ok:
+            raise ValueError(problems[0])
+        return d
 
 
 def _iota(sizes: tuple[int, ...], total: int):
@@ -194,6 +209,9 @@ def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
                 problems.append(f"b({k},{k + m}) has the wrong shape")
         if d.a[0][k].rshape != d.shape[k % r]:
             problems.append(f"first-row class {k} has the wrong content")
+    if problems:
+        # the shuffle condition is defined only on consecutive classes
+        return (False, problems)
     for k in range(r):
         for m in range(r - 1):
             l = k + m

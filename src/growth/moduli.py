@@ -229,55 +229,113 @@ class MonodromyGraph:
     edges: tuple  # (from_id, to_id, wall (a, b)) triples
 
 
-def _fiber(frame: Frame, shape, facet, all_box: bool):
-    """Diagrams over one facet: contents permuted by the facet's order.
-
-    Window element m + 1 carries the condition of the marked point at
-    order position m, so block m holds the condition of facet[m - 1]."""
-    if all_box:
-        return cgd_enumerate(frame)
+def _chord(facet, wall: Wall) -> frozenset:
+    """The marked points on one side of a wall of a facet: the side whose
+    sorted points come first, so both presentations give the same set."""
     r = len(facet)
-    permuted = [shape[facet[(m - 1) % r] - 1] for m in range(r)]
-    return decgd_enumerate(frame, permuted)
+    side = frozenset(facet[(x - 1) % r] for x in range(wall.a, wall.b + 1))
+    return min(side, frozenset(range(1, r + 1)) - side, key=sorted)
+
+
+class _FiberTables:
+    """The fibers of a cover as tables, and wall crossing as maps between
+    fiber indices.
+
+    The diagrams over a facet depend only on the contents of the window
+    blocks: window element m + 1 carries the condition of the marked point
+    at order position m, so block m holds the condition of facet[m - 1].
+    Each distinct contents tuple (one for all-box shapes) is enumerated
+    once into a tuple of diagrams with a {diagram: index} map.  Crossing a
+    wall depends on the contents and the wall, and the index it lands on
+    also on the dihedral transporter to the new facet's canonical order, so
+    both are computed once per key."""
+
+    def __init__(self, frame: Frame, shape):
+        self.frame = frame
+        self.shape = shape
+        self.all_box = all(lam == (1,) for lam in shape)
+        self.fibers = {}   # contents -> (diagrams, {diagram: index})
+        self.crossed = {}  # (contents, wall) -> crossed diagrams
+        self.moves = {}    # (contents, wall, gmap) -> target fiber indices
+
+    def contents(self, facet):
+        if self.all_box:
+            return self.shape
+        r = len(facet)
+        return tuple(self.shape[facet[(m - 1) % r] - 1] for m in range(r))
+
+    def fiber(self, facet):
+        """(diagrams, {diagram: index}) over a facet."""
+        key = self.contents(facet)
+        if key not in self.fibers:
+            diagrams = tuple(cgd_enumerate(self.frame) if self.all_box
+                             else decgd_enumerate(self.frame, key))
+            self.fibers[key] = (diagrams,
+                                {g: i for i, g in enumerate(diagrams)})
+        return self.fibers[key]
+
+    def move(self, facet, wall: Wall):
+        """(new_facet, table): crossing the wall from fiber index i over
+        facet lands on fiber index table[i] over new_facet."""
+        # the crossed diagram keeps the wall blocks in place and reflects
+        # the complementary blocks, so its raw presentation is the order
+        # with the complementary span reversed; both spans give the same
+        # facet
+        new_facet, gmap = cross_facet(facet, wall.complementary())
+        key = self.contents(facet)
+        if (key, wall, gmap) not in self.moves:
+            if (key, wall) not in self.crossed:
+                cross = cross_cgd if self.all_box else cross_decgd
+                self.crossed[key, wall] = [cross(g, wall)
+                                           for g in self.fiber(facet)[0]]
+            transport = transport_cgd if self.all_box else transport_decgd
+            index = self.fiber(new_facet)[1]
+            self.moves[key, wall, gmap] = [
+                index[transport(g, gmap)] for g in self.crossed[key, wall]]
+        return new_facet, self.moves[key, wall, gmap]
 
 
 def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     """Nodes are (facet, diagram) pairs; edges join nodes related by
-    crossing a wall.  Fiber size over every facet is the multi-factor
-    Littlewood-Richardson coefficient of the shape."""
+    crossing a wall.
+
+    Nodes are numbered facet by facet: node id = the facet's offset + the
+    diagram's index in its fiber table (see :class:`_FiberTables`), and
+    the fiber size over every facet is the multi-factor
+    Littlewood-Richardson coefficient of the shape.  Each fiber is
+    enumerated once per contents tuple, and each wall crossed once per
+    (contents, wall); the crossings become tables of fiber indices, and
+    the edges are assembled from those by integer lookups.  An edge is
+    found from both of its ends and kept as first found, in node order,
+    then wall order."""
     shape = tuple(normalize(lam) for lam in shape)
     r = len(shape)
     if r < 3:
         raise ValueError("need at least 3 conditions")
-    all_box = all(lam == (1,) for lam in shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return MonodromyGraph(frame, shape, (), ())
+    tables = _FiberTables(frame, shape)
     facet_list = facets(r)
     wall_list = walls(r)
+    offset = {}
     nodes = []
-    index = {}
     for facet in facet_list:
-        for diagram in _fiber(frame, shape, facet, all_box):
-            index[(facet, diagram)] = len(nodes)
-            nodes.append((facet, diagram))
-    cross = cross_cgd if all_box else cross_decgd
-    transport = transport_cgd if all_box else transport_decgd
+        offset[facet] = len(nodes)
+        nodes.extend((facet, g) for g in tables.fiber(facet)[0])
     edges = {}
-    for node_id, (facet, diagram) in enumerate(nodes):
+    for facet in facet_list:
+        steps = []
         for wall in wall_list:
-            # the crossed diagram keeps the wall blocks in place and
-            # reflects the complementary blocks, so its raw presentation is
-            # the order with the complementary span reversed; both spans
-            # give the same facet
-            new_facet, gmap = cross_facet(facet, wall.complementary())
-            target = transport(cross(diagram, wall), gmap)
-            target_id = index[(new_facet, target)]
-            chord = frozenset(facet[(x - 1) % r] for x in
-                              range(wall.a, wall.b + 1))
-            chord = min(chord, frozenset(range(1, r + 1)) - chord,
-                        key=sorted)
-            key = (frozenset((node_id, target_id)), chord)
-            edges.setdefault(key, (node_id, target_id, (wall.a, wall.b)))
+            new_facet, table = tables.move(facet, wall)
+            steps.append((offset[new_facet], table, _chord(facet, wall),
+                          (wall.a, wall.b)))
+        start = offset[facet]
+        for i in range(len(tables.fiber(facet)[0])):
+            node_id = start + i
+            for target_start, table, chord, label in steps:
+                target_id = target_start + table[i]
+                key = (frozenset((node_id, target_id)), chord)
+                edges.setdefault(key, (node_id, target_id, label))
     ordered = sorted(edges.values())
     return MonodromyGraph(frame, shape, tuple(nodes), tuple(ordered))
 

@@ -90,6 +90,7 @@ def rectify(t: Chain) -> Chain:
     return new_lower
 
 
+@cache
 def rshape(t: Chain) -> tuple[int, ...]:
     """Rectification shape of t."""
     return outer_shape(rectify(t))

@@ -1,7 +1,10 @@
 """Tests for the command-line interface: enumeration, wall crossing,
 cover graphs, the verification suites, and exit codes."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from growth.moduli import Wall, cross_cgd
 from growth.partitions import Frame
 
 F24 = Frame(2, 4)
+REFERENCES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
 
 
 def run(capsys, *argv):
@@ -124,6 +129,56 @@ class TestWallcross:
         assert code == 2
 
 
+class TestWallcrossMalformed:
+    """Diagram files that parse as JSON but are not diagrams: exit 2 with
+    the first problem, never a traceback or a crossed diagram."""
+
+    def _run(self, capsys, tmp_path, data, wall):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "wallcross", "--input", str(path),
+                             "--wall", wall, "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed diagram")
+        return err
+
+    def test_fine_too_few_rows(self, capsys, tmp_path):
+        data = golden_diagram("growth_example").to_json()
+        data["rows"] = data["rows"][:-1]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "'rows' must be 6 rows of 7 entries" in err
+
+    def test_fine_wrong_r(self, capsys, tmp_path):
+        data = golden_diagram("growth_example").to_json()
+        data["r"] += 1
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "r = 7" in err
+
+    def test_class_wrong_shape(self, capsys, tmp_path):
+        data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
+        data["shape"] = data["shape"][:-1]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "r conditions" in err
+
+    def test_class_permuted_shape(self, capsys, tmp_path):
+        # structurally sound, but the first-row classes carry other contents
+        shape = [(2,), (1, 1), (1,), (1,)]
+        data = decgd_enumerate(Frame(2, 5), shape)[0].to_json()
+        data["shape"] = data["shape"][::-1]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "wrong content" in err
+
+    def test_class_wrong_a_shape(self, capsys, tmp_path):
+        data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
+        data["a"] = data["b"]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "has the wrong shape" in err
+
+    def test_not_an_object(self, capsys, tmp_path):
+        err = self._run(capsys, tmp_path, [1, 2], "1,2")
+        assert "not a JSON object" in err
+
+
 class TestCover:
     def test_summary(self, capsys):
         code, out, _ = run(capsys, "cover", "--d", "2", "--n", "4",
@@ -142,6 +197,23 @@ class TestCover:
         assert "6 nodes" in err
 
 
+COVER_REFERENCES = [
+    (workload, command) for workload in ("cover-box6", "cover-mixed5")
+    for command in REFERENCES[workload]]
+
+
+@pytest.mark.parametrize("workload,command", COVER_REFERENCES,
+                         ids=[f"{w}-{c.split()[6]}"
+                              for w, c in COVER_REFERENCES])
+def test_cover_reference_digest(tmp_path, capsys, workload, command):
+    # the benchmark's cover inputs reproduce their recorded output bytes
+    target = tmp_path / "cover.json"
+    assert main(command.split() + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == REFERENCES[workload][command]
+
+
 class TestVerify:
     def test_conic_suite(self, capsys):
         code, out, err = run(capsys, "verify", "--only", "conic")
@@ -153,6 +225,32 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 9
         assert "all 9 checks passed" in err
+
+    def test_text_digest(self, capsys):
+        # the default output, timings removed, is the benchmark's reference
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        text = re.sub(r" \(\d+\.\d+s\)", "", out).encode()
+        want = REFERENCES["verify"]["verify"]
+        assert hashlib.sha256(text).hexdigest() == want
+
+    def test_json_records(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "conic",
+                             "--format", "json")
+        assert code == 0 and "all 3 checks passed" in err
+        records = json.loads(out)
+        assert [r["name"] for r in records] == \
+            ["conic-g24", "six-point", "flag6"]
+        for record in records:
+            assert set(record) == {"name", "suite", "ok", "detail",
+                                   "seconds"}
+            assert record["suite"] == "conic" and record["ok"] is True
+            assert record["seconds"] >= 0
+
+    def test_dot_format_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--format", "dot")
+        assert code == 2 and out == ""
+        assert "not supported" in err
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

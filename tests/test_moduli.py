@@ -11,15 +11,16 @@ from growth.decgd import (
 )
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    Wall, all_trees, build_cover_graph, canonical_order, caterpillar_tree,
-    cross_cgd, cross_decgd, cross_facet, export, facets, fiber_count,
-    graph_components, node_labelings, star_tree, transport_cgd,
-    transport_decgd, walls,
+    Wall, _chord, _FiberTables, all_trees, build_cover_graph,
+    canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
+    export, facets, fiber_count, graph_components, node_labelings, star_tree,
+    transport_cgd, transport_decgd, walls,
 )
 from growth.partitions import Frame, lr_coefficient, syt_count
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
+F26 = Frame(2, 6)
 BOX = (1,)
 
 
@@ -307,6 +308,92 @@ class TestCoverGraph:
     def test_size_mismatch_empty_graph(self):
         graph = build_cover_graph(F24, [BOX] * 3)
         assert graph.nodes == () and graph.edges == ()
+
+    def test_two_two_four_boxes(self):
+        shape = ((2,), (2,), BOX, BOX, BOX, BOX)
+        graph = build_cover_graph(F26, shape)
+        c = lr_coefficient(F26.rectangle(), list(shape))
+        assert len(graph.nodes) == 360 == len(facets(6)) * c
+        assert graph_components(graph) == 1
+
+
+def reference_cover(frame, shape):
+    """The cover built node by node: enumerate the fiber again for every
+    facet, cross every (node, wall) pair, transport the result and look it
+    up by diagram.  Returns (nodes, edges) as build_cover_graph does."""
+    r = len(shape)
+    all_box = all(lam == BOX for lam in shape)
+    nodes = []
+    index = {}
+    for facet in facets(r):
+        if all_box:
+            fiber = cgd_enumerate(frame)
+        else:
+            fiber = decgd_enumerate(
+                frame, [shape[facet[(m - 1) % r] - 1] for m in range(r)])
+        for diagram in fiber:
+            index[(facet, diagram)] = len(nodes)
+            nodes.append((facet, diagram))
+    cross = cross_cgd if all_box else cross_decgd
+    transport = transport_cgd if all_box else transport_decgd
+    everyone = frozenset(range(1, r + 1))
+    edges = {}
+    for node_id, (facet, diagram) in enumerate(nodes):
+        for wall in walls(r):
+            new_facet, gmap = cross_facet(facet, wall.complementary())
+            target = transport(cross(diagram, wall), gmap)
+            target_id = index[(new_facet, target)]
+            chord = frozenset(facet[(x - 1) % r]
+                              for x in range(wall.a, wall.b + 1))
+            chord = min(chord, everyone - chord, key=sorted)
+            edges.setdefault((frozenset((node_id, target_id)), chord),
+                             (node_id, target_id, (wall.a, wall.b)))
+    return tuple(nodes), tuple(sorted(edges.values()))
+
+
+COVER_CASES = [
+    (F24, (BOX,) * 4),
+    (F25, (BOX,) * 6),
+    (F25, ((2,), BOX, BOX, BOX, BOX)),
+    (F26, ((2,), (2,), (2,), BOX, BOX)),
+    (F26, ((2,), BOX, (2,), BOX, (2,))),
+]
+COVER_IDS = ["24-1^4", "25-1^6", "25-2;1^4", "26-2;2;2;1;1", "26-2;1;2;1;2"]
+
+
+class TestCoverTables:
+    @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
+    def test_matches_reference(self, frame, shape):
+        graph = build_cover_graph(frame, shape)
+        nodes, edges = reference_cover(frame, shape)
+        assert graph.nodes == nodes
+        assert graph.edges == edges
+
+    @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
+    def test_moves_are_involutions(self, frame, shape):
+        # crossing a chord and crossing the same chord back from the new
+        # facet returns every fiber index to itself
+        tables = _FiberTables(frame, shape)
+        r = len(shape)
+        for facet in facets(r):
+            size = len(tables.fiber(facet)[0])
+            for wall in walls(r):
+                new_facet, table = tables.move(facet, wall)
+                chord = _chord(facet, wall)
+                (back_wall,) = [w for w in walls(r)
+                                if _chord(new_facet, w) == chord]
+                back, back_table = tables.move(new_facet, back_wall)
+                assert back == facet
+                assert [back_table[j] for j in table] == list(range(size))
+        assert tables.moves
+
+    def test_one_fiber_for_all_boxes(self):
+        tables = _FiberTables(F25, (BOX,) * 6)
+        for facet in facets(6):
+            for wall in walls(6):
+                tables.move(facet, wall)
+        assert len(tables.fibers) == 1
+        assert len(tables.crossed) == len(walls(6))
 
 
 class TestExport:

@@ -129,6 +129,15 @@ class TestCanonicalRep:
             assert dual_equivalent(t, canonical_rep(t))
 
 
+class TestDualClassOf:
+    @pytest.mark.parametrize("frame", [F24, Frame(3, 6)], ids=str)
+    def test_rshape_is_rectification_shape(self, frame):
+        # the class reads its shape off the canonical representative, so
+        # it must agree with rectifying the tableau itself
+        for t in all_skew_chains(frame):
+            assert DualClass.of(t).rshape == rectify(t)[-1]
+
+
 class TestDualEquivalence:
     def test_straight_all_equivalent(self):
         for lam in all_partitions(F24):
