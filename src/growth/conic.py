@@ -14,7 +14,7 @@ from math import comb
 
 from growth.cylgrowth import cgd_enumerate
 from growth.partitions import (
-    Frame, added_box, complement, contains, index_set, intermediates,
+    Frame, _intermediates, added_box, complement, contains, index_set,
     is_domino, normalize,
 )
 
@@ -230,7 +230,7 @@ def six_point_cycle(lam, mu, frame: Frame):
     if not contains(muc, lam) or sum(muc) - sum(lam) != 2 or \
             is_domino(lam, muc):
         raise ValueError("the skew difference must be two nonadjacent boxes")
-    middles = intermediates(lam, muc)
+    middles = _intermediates(lam, muc)
     boxes = {kappa: added_box(lam, kappa) for kappa in middles}
     # the southwest box has the larger row index
     kappa1, kappa2 = sorted(middles, key=lambda k: -boxes[k][0])

@@ -48,13 +48,12 @@ class CylGrowthDiagram:
     def from_json(data: dict) -> "CylGrowthDiagram":
         """Read a diagram from untrusted data; raises ValueError naming
         the first structural or semantic problem."""
-        frame = Frame(data["frame"]["d"], data["frame"]["n"])
-        r = data["r"]
-        if not isinstance(r, int) or r != frame.size:
+        frame = _json_frame(data)
+        r = _json_int(data["r"], "r")
+        if r != frame.size:
             raise ValueError(f"r = {r!r}, but a diagram of {frame} has "
                              f"r = d(n-d) = {frame.size}")
-        rows = tuple(tuple(normalize(p) for p in row)
-                     for row in _json_table(data, "rows", r, r + 1))
+        rows = _json_table(data, "rows", r, r + 1, _json_partition)
         g = CylGrowthDiagram(frame, r, rows)
         ok, problems = cgd_validate(g)
         if not ok:
@@ -62,14 +61,49 @@ class CylGrowthDiagram:
         return g
 
 
-def _json_table(data: dict, key: str, height: int, width: int) -> list:
-    """data[key] after checking that it is a list of height lists of
-    width entries each."""
+def _json_table(data: dict, key: str, height: int, width: int,
+                read) -> tuple:
+    """data[key], checked to be a list of height lists of width entries
+    each, with every entry converted by read(entry, field path)."""
     table = data[key]
     if not isinstance(table, list) or len(table) != height or any(
             not isinstance(row, list) or len(row) != width for row in table):
         raise ValueError(f"{key!r} must be {height} rows of {width} entries")
-    return table
+    return tuple(tuple(read(entry, f"{key}[{i}][{j}]")
+                       for j, entry in enumerate(row))
+                 for i, row in enumerate(table))
+
+
+def _json_int(value, path: str) -> int:
+    """value if it is an int; a float or bool is refused, since the
+    memoized partition kernels would take it for the int it hashes like."""
+    if type(value) is not int:
+        raise ValueError(f"{path}: {value!r} is not an integer")
+    return value
+
+
+def _json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {value!r} is not a list")
+    return value
+
+
+def _json_partition(value, path: str) -> tuple[int, ...]:
+    """A partition read from a list of ints."""
+    parts = [_json_int(p, f"{path}[{i}]")
+             for i, p in enumerate(_json_list(value, path))]
+    try:
+        return normalize(parts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_frame(data: dict) -> Frame:
+    frame = data["frame"]
+    if not isinstance(frame, dict):
+        raise ValueError(f"frame: {frame!r} is not an object")
+    return Frame(_json_int(frame["d"], "frame.d"),
+                 _json_int(frame["n"], "frame.n"))
 
 
 def row_path(r: int, i: int = 0) -> list[tuple[int, int]]:

@@ -11,7 +11,8 @@ periodic under (k, l) -> (k+r, l+r) and stored on residues of k."""
 from dataclasses import dataclass
 
 from growth.cylgrowth import (
-    CylGrowthDiagram, cgd_from_path, _json_table, row_path,
+    CylGrowthDiagram, cgd_from_path, _json_frame, _json_int, _json_list,
+    _json_partition, _json_table, row_path,
 )
 from growth.partitions import Frame, normalize, shapes_between
 from growth.tableaux import (
@@ -71,29 +72,34 @@ class Decgd:
     def from_json(data: dict) -> "Decgd":
         """Read a diagram from untrusted data; raises ValueError naming
         the first structural or semantic problem."""
-        frame = Frame(data["frame"]["d"], data["frame"]["n"])
-        r = data["r"]
+        frame = _json_frame(data)
+        r = _json_int(data["r"], "r")
         shape = data["shape"]
-        if not isinstance(r, int) or not isinstance(shape, list) \
-                or len(shape) != r:
+        if not isinstance(shape, list) or len(shape) != r:
             raise ValueError(f"r = {r!r}, but the shape does not list "
                              f"r conditions")
-
-        def classes(key):
-            return tuple(tuple(DualClass.of(validate_chain(c)) for c in row)
-                         for row in _json_table(data, key, r, r))
-
         d = Decgd(
             frame, r,
-            tuple(normalize(lam) for lam in shape),
-            tuple(tuple(normalize(p) for p in row)
-                  for row in _json_table(data, "rows", r, r + 1)),
-            classes("a"), classes("b"),
+            tuple(_json_partition(lam, f"shape[{i}]")
+                  for i, lam in enumerate(shape)),
+            _json_table(data, "rows", r, r + 1, _json_partition),
+            _json_table(data, "a", r, r, _json_class),
+            _json_table(data, "b", r, r, _json_class),
         )
         ok, problems = decgd_validate(d)
         if not ok:
             raise ValueError(problems[0])
         return d
+
+
+def _json_class(value, path: str) -> DualClass:
+    """The class of a tableau read from a list of partitions."""
+    chain = [_json_partition(p, f"{path}[{i}]")
+             for i, p in enumerate(_json_list(value, path))]
+    try:
+        return DualClass.of(validate_chain(chain))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _iota(sizes: tuple[int, ...], total: int):

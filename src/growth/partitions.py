@@ -4,6 +4,14 @@ covers, and brute-force Littlewood-Richardson coefficients.
 A partition is a tuple of weakly decreasing positive integers; trailing
 zeros are stripped, so () is the empty partition.  The box is a
 :class:`Frame` passed explicitly to every operation that needs it.
+
+The box kernels under the local rule and diagram validation (containment,
+complement, adding a box, union, intersection, the middles of a two-box
+skew) are memoized: a frame holds few partitions, and these are called
+for the same pairs many times over.  Their caches are keyed by value, so
+they take tuples of ``int`` only; a float or bool part would hash like an
+int and its cached result would be served for the int input.  Untrusted
+data is checked for this where it is read (``from_json``).
 """
 
 from dataclasses import dataclass
@@ -56,12 +64,14 @@ def size(lam: tuple[int, ...]) -> int:
     return sum(lam)
 
 
+@cache
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """True if inner is contained in outer as Young diagrams."""
     return all((inner[i] if i < len(inner) else 0) <= (outer[i] if i < len(outer) else 0)
                for i in range(max(len(inner), len(outer))))
 
 
+@cache
 def complement(lam: tuple[int, ...], frame: Frame) -> tuple[int, ...]:
     """The complementary partition in the frame: rotate the box 180 degrees."""
     if not fits(lam, frame):
@@ -117,6 +127,7 @@ def down_covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+@cache
 def add_box(lam: tuple[int, ...], row: int) -> tuple[int, ...]:
     """Add one box in the given 0-based row; result must be a partition."""
     parts = list(lam) + [0] * (row + 1 - len(lam))
@@ -124,6 +135,7 @@ def add_box(lam: tuple[int, ...], row: int) -> tuple[int, ...]:
     return normalize(parts)
 
 
+@cache
 def added_box(small: tuple[int, ...], big: tuple[int, ...]) -> tuple[int, int] | None:
     """If big = small plus one box, return that box as 0-based (row, col);
     otherwise None."""
@@ -136,6 +148,7 @@ def added_box(small: tuple[int, ...], big: tuple[int, ...]) -> tuple[int, int] |
     return None
 
 
+@cache
 def union(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Rowwise maximum of two partitions."""
     m = max(len(p), len(q))
@@ -143,6 +156,7 @@ def union(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
                                q[i] if i < len(q) else 0) for i in range(m)))
 
 
+@cache
 def intersect(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Rowwise minimum of two partitions."""
     m = min(len(p), len(q))
@@ -152,6 +166,13 @@ def intersect(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def intermediates(bottom: tuple[int, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All partitions mu with bottom < mu < top when top/bottom has two
     boxes: two if the boxes are nonadjacent, one if they form a domino."""
+    return list(_intermediates(bottom, top))
+
+
+@cache
+def _intermediates(bottom: tuple[int, ...],
+                   top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """:func:`intermediates` as a tuple, so the cached value is immutable."""
     if sum(top) != sum(bottom) + 2 or not contains(top, bottom):
         raise ValueError(f"{top}/{bottom} is not a two-box skew shape")
     rows = []
@@ -166,12 +187,13 @@ def intermediates(bottom: tuple[int, ...], top: tuple[int, ...]) -> list[tuple[i
         cand = add_box(bottom, row)
         if contains(top, cand) and cand not in out:
             out.append(cand)
-    return out
+    return tuple(out)
 
 
+@cache
 def is_domino(bottom: tuple[int, ...], top: tuple[int, ...]) -> bool:
     """True if the two boxes of top/bottom are adjacent (share an edge)."""
-    return len(intermediates(bottom, top)) == 1
+    return len(_intermediates(bottom, top)) == 1
 
 
 @cache

@@ -9,7 +9,7 @@ done through the local rule on unit squares of a growth rectangle.
 from dataclasses import dataclass
 from functools import cache
 
-from growth.partitions import added_box, contains, intermediates, normalize
+from growth.partitions import _intermediates, added_box, contains, normalize
 
 Chain = tuple[tuple[int, ...], ...]
 
@@ -42,11 +42,12 @@ def superstandard(lam: tuple[int, ...]) -> Chain:
     return tuple(chain)
 
 
+@cache
 def other_middle(bottom, top, middle):
     """Given a unit square's bottom, top and one middle, the unique other
     middle: the second intermediate when the skew is two nonadjacent boxes,
     the same one when it is a domino."""
-    mids = intermediates(bottom, top)
+    mids = _intermediates(bottom, top)
     if middle not in mids:
         raise ValueError(f"{middle} is not between {bottom} and {top}")
     if len(mids) == 1:

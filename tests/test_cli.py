@@ -129,6 +129,41 @@ class TestWallcross:
         assert code == 2
 
 
+# Diagram fields that are not ints, each reported with its path:
+# (diagram kind, where, value, expected message).  Floats and bools
+# matter beyond the message, since 2.0 and True hash like 2 and 1 in the
+# partition caches, and a row entry [true] would otherwise pass as (1,).
+FIELD_CASES = [
+    pytest.param("fine", ("rows", 2, 3), ["a", "b"],
+                 "rows[2][3][0]: 'a' is not an integer", id="strings"),
+    pytest.param("fine", ("rows", 2, 3), ["a"],
+                 "rows[2][3][0]: 'a' is not an integer", id="string"),
+    pytest.param("fine", ("rows", 2, 3, 0), 2.0,
+                 "rows[2][3][0]: 2.0 is not an integer", id="float-part"),
+    pytest.param("fine", ("rows", 0, 1), [True],
+                 "rows[0][1][0]: True is not an integer", id="bool-part"),
+    pytest.param("fine", ("rows", 1, 2), 2,
+                 "rows[1][2]: 2 is not a list", id="not-a-list"),
+    pytest.param("fine", ("frame", "d"), 2.0,
+                 "frame.d: 2.0 is not an integer", id="float-frame"),
+    pytest.param("fine", ("frame", "n"), True,
+                 "frame.n: True is not an integer", id="bool-frame"),
+    pytest.param("fine", ("frame",), [2, 5],
+                 "frame: [2, 5] is not an object", id="list-frame"),
+    pytest.param("fine", ("r",), 6.0,
+                 "r: 6.0 is not an integer", id="float-r"),
+    pytest.param("class", ("r",), True,
+                 "r: True is not an integer", id="bool-r"),
+    pytest.param("class", ("shape", 1), ["1"],
+                 "shape[1][0]: '1' is not an integer", id="shape-part"),
+    pytest.param("class", ("a", 0, 1, 1, 0), 1.0,
+                 "a[0][1][1][0]: 1.0 is not an integer", id="class-entry"),
+    pytest.param("class", ("b", 2, 0), [[], [1], [2, 1]],
+                 "b[2][0]: step (1,) -> (2, 1) does not add one box",
+                 id="class-step"),
+]
+
+
 class TestWallcrossMalformed:
     """Diagram files that parse as JSON but are not diagrams: exit 2 with
     the first problem, never a traceback or a crossed diagram."""
@@ -178,6 +213,17 @@ class TestWallcrossMalformed:
         err = self._run(capsys, tmp_path, [1, 2], "1,2")
         assert "not a JSON object" in err
 
+    @pytest.mark.parametrize("kind,where,value,want", FIELD_CASES)
+    def test_field_path(self, capsys, tmp_path, kind, where, value, want):
+        data = (golden_diagram("growth_example") if kind == "fine" else
+                decgd_enumerate(F24, [(1,)] * 4)[0]).to_json()
+        target = data
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert want in err
+
 
 class TestCover:
     def test_summary(self, capsys):
@@ -197,9 +243,20 @@ class TestCover:
         assert "6 nodes" in err
 
 
-COVER_REFERENCES = [
-    (workload, command) for workload in ("cover-box6", "cover-mixed5")
-    for command in REFERENCES[workload]]
+def _references(*workloads):
+    return [(workload, command) for workload in workloads
+            for command in REFERENCES[workload]]
+
+
+def _output_digest(tmp_path, capsys, command):
+    target = tmp_path / "out.json"
+    assert main(command.split() + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+COVER_REFERENCES = _references("cover-box6", "cover-mixed5")
+ENUMERATE_REFERENCES = _references("enumerate-3x4", "smoke-enumerate")
 
 
 @pytest.mark.parametrize("workload,command", COVER_REFERENCES,
@@ -207,11 +264,16 @@ COVER_REFERENCES = [
                               for w, c in COVER_REFERENCES])
 def test_cover_reference_digest(tmp_path, capsys, workload, command):
     # the benchmark's cover inputs reproduce their recorded output bytes
-    target = tmp_path / "cover.json"
-    assert main(command.split() + ["--out", str(target)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == REFERENCES[workload][command]
+    assert _output_digest(tmp_path, capsys, command) == \
+        REFERENCES[workload][command]
+
+
+@pytest.mark.parametrize("workload,command", ENUMERATE_REFERENCES,
+                         ids=[w for w, _ in ENUMERATE_REFERENCES])
+def test_enumerate_reference_digest(tmp_path, capsys, workload, command):
+    # the benchmark's enumerate inputs reproduce their recorded output bytes
+    assert _output_digest(tmp_path, capsys, command) == \
+        REFERENCES[workload][command]
 
 
 class TestVerify:
