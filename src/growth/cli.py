@@ -58,12 +58,16 @@ def _frame(args) -> Frame:
     return Frame(args.d, args.n)
 
 
-def _write(args, data: bytes) -> None:
+def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(text)
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _diagram_text(obj) -> str:
@@ -88,14 +92,13 @@ def cmd_enumerate(args) -> int:
                   f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
         diagrams = decgd_enumerate(frame, shape)
     if args.fmt == "json":
-        payload = json.dumps([g.to_json() for g in diagrams],
-                             indent=2, sort_keys=True) + "\n"
+        payload = _json_text([g.to_json() for g in diagrams])
     elif args.fmt == "text":
         payload = "\n\n".join(_diagram_text(g) for g in diagrams)
         payload += "\n" if payload else ""
     else:
         raise UsageError(f"format {args.fmt!r} not supported here")
-    _write(args, payload.encode())
+    _write(args, payload)
     print(f"{len(diagrams)} diagrams", file=sys.stderr)
     return 0
 
@@ -136,13 +139,12 @@ def cmd_wallcross(args) -> int:
             return 1
         print("crossing twice restores the diagram", file=sys.stderr)
     if args.fmt == "json":
-        payload = json.dumps(crossed.to_json(), indent=2, sort_keys=True) \
-            + "\n"
+        payload = _json_text(crossed.to_json())
     elif args.fmt == "text":
         payload = _diagram_text(crossed) + "\n"
     else:
         raise UsageError(f"format {args.fmt!r} not supported here")
-    _write(args, payload.encode())
+    _write(args, payload)
     return 0
 
 
@@ -159,7 +161,7 @@ def cmd_cover(args) -> int:
     summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "
                f"{graph_components(graph)} components")
     if args.fmt == "text":
-        _write(args, (summary + "\n").encode())
+        _write(args, summary + "\n")
     else:
         print(summary, file=sys.stderr)
     return 0
@@ -178,12 +180,12 @@ def cmd_verify(args) -> int:
         records = [{"name": name, "suite": suite[name], "ok": ok,
                     "detail": detail, "seconds": secs}
                    for name, ok, detail, secs in results]
-        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        payload = _json_text(records)
     else:
         payload = "".join(
             f"{'PASS' if ok else 'FAIL'} {name} ({secs:.2f}s): {detail}\n"
             for name, ok, detail, secs in results)
-    _write(args, payload.encode())
+    _write(args, payload)
     if failures:
         print(f"{failures} of {len(results)} checks failed", file=sys.stderr)
         return 1

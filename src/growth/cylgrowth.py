@@ -385,19 +385,7 @@ def rotate_matching(arcs, r: int, step: int = 1):
 
 def noncrossing_matchings(r: int):
     """All noncrossing perfect matchings of [r]."""
-    if r % 2:
-        return []
-    if r == 0:
-        return [frozenset()]
-    out = []
-    for b in range(2, r + 1, 2):
-        # 1 pairs with b; inside 2..b-1 and outside b+1..r are independent
-        inside = _matchings_of(list(range(2, b)))
-        outside = _matchings_of(list(range(b + 1, r + 1)))
-        for m1 in inside:
-            for m2 in outside:
-                out.append(frozenset({frozenset((1, b))} | m1 | m2))
-    return out
+    return _matchings_of(list(range(1, r + 1)))
 
 
 def _matchings_of(points):

@@ -40,13 +40,13 @@ def canonical_order(order):
 
 
 def facets(r: int):
-    """All facets of the moduli space: canonical circular orders of [r]."""
+    """All facets of the moduli space: canonical circular orders of [r],
+    in lexicographic order.  The canonical representative of a class
+    starts at 1 and has a smaller second entry than last entry."""
     if r < 3:
         raise ValueError("need at least 3 marked points")
-    seen = set()
-    for tail in permutations(range(2, r + 1)):
-        seen.add(canonical_order((1,) + tail)[0])
-    return sorted(seen)
+    return [(1,) + tail for tail in permutations(range(2, r + 1))
+            if tail[0] < tail[-1]]
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,11 @@ class Wall:
 
 
 def walls(r: int):
-    """One representative per chord: canonical (a, b) with the interval
-    not wrapping, preferring the lexicographically smaller presentation."""
-    seen = {}
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            if not (2 <= b - a + 1 <= r - 2):
-                continue
-            w = Wall(a, b, r)
-            key = frozenset((w.positions, frozenset(range(1, r + 1)) - w.positions))
-            if key not in seen or (w.a, w.b) < (seen[key].a, seen[key].b):
-                seen[key] = w
-    return sorted(seen.values(), key=lambda w: (w.a, w.b))
+    """One wall per chord, sorted by (a, b): the lexicographically smallest
+    non-wrapping presentation.  An interval that ends at r is presented by
+    its complement, which starts at 1, so every b is below r."""
+    return [Wall(a, b, r) for a in range(1, r) for b in range(a + 1, r)
+            if b - a + 1 <= r - 2]
 
 
 def cross_facet(order, wall: Wall):
@@ -229,14 +222,6 @@ class MonodromyGraph:
     edges: tuple  # (from_id, to_id, wall (a, b)) triples
 
 
-def _chord(facet, wall: Wall) -> frozenset:
-    """The marked points on one side of a wall of a facet: the side whose
-    sorted points come first, so both presentations give the same set."""
-    r = len(facet)
-    side = frozenset(facet[(x - 1) % r] for x in range(wall.a, wall.b + 1))
-    return min(side, frozenset(range(1, r + 1)) - side, key=sorted)
-
-
 class _FiberTables:
     """The fibers of a cover as tables, and wall crossing as maps between
     fiber indices.
@@ -305,9 +290,11 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     Littlewood-Richardson coefficient of the shape.  Each fiber is
     enumerated once per contents tuple, and each wall crossed once per
     (contents, wall); the crossings become tables of fiber indices, and
-    the edges are assembled from those by integer lookups.  An edge is
-    found from both of its ends and kept as first found, in node order,
-    then wall order."""
+    the edges are assembled from those by integer lookups.
+
+    Crossing a wall is an involution, so each edge is taken once, from the
+    facet with the smaller offset (crossing never returns to the same
+    facet), and labelled with that facet's wall.  Edges are sorted."""
     shape = tuple(normalize(lam) for lam in shape)
     r = len(shape)
     if r < 3:
@@ -322,22 +309,17 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     for facet in facet_list:
         offset[facet] = len(nodes)
         nodes.extend((facet, g) for g in tables.fiber(facet)[0])
-    edges = {}
+    edges = []
     for facet in facet_list:
-        steps = []
+        start = offset[facet]
         for wall in wall_list:
             new_facet, table = tables.move(facet, wall)
-            steps.append((offset[new_facet], table, _chord(facet, wall),
-                          (wall.a, wall.b)))
-        start = offset[facet]
-        for i in range(len(tables.fiber(facet)[0])):
-            node_id = start + i
-            for target_start, table, chord, label in steps:
-                target_id = target_start + table[i]
-                key = (frozenset((node_id, target_id)), chord)
-                edges.setdefault(key, (node_id, target_id, label))
-    ordered = sorted(edges.values())
-    return MonodromyGraph(frame, shape, tuple(nodes), tuple(ordered))
+            target = offset[new_facet]
+            if target > start:
+                label = (wall.a, wall.b)
+                edges.extend((start + i, target + j, label)
+                             for i, j in enumerate(table))
+    return MonodromyGraph(frame, shape, tuple(nodes), tuple(sorted(edges)))
 
 
 def graph_components(graph: MonodromyGraph) -> int:
@@ -380,13 +362,13 @@ def graph_to_dot(graph: MonodromyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(graph: MonodromyGraph, fmt: str) -> bytes:
+def export(graph: MonodromyGraph, fmt: str) -> str:
     """Deterministic serialization of the graph."""
     if fmt == "json":
-        return (json.dumps(graph_to_json(graph), indent=2, sort_keys=True)
-                + "\n").encode()
+        return json.dumps(graph_to_json(graph), indent=2, sort_keys=True) \
+            + "\n"
     if fmt == "dot":
-        return graph_to_dot(graph).encode()
+        return graph_to_dot(graph)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -243,6 +243,23 @@ class TestCover:
         assert "6 nodes" in err
 
 
+OUT_COMMANDS = ["cover --d 2 --n 4 --shape 1;1;1;1 --format json",
+                "cover --d 2 --n 4 --shape 1;1;1;1 --format dot",
+                "enumerate --d 2 --n 4 --format json"]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS,
+                         ids=["cover-json", "cover-dot", "enumerate-json"])
+def test_out_matches_stdout(tmp_path, capsys, command):
+    # --out writes exactly the bytes that stdout gets, and nothing to stdout
+    assert main(command.split()) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert main(command.split() + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+
+
 def _references(*workloads):
     return [(workload, command) for workload in workloads
             for command in REFERENCES[workload]]

@@ -2,6 +2,7 @@
 labelings with fiber counts."""
 
 import json
+from itertools import permutations
 
 import pytest
 
@@ -11,7 +12,7 @@ from growth.decgd import (
 )
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    Wall, _chord, _FiberTables, all_trees, build_cover_graph,
+    Wall, _FiberTables, all_trees, build_cover_graph,
     canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
     export, facets, fiber_count, graph_components, node_labelings, star_tree,
     transport_cgd, transport_decgd, walls,
@@ -24,7 +25,33 @@ F26 = Frame(2, 6)
 BOX = (1,)
 
 
+def reference_facets(r):
+    """Every circular order canonicalized, deduplicated and sorted."""
+    return sorted({canonical_order((1,) + tail)[0]
+                   for tail in permutations(range(2, r + 1))})
+
+
+def reference_walls(r):
+    """Every non-wrapping interval of length 2..r-2, keeping the smaller
+    (a, b) of the two presentations of each chord, sorted."""
+    seen = {}
+    for a in range(1, r + 1):
+        for b in range(a + 1, r + 1):
+            if not (2 <= b - a + 1 <= r - 2):
+                continue
+            w = Wall(a, b, r)
+            key = frozenset((w.positions,
+                             frozenset(range(1, r + 1)) - w.positions))
+            if key not in seen or (w.a, w.b) < (seen[key].a, seen[key].b):
+                seen[key] = w
+    return sorted(seen.values(), key=lambda w: (w.a, w.b))
+
+
 class TestFacets:
+    @pytest.mark.parametrize("r", range(3, 10))
+    def test_matches_reference(self, r):
+        assert facets(r) == reference_facets(r)
+
     @pytest.mark.parametrize("r,count", [(3, 1), (4, 3), (5, 12), (6, 60)])
     def test_counts(self, r, count):
         assert len(facets(r)) == count
@@ -40,6 +67,10 @@ class TestFacets:
 
 
 class TestWalls:
+    @pytest.mark.parametrize("r", range(3, 10))
+    def test_matches_reference(self, r):
+        assert walls(r) == reference_walls(r)
+
     @pytest.mark.parametrize("r,count", [(4, 2), (5, 5), (6, 9)])
     def test_chord_counts(self, r, count):
         assert len(walls(r)) == count == r * (r - 3) // 2
@@ -316,6 +347,14 @@ class TestCoverGraph:
         assert len(graph.nodes) == 360 == len(facets(6)) * c
         assert graph_components(graph) == 1
 
+    def test_all_box_r8(self):
+        # 2520 facets, each over a fiber of Catalan(4) = 14 diagrams, and
+        # 20 walls per node with every edge counted at both ends
+        graph = build_cover_graph(F26, [BOX] * 8)
+        assert len(graph.nodes) == 35280 == len(facets(8)) * 14
+        assert len(graph.edges) == 352800 == len(graph.nodes) * 20 // 2
+        assert graph_components(graph) == 1
+
 
 def reference_cover(frame, shape):
     """The cover built node by node: enumerate the fiber again for every
@@ -357,8 +396,10 @@ COVER_CASES = [
     (F25, ((2,), BOX, BOX, BOX, BOX)),
     (F26, ((2,), (2,), (2,), BOX, BOX)),
     (F26, ((2,), BOX, (2,), BOX, (2,))),
+    (Frame(3, 5), ((1, 1), BOX, BOX, BOX, BOX)),
 ]
-COVER_IDS = ["24-1^4", "25-1^6", "25-2;1^4", "26-2;2;2;1;1", "26-2;1;2;1;2"]
+COVER_IDS = ["24-1^4", "25-1^6", "25-2;1^4", "26-2;2;2;1;1", "26-2;1;2;1;2",
+             "35-11;1^4"]
 
 
 class TestCoverTables:
@@ -375,13 +416,19 @@ class TestCoverTables:
         # facet returns every fiber index to itself
         tables = _FiberTables(frame, shape)
         r = len(shape)
+        everyone = frozenset(range(1, r + 1))
+
+        def chord(facet, wall):
+            side = frozenset(facet[(x - 1) % r]
+                             for x in range(wall.a, wall.b + 1))
+            return min(side, everyone - side, key=sorted)
+
         for facet in facets(r):
             size = len(tables.fiber(facet)[0])
             for wall in walls(r):
                 new_facet, table = tables.move(facet, wall)
-                chord = _chord(facet, wall)
-                (back_wall,) = [w for w in walls(r)
-                                if _chord(new_facet, w) == chord]
+                (back_wall,) = [w for w in walls(r) if chord(new_facet, w)
+                                == chord(facet, wall)]
                 back, back_table = tables.move(new_facet, back_wall)
                 assert back == facet
                 assert [back_table[j] for j in table] == list(range(size))
@@ -399,21 +446,21 @@ class TestCoverTables:
 class TestExport:
     def test_json_schema_round_trip(self):
         graph = build_cover_graph(F24, [BOX] * 4)
-        data = json.loads(export(graph, "json").decode())
+        data = json.loads(export(graph, "json"))
         assert len(data["nodes"]) == 6
         assert len(data["edges"]) == 6
         assert all(set(e) == {"from", "to", "wall"} for e in data["edges"])
 
     def test_dot(self):
         graph = build_cover_graph(F24, [BOX] * 4)
-        dot = export(graph, "dot").decode()
+        dot = export(graph, "dot")
         assert dot.startswith("graph cover {")
         assert dot.count(" -- ") == 6
         assert export(graph, "dot") == export(graph, "dot")
 
     def test_empty_graph(self):
         graph = build_cover_graph(F24, [BOX] * 3)
-        data = json.loads(export(graph, "json").decode())
+        data = json.loads(export(graph, "json"))
         assert data["nodes"] == [] and data["edges"] == []
 
     def test_unknown_format(self):
