@@ -1,20 +1,29 @@
 """Command-line interface: enumerate diagrams, cross walls, build cover
 graphs, and run the verification suites.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-and on input files that are not valid diagrams.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
+on conditions that do not fit the frame's box, on output that cannot be
+written, and on input files that are not valid diagrams.  The --out file
+is opened before any work starts.  JSON output is
+streamed in chunks and is byte for byte the text of
+json.dumps(..., indent=2, sort_keys=True) plus a newline.
 Outputs are deterministic, and no environment variable changes them."""
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
-from growth.checks import CHECKS, SUITES, run_checks
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
+from growth.jsonout import write_json
 from growth.moduli import Wall, build_cover_graph, cross_cgd, cross_decgd, \
     export, graph_components
-from growth.partitions import Frame, normalize
+from growth.partitions import Frame, fits, normalize
+
+# the suites of growth.checks, which is imported only by verify
+SUITES = ("growth", "conic")
 
 
 class UsageError(Exception):
@@ -35,7 +44,10 @@ def parse_shape(text: str):
             raise UsageError(f"cannot parse partition {chunk!r}")
         if any(p < 0 for p in parts):
             raise UsageError(f"negative part in {chunk!r}")
-        shape.append(normalize(parts))
+        try:
+            shape.append(normalize(parts))
+        except ValueError as exc:
+            raise UsageError(f"bad partition {chunk!r}: {exc}")
     return tuple(shape)
 
 
@@ -58,16 +70,51 @@ def _frame(args) -> Frame:
     return Frame(args.d, args.n)
 
 
-def _write(args, text: str) -> None:
-    if args.out:
+def _shape(args, frame: Frame):
+    """The conditions of --shape: at least three, each fitting the frame's
+    box.  Sizes that do not sum to d(n-d) give no diagrams; a note says
+    so."""
+    shape = parse_shape(args.shape)
+    if len(shape) < 3:
+        raise UsageError("need at least 3 conditions")
+    for lam in shape:
+        if not fits(lam, frame):
+            raise UsageError(
+                f"condition {','.join(map(str, lam))} does not fit the "
+                f"{frame.d} x {frame.cols} box of d = {frame.d}, "
+                f"n = {frame.n}")
+    if sum(sum(lam) for lam in shape) != frame.size:
+        print(f"note: no diagrams, the sizes must satisfy "
+              f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
+    return shape
+
+
+def _formats(args, *allowed) -> None:
+    if args.fmt not in allowed:
+        raise UsageError(f"format {args.fmt!r} not supported here")
+
+
+@contextmanager
+def _output(args):
+    """stdout, or the --out file opened for writing (text, UTF-8, no
+    newline translation) and closed at the end.  Failing to open, write
+    or close the output is a usage error, except that a reader closing
+    the pipe on stdout (`| head`) just ends the output."""
+    if not args.out:
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            # the unwritten rest would fail again in the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise UsageError(f"cannot write stdout: {exc.strerror}")
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}")
 
 
 def _diagram_text(obj) -> str:
@@ -81,24 +128,16 @@ def _diagram_text(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     frame = _frame(args)
-    if args.shape is None:
-        diagrams = cgd_enumerate(frame)
-    else:
-        shape = parse_shape(args.shape)
-        if len(shape) < 3:
-            raise UsageError("need at least 3 conditions")
-        if sum(sum(lam) for lam in shape) != frame.size:
-            print(f"note: no diagrams, the sizes must satisfy "
-                  f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
-        diagrams = decgd_enumerate(frame, shape)
-    if args.fmt == "json":
-        payload = _json_text([g.to_json() for g in diagrams])
-    elif args.fmt == "text":
-        payload = "\n\n".join(_diagram_text(g) for g in diagrams)
-        payload += "\n" if payload else ""
-    else:
-        raise UsageError(f"format {args.fmt!r} not supported here")
-    _write(args, payload)
+    shape = None if args.shape is None else _shape(args, frame)
+    _formats(args, "json", "text")
+    with _output(args) as out:
+        diagrams = (cgd_enumerate(frame) if shape is None
+                    else decgd_enumerate(frame, shape))
+        if args.fmt == "json":
+            write_json([g.to_json() for g in diagrams], out)
+        else:
+            for i, g in enumerate(diagrams):
+                out.write(("\n" if i else "") + _diagram_text(g) + "\n")
     print(f"{len(diagrams)} diagrams", file=sys.stderr)
     return 0
 
@@ -126,6 +165,7 @@ def cmd_wallcross(args) -> int:
     if args.wall is None:
         raise UsageError("--wall a,b is required")
     wall = parse_wall(args.wall, diagram.r)
+    _formats(args, "json", "text")
     cross = cross_decgd if isinstance(diagram, Decgd) else cross_cgd
     try:
         crossed = cross(diagram, wall)
@@ -138,13 +178,11 @@ def cmd_wallcross(args) -> int:
                   file=sys.stderr)
             return 1
         print("crossing twice restores the diagram", file=sys.stderr)
-    if args.fmt == "json":
-        payload = _json_text(crossed.to_json())
-    elif args.fmt == "text":
-        payload = _diagram_text(crossed) + "\n"
-    else:
-        raise UsageError(f"format {args.fmt!r} not supported here")
-    _write(args, payload)
+    with _output(args) as out:
+        if args.fmt == "json":
+            write_json(crossed.to_json(), out)
+        else:
+            out.write(_diagram_text(crossed) + "\n")
     return 0
 
 
@@ -152,40 +190,40 @@ def cmd_cover(args) -> int:
     frame = _frame(args)
     if args.shape is None:
         raise UsageError("--shape is required")
-    shape = parse_shape(args.shape)
-    if len(shape) < 3:
-        raise UsageError("need at least 3 conditions")
-    graph = build_cover_graph(frame, shape)
-    if args.fmt in ("json", "dot"):
-        _write(args, export(graph, args.fmt))
-    summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "
-               f"{graph_components(graph)} components")
-    if args.fmt == "text":
-        _write(args, summary + "\n")
-    else:
+    shape = _shape(args, frame)
+    with _output(args) as out:
+        graph = build_cover_graph(frame, shape)
+        summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "
+                   f"{graph_components(graph)} components")
+        if args.fmt == "text":
+            out.write(summary + "\n")
+        else:
+            export(graph, args.fmt, out)
+    if args.fmt != "text":
         print(summary, file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.fmt not in ("text", "json"):
-        raise UsageError(f"format {args.fmt!r} not supported here")
-    try:
-        results = run_checks(args.only)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    _formats(args, "json", "text")
+    with _output(args) as out:
+        # imported here: the checks bring the conic and the goldens, which
+        # no other command needs
+        from growth.checks import CHECKS, run_checks
+        try:
+            results = run_checks(args.only)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if args.fmt == "json":
+            suite = {name: s for name, s, _ in CHECKS}
+            write_json([{"name": name, "suite": suite[name], "ok": ok,
+                         "detail": detail, "seconds": secs}
+                        for name, ok, detail, secs in results], out)
+        else:
+            out.writelines(f"{'PASS' if ok else 'FAIL'} {name} "
+                           f"({secs:.2f}s): {detail}\n"
+                           for name, ok, detail, secs in results)
     failures = sum(1 for _, ok, _, _ in results if not ok)
-    if args.fmt == "json":
-        suite = {name: s for name, s, _ in CHECKS}
-        records = [{"name": name, "suite": suite[name], "ok": ok,
-                    "detail": detail, "seconds": secs}
-                   for name, ok, detail, secs in results]
-        payload = _json_text(records)
-    else:
-        payload = "".join(
-            f"{'PASS' if ok else 'FAIL'} {name} ({secs:.2f}s): {detail}\n"
-            for name, ok, detail, secs in results)
-    _write(args, payload)
     if failures:
         print(f"{failures} of {len(results)} checks failed", file=sys.stderr)
         return 1

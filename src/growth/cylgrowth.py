@@ -38,10 +38,11 @@ class CylGrowthDiagram:
         return self.rows[i % self.r]
 
     def to_json(self) -> dict:
+        """The diagram as JSON data, with the stored tuples as arrays."""
         return {
             "frame": {"d": self.frame.d, "n": self.frame.n},
             "r": self.r,
-            "rows": [[list(p) for p in row] for row in self.rows],
+            "rows": self.rows,
         }
 
     @staticmethod

@@ -57,15 +57,17 @@ class Decgd:
         return tuple(sum(lam) for lam in self.shape)
 
     def to_json(self) -> dict:
+        """The diagram as JSON data, with the stored tuples as arrays and
+        each class as its representative chain."""
         return {
             "frame": {"d": self.frame.d, "n": self.frame.n},
             "r": self.r,
-            "shape": [list(lam) for lam in self.shape],
-            "rows": [[list(p) for p in row] for row in self.gamma],
-            "a": [[[list(p) for p in cls.representative] for cls in row]
-                  for row in self.a],
-            "b": [[[list(p) for p in cls.representative] for cls in row]
-                  for row in self.b],
+            "shape": self.shape,
+            "rows": self.gamma,
+            "a": tuple(tuple(cls.representative for cls in row)
+                       for row in self.a),
+            "b": tuple(tuple(cls.representative for cls in row)
+                       for row in self.b),
         }
 
     @staticmethod

@@ -7,7 +7,6 @@ the representative starts at 1 and takes the lexicographically smaller
 direction.  A wall is the chord reversing a circular interval of marked
 positions; it is identified with the complementary interval."""
 
-import json
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -17,6 +16,7 @@ from growth.cylgrowth import (
 from growth.decgd import (
     Decgd, _iota, decgd_enumerate, restrict_cgd,
 )
+from growth.jsonout import JsonText, write_array
 from growth.partitions import (
     Frame, complement, lr_coefficient, normalize, partitions_in,
 )
@@ -259,14 +259,11 @@ class _FiberTables:
                                 {g: i for i, g in enumerate(diagrams)})
         return self.fibers[key]
 
-    def move(self, facet, wall: Wall):
-        """(new_facet, table): crossing the wall from fiber index i over
-        facet lands on fiber index table[i] over new_facet."""
-        # the crossed diagram keeps the wall blocks in place and reflects
-        # the complementary blocks, so its raw presentation is the order
-        # with the complementary span reversed; both spans give the same
-        # facet
-        new_facet, gmap = cross_facet(facet, wall.complementary())
+    def move(self, facet, wall: Wall, landing):
+        """Crossing the wall from fiber index i over facet lands on fiber
+        index table[i] over new_facet; returns table, given landing =
+        (new_facet, gmap) = _landing(facet, wall)."""
+        new_facet, gmap = landing
         key = self.contents(facet)
         if (key, wall, gmap) not in self.moves:
             if (key, wall) not in self.crossed:
@@ -277,7 +274,16 @@ class _FiberTables:
             index = self.fiber(new_facet)[1]
             self.moves[key, wall, gmap] = [
                 index[transport(g, gmap)] for g in self.crossed[key, wall]]
-        return new_facet, self.moves[key, wall, gmap]
+        return self.moves[key, wall, gmap]
+
+
+def _landing(facet, wall: Wall):
+    """(new_facet, gmap): the facet that crossing the wall from facet
+    lands on, and the transporter to its canonical order."""
+    # the crossed diagram keeps the wall blocks in place and reflects the
+    # complementary blocks, so its raw presentation is the order with the
+    # complementary span reversed; both spans give the same facet
+    return cross_facet(facet, wall.complementary())
 
 
 def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
@@ -313,10 +319,11 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     for facet in facet_list:
         start = offset[facet]
         for wall in wall_list:
-            new_facet, table = tables.move(facet, wall)
-            target = offset[new_facet]
+            landing = _landing(facet, wall)
+            target = offset[landing[0]]
             if target > start:
                 label = (wall.a, wall.b)
+                table = tables.move(facet, wall, landing)
                 edges.extend((start + i, target + j, label)
                              for i, j in enumerate(table))
     return MonodromyGraph(frame, shape, tuple(nodes), tuple(sorted(edges)))
@@ -336,21 +343,6 @@ def graph_components(graph: MonodromyGraph) -> int:
     return len({find(x) for x in range(len(graph.nodes))})
 
 
-def graph_to_json(graph: MonodromyGraph) -> dict:
-    nodes = []
-    for facet, diagram in graph.nodes:
-        entry = {"facet": list(facet)}
-        entry["diagram"] = diagram.to_json()
-        nodes.append(entry)
-    return {
-        "frame": {"d": graph.frame.d, "n": graph.frame.n},
-        "shape": [list(lam) for lam in graph.shape],
-        "nodes": nodes,
-        "edges": [{"from": u, "to": v, "wall": [a, b]}
-                  for u, v, (a, b) in graph.edges],
-    }
-
-
 def graph_to_dot(graph: MonodromyGraph) -> str:
     lines = ["graph cover {"]
     for i, (facet, _) in enumerate(graph.nodes):
@@ -362,14 +354,40 @@ def graph_to_dot(graph: MonodromyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(graph: MonodromyGraph, fmt: str) -> str:
-    """Deterministic serialization of the graph."""
+def _write_graph_json(graph: MonodromyGraph, out) -> None:
+    """The text json.dumps(..., indent=2, sort_keys=True) gives the object
+    {"edges": [{"from", "to", "wall": [a, b]}], "frame": {"d", "n"},
+    "nodes": [{"diagram", "facet"}], "shape"}, written node by node and
+    edge by edge.  A fiber holds few distinct diagrams, so each diagram's
+    text is rendered once."""
+    text = JsonText()
+    diagrams = {}
+
+    def node(facet, diagram):
+        if diagram not in diagrams:
+            diagrams[diagram] = text(diagram.to_json(), 3)
+        return (f'{{\n      "diagram": {diagrams[diagram]},\n'
+                f'      "facet": {text(facet, 3)}\n    }}')
+
+    out.write('{\n  "edges": ')
+    write_array(out, (f'{{\n      "from": {u},\n      "to": {v},\n'
+                      f'      "wall": [\n        {a},\n        {b}\n'
+                      f'      ]\n    }}' for u, v, (a, b) in graph.edges), 1)
+    frame = {"d": graph.frame.d, "n": graph.frame.n}
+    out.write(f',\n  "frame": {text(frame, 1)},\n  "nodes": ')
+    write_array(out, (node(facet, g) for facet, g in graph.nodes), 1)
+    out.write(f',\n  "shape": {text(graph.shape, 1)}\n}}\n')
+
+
+def export(graph: MonodromyGraph, fmt: str, out) -> None:
+    """Write the graph to the text stream out: as JSON, the text of
+    json.dumps(..., indent=2, sort_keys=True) plus a newline, or as DOT."""
     if fmt == "json":
-        return json.dumps(graph_to_json(graph), indent=2, sort_keys=True) \
-            + "\n"
-    if fmt == "dot":
-        return graph_to_dot(graph)
-    raise ValueError(f"unknown format {fmt!r}")
+        _write_graph_json(graph, out)
+    elif fmt == "dot":
+        out.write(graph_to_dot(graph))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

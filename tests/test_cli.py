@@ -3,7 +3,10 @@ cover graphs, the verification suites, and exit codes."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,8 +218,10 @@ class TestWallcrossMalformed:
 
     @pytest.mark.parametrize("kind,where,value,want", FIELD_CASES)
     def test_field_path(self, capsys, tmp_path, kind, where, value, want):
-        data = (golden_diagram("growth_example") if kind == "fine" else
-                decgd_enumerate(F24, [(1,)] * 4)[0]).to_json()
+        # edited as JSON data: to_json holds the diagram's own tuples
+        data = json.loads(json.dumps(
+            (golden_diagram("growth_example") if kind == "fine" else
+             decgd_enumerate(F24, [(1,)] * 4)[0]).to_json()))
         target = data
         for key in where[:-1]:
             target = target[key]
@@ -241,6 +246,81 @@ class TestCover:
         text = target.read_text()
         assert text.startswith("graph cover {") and text.rstrip().endswith("}")
         assert "6 nodes" in err
+
+    def test_size_mismatch_note(self, capsys):
+        code, out, err = run(capsys, "cover", "--d", "2", "--n", "5",
+                             "--shape", "2;1;1")
+        assert code == 0
+        assert "0 nodes, 0 edges" in out and "d(n-d) = 6" in err
+
+
+# conditions wider or taller than the d x (n-d) box, and parts that are
+# not weakly decreasing
+UNFIT = [("cover", "2", "5", "4;1;1"), ("cover", "2", "5", "1,1,1;1;1;1"),
+         ("enumerate", "2", "5", "4;1;1"),
+         ("enumerate", "2", "5", "1,1,1;1;1;1"),
+         ("enumerate", "2", "4", "1,2;1;1;1")]
+
+
+@pytest.mark.parametrize("command,d,n,shape", UNFIT,
+                         ids=[f"{c}-{s}" for c, _, _, s in UNFIT])
+def test_condition_outside_the_frame(capsys, command, d, n, shape):
+    code, out, err = run(capsys, command, "--d", d, "--n", n,
+                         "--shape", shape, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    "cover --d 2 --n 4 --shape 1;1;1;1 --format json",
+    "enumerate --d 2 --n 4 --format json",
+    "verify --only conic"], ids=["cover", "enumerate", "verify"])
+def test_unwritable_out(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *command.split(), "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and not target.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+def test_full_out(capsys):
+    code, out, err = run(capsys, "enumerate", "--d", "2", "--n", "5",
+                         "--format", "json", "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
+def _spawn(*argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                           / "src")}
+    return subprocess.Popen([sys.executable, "-m", "growth.cli", *argv],
+                            env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+def test_full_stdout():
+    with open("/dev/full", "w") as full:
+        proc = _spawn("enumerate", "--d", "2", "--n", "5", "--format",
+                      "json", stdout=full)
+        err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_reader_closes_stdout():
+    # `| head`: the output ends quietly, and the run still succeeds
+    proc = _spawn("cover", "--d", "2", "--n", "5", "--shape",
+                  "1;1;1;1;1;1", "--format", "json",
+                  stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "edges'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert err == "300 nodes, 1350 edges, 1 components\n"
 
 
 OUT_COMMANDS = ["cover --d 2 --n 4 --shape 1;1;1;1 --format json",
@@ -330,6 +410,21 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--format", "dot")
         assert code == 2 and out == ""
         assert "not supported" in err
+
+    def test_suites_match_checks(self):
+        import growth.checks
+        import growth.cli
+        assert growth.cli.SUITES == growth.checks.SUITES
+
+    def test_checks_imported_by_verify_only(self):
+        # the other commands start without the checks, the conic and the
+        # goldens
+        code = ("import sys, growth.cli; "
+                "sys.exit('growth.checks' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                               / "src")}
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

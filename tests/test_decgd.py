@@ -2,6 +2,8 @@
 lifting, first-row construction, counts against the Littlewood-Richardson
 oracle, and the cellwise shuffle condition."""
 
+import json
+
 import pytest
 
 from growth.cylgrowth import cgd_enumerate
@@ -173,5 +175,10 @@ class TestEnumerate:
 
 
 def test_json_round_trip():
-    d = decgd_enumerate(F24, [BOX] * 4)[0]
-    assert Decgd.from_json(d.to_json()) == d
+    # through JSON text: to_json holds the stored tuples, and from_json
+    # takes JSON lists only
+    for d in (decgd_enumerate(F24, [BOX] * 4)[0],
+              *decgd_enumerate(F25, [(2,), BOX, BOX, BOX, BOX])):
+        assert Decgd.from_json(json.loads(json.dumps(d.to_json()))) == d
+        with pytest.raises(ValueError):
+            Decgd.from_json(d.to_json())

@@ -1,0 +1,139 @@
+"""Differential tests of the streamed JSON writer against
+json.dumps(value, indent=2, sort_keys=True) + "\\n", and JSON round trips
+of diagrams."""
+
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from growth.cli import main
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
+from growth.decgd import Decgd, decgd_enumerate
+from growth.jsonout import JsonText, write_json
+from growth.moduli import build_cover_graph
+from growth.partitions import Frame
+from test_moduli import graph_to_json
+
+REFERENCES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+BOX = (1,)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def written(value) -> str:
+    out = io.StringIO()
+    write_json(value, out)
+    return out.getvalue()
+
+
+def _flag(args, name):
+    return args[args.index(name) + 1]
+
+
+def reference_data(command):
+    """The JSON data behind a reference command's output, built without
+    the writer."""
+    args = command.split()
+    frame = Frame(int(_flag(args, "--d")), int(_flag(args, "--n")))
+    if args[0] == "enumerate":
+        return [g.to_json() for g in cgd_enumerate(frame)]
+    shape = [tuple(int(p) for p in lam.split(","))
+             for lam in _flag(args, "--shape").split(";")]
+    return graph_to_json(build_cover_graph(frame, shape))
+
+
+JSON_REFERENCES = [command for workload, commands in REFERENCES.items()
+                   if workload != "verify" for command in commands]
+
+
+@pytest.mark.parametrize("command", JSON_REFERENCES)
+def test_reference_inputs(tmp_path, capsys, command):
+    target = tmp_path / "out.json"
+    assert main(command.split() + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_text(encoding="utf-8") == \
+        dumps(reference_data(command))
+
+
+def test_verify_records(capsys):
+    # the records hold strings, bools and float seconds
+    assert main(["verify", "--only", "conic", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == dumps(json.loads(out))
+
+
+# Few distinct scalars, so that equal values of different types (1, True,
+# 1.0) and repeated tuples meet within one value.
+SCALARS = (st.integers(-2, 2) | st.booleans() | st.none()
+           | st.sampled_from([1.0, 0.5, -0.0, 1e16, math.inf, -math.inf])
+           | st.text(max_size=3)
+           | st.sampled_from(["", "é", "☃", "\U0001f600", '"\\\n']))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@given(VALUES)
+def test_matches_json_dumps(value):
+    assert written(value) == dumps(value)
+
+
+@given(st.lists(st.lists(st.lists(st.integers(0, 2), max_size=2).map(tuple),
+                         max_size=3).map(tuple), max_size=6))
+def test_repeated_int_tuples(rows):
+    # rows of partitions, as diagrams store them, with many repeats
+    assert written({"rows": rows, "same": rows}) == \
+        dumps({"rows": rows, "same": rows})
+
+
+TRAPS = [[(1,), (True,)], [(1,), (1.0,)], [(True,), (1,)], [(1.0,), (1,)],
+         [((1,),), ((True,),)], [((1, 2), (1,)), ((1, 2), (1.0,))],
+         [[1], [True]], [[1], [1.0]], [[[1]], [[True]]]]
+
+
+@pytest.mark.parametrize("value", TRAPS, ids=repr)
+def test_equal_values_of_other_types(value):
+    assert written(value) == dumps(value)
+    text = JsonText()
+    assert [text(v) for v in value] == [dumps(v)[:-1] for v in value]
+
+
+def test_non_string_key_refused():
+    with pytest.raises(TypeError):
+        written({1: 2})
+
+
+def test_top_level_scalars_and_empties():
+    for value in ([], (), {}, 0, "x", None, [[]], [{}], {"a": []}):
+        assert written(value) == dumps(value)
+
+
+ROUND_TRIPS = [(Frame(2, 4), None), (Frame(2, 5), None),
+               (Frame(2, 4), (BOX,) * 4),
+               (Frame(2, 5), ((2,), BOX, BOX, BOX, BOX)),
+               (Frame(2, 5), ((1, 1), (2,), BOX, BOX))]
+
+
+@pytest.mark.parametrize("frame,shape", ROUND_TRIPS,
+                         ids=["24", "25", "24-1^4", "25-2;1^4", "25-11;2;1;1"])
+def test_json_round_trip(frame, shape):
+    if shape is None:
+        diagrams, cls = cgd_enumerate(frame), CylGrowthDiagram
+    else:
+        diagrams, cls = decgd_enumerate(frame, shape), Decgd
+    assert diagrams
+    for diagram in diagrams:
+        data = diagram.to_json()
+        assert cls.from_json(json.loads(json.dumps(data))) == diagram
+        assert cls.from_json(json.loads(written(data))) == diagram

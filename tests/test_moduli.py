@@ -1,6 +1,7 @@
 """Tests for facets, wall crossings, the monodromy graph, and tree
 labelings with fiber counts."""
 
+import io
 import json
 from itertools import permutations
 
@@ -12,7 +13,7 @@ from growth.decgd import (
 )
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    Wall, _FiberTables, all_trees, build_cover_graph,
+    Wall, _FiberTables, _landing, all_trees, build_cover_graph,
     canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
     export, facets, fiber_count, graph_components, node_labelings, star_tree,
     transport_cgd, transport_decgd, walls,
@@ -426,11 +427,14 @@ class TestCoverTables:
         for facet in facets(r):
             size = len(tables.fiber(facet)[0])
             for wall in walls(r):
-                new_facet, table = tables.move(facet, wall)
+                landing = _landing(facet, wall)
+                new_facet = landing[0]
+                table = tables.move(facet, wall, landing)
                 (back_wall,) = [w for w in walls(r) if chord(new_facet, w)
                                 == chord(facet, wall)]
-                back, back_table = tables.move(new_facet, back_wall)
-                assert back == facet
+                landing = _landing(new_facet, back_wall)
+                assert landing[0] == facet
+                back_table = tables.move(new_facet, back_wall, landing)
                 assert [back_table[j] for j in table] == list(range(size))
         assert tables.moves
 
@@ -438,34 +442,66 @@ class TestCoverTables:
         tables = _FiberTables(F25, (BOX,) * 6)
         for facet in facets(6):
             for wall in walls(6):
-                tables.move(facet, wall)
+                tables.move(facet, wall, _landing(facet, wall))
         assert len(tables.fibers) == 1
         assert len(tables.crossed) == len(walls(6))
+
+
+def exported(graph, fmt):
+    out = io.StringIO()
+    export(graph, fmt, out)
+    return out.getvalue()
+
+
+def graph_to_json(graph):
+    """The graph as the JSON data the export writes."""
+    return {
+        "frame": {"d": graph.frame.d, "n": graph.frame.n},
+        "shape": [list(lam) for lam in graph.shape],
+        "nodes": [{"facet": list(facet), "diagram": diagram.to_json()}
+                  for facet, diagram in graph.nodes],
+        "edges": [{"from": u, "to": v, "wall": [a, b]}
+                  for u, v, (a, b) in graph.edges],
+    }
 
 
 class TestExport:
     def test_json_schema_round_trip(self):
         graph = build_cover_graph(F24, [BOX] * 4)
-        data = json.loads(export(graph, "json"))
+        data = json.loads(exported(graph, "json"))
         assert len(data["nodes"]) == 6
         assert len(data["edges"]) == 6
         assert all(set(e) == {"from", "to", "wall"} for e in data["edges"])
+        assert [CylGrowthDiagram.from_json(node["diagram"])
+                for node in data["nodes"]] == [g for _, g in graph.nodes]
+
+    @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
+    def test_json_is_json_dumps(self, frame, shape):
+        # the streamed text is exactly json.dumps of the graph's data
+        graph = build_cover_graph(frame, shape)
+        assert exported(graph, "json") == json.dumps(
+            graph_to_json(graph), indent=2, sort_keys=True) + "\n"
 
     def test_dot(self):
         graph = build_cover_graph(F24, [BOX] * 4)
-        dot = export(graph, "dot")
+        dot = exported(graph, "dot")
         assert dot.startswith("graph cover {")
         assert dot.count(" -- ") == 6
-        assert export(graph, "dot") == export(graph, "dot")
+        assert exported(graph, "dot") == dot
 
     def test_empty_graph(self):
         graph = build_cover_graph(F24, [BOX] * 3)
-        data = json.loads(export(graph, "json"))
+        text = exported(graph, "json")
+        data = json.loads(text)
         assert data["nodes"] == [] and data["edges"] == []
+        assert text == json.dumps(graph_to_json(graph), indent=2,
+                                  sort_keys=True) + "\n"
 
     def test_unknown_format(self):
+        out = io.StringIO()
         with pytest.raises(ValueError):
-            export(build_cover_graph(F24, [BOX] * 4), "yaml")
+            export(build_cover_graph(F24, [BOX] * 4), "yaml", out)
+        assert out.getvalue() == ""
 
 
 class TestTrees:
