@@ -16,11 +16,11 @@ import sys
 from contextlib import contextmanager
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
-from growth.decgd import Decgd, decgd_enumerate
 from growth.jsonout import write_json
-from growth.moduli import Wall, build_cover_graph, cross_cgd, cross_decgd, \
-    export, graph_components
 from growth.partitions import Frame, fits, normalize
+
+# growth.decgd and growth.moduli are imported in the handlers that use
+# them, so that enumerate without --shape starts without them
 
 # the suites of growth.checks, which is imported only by verify
 SUITES = ("growth", "conic")
@@ -51,7 +51,8 @@ def parse_shape(text: str):
     return tuple(shape)
 
 
-def parse_wall(text: str, r: int) -> Wall:
+def parse_wall(text: str, r: int):
+    from growth.moduli import Wall
     try:
         a, b = (int(x) for x in text.split(","))
     except ValueError:
@@ -122,7 +123,7 @@ def _diagram_text(obj) -> str:
         return " ".join("." if not p else ",".join(str(x) for x in p)
                         for p in row)
 
-    rows = obj.gamma if isinstance(obj, Decgd) else obj.rows
+    rows = obj.rows if isinstance(obj, CylGrowthDiagram) else obj.gamma
     return "\n".join(fmt_row(row) for row in rows)
 
 
@@ -131,8 +132,11 @@ def cmd_enumerate(args) -> int:
     shape = None if args.shape is None else _shape(args, frame)
     _formats(args, "json", "text")
     with _output(args) as out:
-        diagrams = (cgd_enumerate(frame) if shape is None
-                    else decgd_enumerate(frame, shape))
+        if shape is None:
+            diagrams = cgd_enumerate(frame)
+        else:
+            from growth.decgd import decgd_enumerate
+            diagrams = decgd_enumerate(frame, shape)
         if args.fmt == "json":
             write_json([g.to_json() for g in diagrams], out)
         else:
@@ -152,6 +156,7 @@ def _load_diagram(path: str):
         raise UsageError(f"malformed diagram in {path}: not a JSON object")
     try:
         if "a" in data and "b" in data:
+            from growth.decgd import Decgd
             return Decgd.from_json(data)
         return CylGrowthDiagram.from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -166,7 +171,9 @@ def cmd_wallcross(args) -> int:
         raise UsageError("--wall a,b is required")
     wall = parse_wall(args.wall, diagram.r)
     _formats(args, "json", "text")
-    cross = cross_decgd if isinstance(diagram, Decgd) else cross_cgd
+    from growth.moduli import cross_cgd, cross_decgd
+    cross = (cross_cgd if isinstance(diagram, CylGrowthDiagram)
+             else cross_decgd)
     try:
         crossed = cross(diagram, wall)
     except ValueError as exc:
@@ -191,6 +198,7 @@ def cmd_cover(args) -> int:
     if args.shape is None:
         raise UsageError("--shape is required")
     shape = _shape(args, frame)
+    from growth.moduli import build_cover_graph, export, graph_components
     with _output(args) as out:
         graph = build_cover_graph(frame, shape)
         summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "

@@ -131,52 +131,60 @@ def validate_path(path, r: int) -> list[tuple[int, int]]:
 class _Completion:
     """Fixpoint solver filling the fundamental domain from seeds.
 
-    Keys are (i mod r, j - i).  Unit squares have corners
-    bottom (a, k), right middle (a, k+1), left middle (a-1, k+1),
-    top (a-1, k+2); only forced deductions are applied: a missing middle
-    is always unique, a missing top/bottom only when the middles differ."""
+    The entries are stored as rows[a][k] for the entry at (a, a + k), with
+    a = i mod r and k = j - i; an unknown entry is None, and missing counts
+    them.  Every row starts as a copy of one template holding the four
+    boundary offsets 0, 1, r - 1 and r.  Unit squares have corners
+    bottom rows[a][k], right middle rows[a][k+1], left middle
+    rows[a-1][k+1] and top rows[a-1][k+2]; only forced deductions are
+    applied: a missing middle is always unique, a missing top/bottom only
+    when the middles differ."""
 
     def __init__(self, frame: Frame, r: int):
         self.frame = frame
         self.r = r
-        self.known: dict[tuple[int, int], tuple[int, ...]] = {}
         box_c = complement((1,), frame)
-        rect = frame.rectangle()
-        for a in range(r):
-            self.set(a, 0, ())
-            self.set(a, 1, (1,))
-            self.set(a, r - 1, box_c)
-            self.set(a, r, rect)
+        self.rows = [[None] * (r + 1)]
+        self.missing = r + 1
+        for k, value in ((0, ()), (1, (1,)), (r - 1, box_c),
+                         (r, frame.rectangle())):
+            self.set(0, k, value)
+        self.rows += [self.rows[0].copy() for _ in range(r - 1)]
+        self.missing *= r
 
     def set(self, a: int, k: int, value):
+        # a negative offset would index a row from its end
+        if not 0 <= k <= self.r:
+            raise ValueError(f"offset {k} is outside the diagram band")
         value = normalize(value)
-        old = self.known.get((a % self.r, k))
-        if old is not None and old != value:
+        row = self.rows[a % self.r]
+        old = row[k]
+        if old is None:
+            row[k] = value
+            self.missing -= 1
+        elif old != value:
             raise ValueError(
                 f"inconsistent entry at row {a % self.r}, offset {k}: "
                 f"{old} vs {value}")
-        self.known[(a % self.r, k)] = value
 
     def seed_point(self, i: int, j: int, value):
         self.set(i % self.r, j - i, value)
 
     def solve(self) -> CylGrowthDiagram:
-        r = self.r
-        total = r * (r + 1)
         progress = True
-        while progress and len(self.known) < total:
-            progress = False
-            for a in range(r):
-                for k in range(r - 1):
-                    if self._square(a, k):
-                        progress = True
+        while progress and self.missing:
+            progress = self._square()
             if self._glide():
                 progress = True
-        if len(self.known) < total:
-            raise ValueError("growth recursion stalled; inconsistent seeds")
-        rows = tuple(tuple(self.known[(a, k)] for k in range(r + 1))
-                     for a in range(r))
-        diagram = CylGrowthDiagram(self.frame, r, rows)
+        if self.missing:
+            a, k = next((a, k) for a, row in enumerate(self.rows)
+                        for k, value in enumerate(row) if value is None)
+            raise ValueError(
+                f"growth recursion stalled; inconsistent seeds: "
+                f"{self.missing} entries unknown, the first at row {a}, "
+                f"offset {k}")
+        diagram = CylGrowthDiagram(self.frame, self.r,
+                                   tuple(map(tuple, self.rows)))
         ok, problems = cgd_validate(diagram)
         if not ok:
             raise ValueError(f"completed diagram invalid: {problems[0]}")
@@ -185,35 +193,48 @@ class _Completion:
     def _glide(self) -> bool:
         # every diagram satisfies gamma(i, j) = gamma(j, i + r)^C, so a
         # known entry also determines its glide-reflect image
-        r = self.r
-        progress = False
-        for (a, k), value in list(self.known.items()):
-            image = ((a + k) % r, r - k)
-            if image not in self.known:
-                self.known[image] = complement(value, self.frame)
-                progress = True
-        return progress
+        r, rows, frame = self.r, self.rows, self.frame
+        filled = 0
+        for a, row in enumerate(rows):
+            for k, value in enumerate(row):
+                if value is not None:
+                    image = rows[(a + k) % r]
+                    if image[r - k] is None:
+                        image[r - k] = complement(value, frame)
+                        filled += 1
+        self.missing -= filled
+        return filled > 0
 
-    def _square(self, a: int, k: int) -> bool:
-        r = self.r
-        keys = [(a, k), (a, k + 1), ((a - 1) % r, k + 1), ((a - 1) % r, k + 2)]
-        vals = [self.known.get(key) for key in keys]
-        missing = [idx for idx, v in enumerate(vals) if v is None]
-        if len(missing) != 1:
-            return False
-        bottom, mid_r, mid_l, top = vals
-        idx = missing[0]
-        if idx == 0 and mid_r != mid_l:
-            self.known[keys[0]] = intersect(mid_r, mid_l)
-        elif idx == 1:
-            self.known[keys[1]] = other_middle(bottom, top, mid_l)
-        elif idx == 2:
-            self.known[keys[2]] = other_middle(bottom, top, mid_r)
-        elif idx == 3 and mid_r != mid_l:
-            self.known[keys[3]] = union(mid_r, mid_l)
-        else:
-            return False
-        return True
+    def _square(self) -> bool:
+        # one pass over the unit squares, in (a, k) order, each deduction
+        # written in place before the next square is read
+        rows = self.rows
+        filled = 0
+        for a, below in enumerate(rows):
+            above = rows[a - 1]
+            for k in range(self.r - 1):
+                bottom, mid_r = below[k], below[k + 1]
+                mid_l, top = above[k + 1], above[k + 2]
+                if bottom is None:
+                    if mid_r is None or mid_l is None or top is None \
+                            or mid_r == mid_l:
+                        continue
+                    below[k] = intersect(mid_r, mid_l)
+                elif mid_r is None:
+                    if mid_l is None or top is None:
+                        continue
+                    below[k + 1] = other_middle(bottom, top, mid_l)
+                elif mid_l is None:
+                    if top is None:
+                        continue
+                    above[k + 1] = other_middle(bottom, top, mid_r)
+                elif top is None and mid_r != mid_l:
+                    above[k + 2] = union(mid_r, mid_l)
+                else:
+                    continue
+                filled += 1
+        self.missing -= filled
+        return filled > 0
 
 
 def cgd_from_path(path, chain, frame: Frame) -> CylGrowthDiagram:
@@ -238,45 +259,49 @@ def cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
     every unit square, and the glide-reflect symmetry."""
     problems = []
     r = g.r
+    rows = g.rows
     frame = g.frame
     box_c = complement((1,), frame)
+    rect = frame.rectangle()
     for a in range(r):
-        row = g.rows[a]
+        row = rows[a]
         if row[0] != ():
             problems.append(f"row {a}: diagonal entry not empty")
         if row[1] != (1,):
             problems.append(f"row {a}: offset 1 is not a single box")
         if row[r - 1] != box_c:
             problems.append(f"row {a}: offset {r - 1} is not the box complement")
-        if row[r] != frame.rectangle():
+        if row[r] != rect:
             problems.append(f"row {a}: offset {r} is not the rectangle")
         for k in range(r):
             if added_box(row[k], row[k + 1]) is None:
                 problems.append(f"row {a}, offset {k}: step does not add a box")
+        below = rows[(a + 1) % r]
         for k in range(r):
-            below = g.rows[(a + 1) % r][k]
-            if added_box(below, row[k + 1]) is None:
+            if added_box(below[k], row[k + 1]) is None:
                 problems.append(
                     f"column step into row {a}, offset {k + 1}: not one box")
     for a in range(r):
+        below, above = rows[a], rows[a - 1]
         for k in range(r - 1):
-            bottom = g.rows[a][k]
-            mid_r = g.rows[a][k + 1]
-            mid_l = g.rows[(a - 1) % r][k + 1]
-            top = g.rows[(a - 1) % r][k + 2]
             try:
-                if not is_domino(bottom, top) and mid_l == mid_r:
+                if not is_domino(below[k], above[k + 2]) \
+                        and below[k + 1] == above[k + 1]:
                     problems.append(
                         f"square at row {a}, offset {k}: equal middles under "
                         f"a nonadjacent skew")
             except ValueError:
                 problems.append(f"square at row {a}, offset {k}: malformed")
+    # entry at (a, a+k) must equal the complement of the entry at
+    # (a+k, a+r); the complements are looked up once per distinct entry
+    comp = {}
     for a in range(r):
         for k in range(r + 1):
-            # entry at (a, a+k) must equal the complement of the entry at
-            # (a+k, a+r), read through the periodic accessor
-            expect = complement(g.get(a + k, a + r), frame)
-            if g.rows[a][k] != expect:
+            image = rows[(a + k) % r][r - k]
+            expect = comp.get(image)
+            if expect is None:
+                expect = comp[image] = complement(image, frame)
+            if rows[a][k] != expect:
                 problems.append(
                     f"glide-reflect fails at row {a}, offset {k}")
     return (not problems, problems)

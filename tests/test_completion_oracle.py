@@ -1,0 +1,359 @@
+"""Differential tests of the growth solver and of diagram validation
+against a slow reference: the dict-keyed fixpoint solver and the
+accessor-based validator that the row-indexed ones replaced, kept here
+verbatim.  Both must give the same diagram, the same error text and the
+same list of problems on every input below."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from growth import moduli
+from growth.cylgrowth import (
+    CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
+    cgd_validate, read_path, row_path,
+)
+from growth.partitions import (
+    Frame, added_box, complement, covers, down_covers, intersect, is_domino,
+    normalize, union,
+)
+from growth.tableaux import enumerate_chains, other_middle
+
+STALLED = "growth recursion stalled; inconsistent seeds"
+
+
+class RefCompletion:
+    """The reference solver: entries in a {(i mod r, j - i): value} dict,
+    one _square call per unit square."""
+
+    def __init__(self, frame: Frame, r: int):
+        self.frame = frame
+        self.r = r
+        self.known: dict[tuple[int, int], tuple[int, ...]] = {}
+        box_c = complement((1,), frame)
+        rect = frame.rectangle()
+        for a in range(r):
+            self.set(a, 0, ())
+            self.set(a, 1, (1,))
+            self.set(a, r - 1, box_c)
+            self.set(a, r, rect)
+
+    def set(self, a: int, k: int, value):
+        value = normalize(value)
+        old = self.known.get((a % self.r, k))
+        if old is not None and old != value:
+            raise ValueError(
+                f"inconsistent entry at row {a % self.r}, offset {k}: "
+                f"{old} vs {value}")
+        self.known[(a % self.r, k)] = value
+
+    def seed_point(self, i: int, j: int, value):
+        self.set(i % self.r, j - i, value)
+
+    def solve(self) -> CylGrowthDiagram:
+        r = self.r
+        total = r * (r + 1)
+        progress = True
+        while progress and len(self.known) < total:
+            progress = False
+            for a in range(r):
+                for k in range(r - 1):
+                    if self._square(a, k):
+                        progress = True
+            if self._glide():
+                progress = True
+        if len(self.known) < total:
+            raise ValueError(STALLED)
+        rows = tuple(tuple(self.known[(a, k)] for k in range(r + 1))
+                     for a in range(r))
+        diagram = CylGrowthDiagram(self.frame, r, rows)
+        ok, problems = ref_cgd_validate(diagram)
+        if not ok:
+            raise ValueError(f"completed diagram invalid: {problems[0]}")
+        return diagram
+
+    def _glide(self) -> bool:
+        r = self.r
+        progress = False
+        for (a, k), value in list(self.known.items()):
+            image = ((a + k) % r, r - k)
+            if image not in self.known:
+                self.known[image] = complement(value, self.frame)
+                progress = True
+        return progress
+
+    def _square(self, a: int, k: int) -> bool:
+        r = self.r
+        keys = [(a, k), (a, k + 1), ((a - 1) % r, k + 1), ((a - 1) % r, k + 2)]
+        vals = [self.known.get(key) for key in keys]
+        missing = [idx for idx, v in enumerate(vals) if v is None]
+        if len(missing) != 1:
+            return False
+        bottom, mid_r, mid_l, top = vals
+        idx = missing[0]
+        if idx == 0 and mid_r != mid_l:
+            self.known[keys[0]] = intersect(mid_r, mid_l)
+        elif idx == 1:
+            self.known[keys[1]] = other_middle(bottom, top, mid_l)
+        elif idx == 2:
+            self.known[keys[2]] = other_middle(bottom, top, mid_r)
+        elif idx == 3 and mid_r != mid_l:
+            self.known[keys[3]] = union(mid_r, mid_l)
+        else:
+            return False
+        return True
+
+
+def ref_cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
+    """The reference validator, reading entries through g.get."""
+    problems = []
+    r = g.r
+    frame = g.frame
+    box_c = complement((1,), frame)
+    for a in range(r):
+        row = g.rows[a]
+        if row[0] != ():
+            problems.append(f"row {a}: diagonal entry not empty")
+        if row[1] != (1,):
+            problems.append(f"row {a}: offset 1 is not a single box")
+        if row[r - 1] != box_c:
+            problems.append(f"row {a}: offset {r - 1} is not the box complement")
+        if row[r] != frame.rectangle():
+            problems.append(f"row {a}: offset {r} is not the rectangle")
+        for k in range(r):
+            if added_box(row[k], row[k + 1]) is None:
+                problems.append(f"row {a}, offset {k}: step does not add a box")
+        for k in range(r):
+            below = g.rows[(a + 1) % r][k]
+            if added_box(below, row[k + 1]) is None:
+                problems.append(
+                    f"column step into row {a}, offset {k + 1}: not one box")
+    for a in range(r):
+        for k in range(r - 1):
+            bottom = g.rows[a][k]
+            mid_r = g.rows[a][k + 1]
+            mid_l = g.rows[(a - 1) % r][k + 1]
+            top = g.rows[(a - 1) % r][k + 2]
+            try:
+                if not is_domino(bottom, top) and mid_l == mid_r:
+                    problems.append(
+                        f"square at row {a}, offset {k}: equal middles under "
+                        f"a nonadjacent skew")
+            except ValueError:
+                problems.append(f"square at row {a}, offset {k}: malformed")
+    for a in range(r):
+        for k in range(r + 1):
+            expect = complement(g.get(a + k, a + r), frame)
+            if g.rows[a][k] != expect:
+                problems.append(
+                    f"glide-reflect fails at row {a}, offset {k}")
+    return (not problems, problems)
+
+
+def solve_with(solver_class, frame: Frame, seeds):
+    """("ok", diagram) or ("error", message, solver) from seeding the
+    points (i, j, value) in order and solving."""
+    solver = None
+    try:
+        solver = solver_class(frame, frame.size)
+        for i, j, value in seeds:
+            solver.seed_point(i, j, value)
+        return ("ok", solver.solve())
+    except ValueError as exc:
+        return ("error", str(exc), solver)
+
+
+def stall_message(ref: RefCompletion) -> str:
+    """The stall error of the row-indexed solver, from the unknown entries
+    the reference solver was left with."""
+    r = ref.r
+    unknown = [(a, k) for a in range(r) for k in range(r + 1)
+               if (a, k) not in ref.known]
+    a, k = unknown[0]
+    return (f"{STALLED}: {len(unknown)} entries unknown, the first at "
+            f"row {a}, offset {k}")
+
+
+def assert_same_outcome(frame: Frame, seeds):
+    new = solve_with(_Completion, frame, seeds)
+    ref = solve_with(RefCompletion, frame, seeds)
+    assert new[0] == ref[0], (new[:2], ref[:2])
+    if ref[0] == "ok":
+        assert new[1] == ref[1]
+    elif ref[1] == STALLED:
+        assert new[1] == stall_message(ref[2])
+    else:
+        assert new[1] == ref[1]
+    return new
+
+
+FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(2, 7), Frame(3, 5),
+          Frame(3, 6), Frame(3, 7)]
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=str)
+def test_row_path_chains(frame):
+    r = frame.size
+    for chain in enumerate_chains(frame.rectangle(), ()):
+        seeds = [(i, j, value) for (i, j), value in zip(row_path(r), chain)]
+        outcome = assert_same_outcome(frame, seeds)
+        assert outcome[0] == "ok"
+        assert outcome[1] == cgd_from_path(row_path(r), chain, frame)
+        assert cgd_validate(outcome[1]) == ref_cgd_validate(outcome[1]) \
+            == (True, [])
+
+
+@pytest.mark.parametrize("frame", [Frame(2, 5), Frame(2, 6), Frame(3, 5)],
+                         ids=str)
+def test_cross_cgd(frame, monkeypatch):
+    diagrams = cgd_enumerate(frame)
+    cases = [(g, w) for g in diagrams for w in moduli.walls(frame.size)]
+    crossed = [moduli.cross_cgd(g, w) for g, w in cases]
+    monkeypatch.setattr(moduli, "_Completion", RefCompletion)
+    assert crossed == [moduli.cross_cgd(g, w) for g, w in cases]
+
+
+DIAGRAMS = {frame: cgd_enumerate(frame) for frame in FRAMES}
+
+
+@st.composite
+def paths(draw):
+    """A frame, one of its diagrams, and a path through the band."""
+    frame = draw(st.sampled_from(FRAMES))
+    g = draw(st.sampled_from(DIAGRAMS[frame]))
+    r = frame.size
+    i = draw(st.integers(-r, 2 * r))
+    point, path = (i, i), [(i, i)]
+    # each step, up or right, widens the window by one
+    for up in draw(st.lists(st.booleans(), min_size=r, max_size=r)):
+        point = (point[0] - 1, point[1]) if up else (point[0], point[1] + 1)
+        path.append(point)
+    return frame, g, path
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths())
+def test_hypothesis_paths(case):
+    frame, g, path = case
+    seeds = [(i, j, value) for (i, j), value in zip(path, read_path(g, path))]
+    outcome = assert_same_outcome(frame, seeds)
+    assert outcome[:2] == ("ok", g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FRAMES[:5]), st.data())
+def test_hypothesis_seed_sets(frame, data):
+    # arbitrary entries of a diagram, some of them changed to another
+    # partition: the solvers agree on the diagram, on the inconsistent
+    # entry, on where they stall, and on why a completion is invalid
+    g = data.draw(st.sampled_from(DIAGRAMS[frame]))
+    r = frame.size
+    cells = [(a, k) for a in range(r) for k in range(r + 1)]
+    picked = data.draw(st.lists(st.sampled_from(cells), max_size=2 * r))
+    seeds = []
+    for a, k in picked:
+        value = g.rows[a][k]
+        if data.draw(st.integers(0, 5)) == 0:
+            value = data.draw(st.sampled_from(
+                covers(value, frame) + down_covers(value) + [value]))
+        shift = data.draw(st.integers(-1, 1)) * r
+        seeds.append((a + shift, a + shift + k, value))
+    assert_same_outcome(frame, seeds)
+
+
+class TestErrors:
+    def row_seeds(self, frame):
+        chain = next(iter(enumerate_chains(frame.rectangle(), ())))
+        return [(i, j, v) for (i, j), v in zip(row_path(frame.size), chain)]
+
+    @pytest.mark.parametrize("extra,message", [
+        ((0, 1, (2,)), "row 0, offset 1: (1,) vs (2,)"),
+        ((3, 3, (1,)), "row 3, offset 0: () vs (1,)"),
+        ((6, 8, (2,)), "row 0, offset 2: (1, 1) vs (2,)"),
+        ((1, 7, ()), "row 1, offset 6: (3, 3) vs ()"),
+    ])
+    def test_inconsistent_seed(self, extra, message):
+        seeds = self.row_seeds(Frame(2, 5)) + [extra]
+        outcome = assert_same_outcome(Frame(2, 5), seeds)
+        assert outcome[:2] == ("error", f"inconsistent entry at {message}")
+
+    def test_local_rule_error(self):
+        # a seed off the row path that no middle of its square can match
+        seeds = self.row_seeds(Frame(2, 5)) + [(2, 4, (2, 1))]
+        outcome = assert_same_outcome(Frame(2, 5), seeds)
+        assert outcome[:2] == (
+            "error", "(3, 1)/(2, 1) is not a two-box skew shape")
+
+    def test_invalid_completion(self):
+        # every entry seeded, one of them changed: nothing is left to
+        # deduce, and validation rejects the result
+        g = DIAGRAMS[Frame(2, 5)][2]
+        seeds = [(a, a + k, (2, 1) if (a, k) == (2, 3) else value)
+                 for a, row in enumerate(g.rows) for k, value in enumerate(row)]
+        outcome = assert_same_outcome(Frame(2, 5), seeds)
+        assert outcome[0] == "error"
+        assert outcome[1].startswith("completed diagram invalid: ")
+
+    @pytest.mark.parametrize("frame,seeds,message", [
+        (Frame(2, 4), [],
+         f"{STALLED}: 4 entries unknown, the first at row 0, offset 2"),
+        (Frame(2, 5), [(0, 2, (2,))],
+         f"{STALLED}: 16 entries unknown, the first at row 0, offset 3"),
+        (Frame(3, 6), [(4, 6, (1, 1))],
+         f"{STALLED}: 52 entries unknown, the first at row 0, offset 2"),
+    ])
+    def test_stall_names_the_first_unknown(self, frame, seeds, message):
+        outcome = assert_same_outcome(frame, seeds)
+        assert outcome[:2] == ("error", message)
+
+    def test_offset_outside_the_band(self):
+        solver = _Completion(Frame(2, 4), 4)
+        for i, j in [(0, 5), (3, 2)]:
+            with pytest.raises(ValueError, match="outside the diagram band"):
+                solver.seed_point(i, j, ())
+
+
+def corrupted(g: CylGrowthDiagram, a: int, k: int, value) -> CylGrowthDiagram:
+    rows = [list(row) for row in g.rows]
+    rows[a][k] = value
+    return CylGrowthDiagram(g.frame, g.r, tuple(map(tuple, rows)))
+
+
+VALIDATE_CASES = [(frame, g) for frame in (Frame(2, 4), Frame(2, 5))
+                  for g in DIAGRAMS[frame]] + \
+    [(Frame(3, 6), g) for g in DIAGRAMS[Frame(3, 6)][::10]]
+
+
+@pytest.mark.parametrize("frame,g", VALIDATE_CASES)
+def test_validate_neighbouring_entry(frame, g):
+    for a in range(g.r):
+        for k in range(g.r + 1):
+            value = g.rows[a][k]
+            for other in covers(value, frame) + down_covers(value):
+                bad = corrupted(g, a, k, other)
+                ok, problems = cgd_validate(bad)
+                assert not ok
+                assert (ok, problems) == ref_cgd_validate(bad)
+
+
+@pytest.mark.parametrize("frame,g", VALIDATE_CASES)
+def test_validate_rows_exchanged(frame, g):
+    for a in range(g.r):
+        for b in range(a + 1, g.r):
+            rows = list(g.rows)
+            rows[a], rows[b] = rows[b], rows[a]
+            bad = CylGrowthDiagram(frame, g.r, tuple(rows))
+            assert cgd_validate(bad) == ref_cgd_validate(bad)
+
+
+@pytest.mark.parametrize("frame,g", VALIDATE_CASES)
+def test_validate_entry_outside_the_frame(frame, g):
+    outside = [(frame.cols + 1,), (1,) * (frame.d + 1)]
+    for a in range(g.r):
+        for k in range(g.r + 1):
+            for value in outside:
+                bad = corrupted(g, a, k, value)
+                with pytest.raises(ValueError) as new:
+                    cgd_validate(bad)
+                with pytest.raises(ValueError) as ref:
+                    ref_cgd_validate(bad)
+                assert str(new.value) == str(ref.value)
