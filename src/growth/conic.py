@@ -226,7 +226,7 @@ def six_point_cycle(lam, mu, frame: Frame):
     carry the column pair or the row pair accordingly."""
     lam = normalize(lam)
     mu = normalize(mu)
-    muc = complement(normalize(mu), frame)
+    muc = complement(mu, frame)
     if not contains(muc, lam) or sum(muc) - sum(lam) != 2 or \
             is_domino(lam, muc):
         raise ValueError("the skew difference must be two nonadjacent boxes")

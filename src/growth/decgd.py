@@ -154,6 +154,16 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
     return Decgd(fine.frame, r, shape, gamma, tuple(a_rows), tuple(b_rows))
 
 
+def _concatenate(reps) -> tuple:
+    """The chain that runs through the representatives in turn."""
+    chain = list(reps[0])
+    for t in reps[1:]:
+        if t[0] != chain[-1]:
+            raise ValueError("representatives do not concatenate")
+        chain.extend(t[1:])
+    return tuple(chain)
+
+
 def lift_decgd(d: Decgd, reps=None) -> CylGrowthDiagram:
     """A fine diagram restricting to d: concatenate representatives of the
     row-0 classes (canonical ones unless reps are given) along row 0 and
@@ -166,13 +176,7 @@ def lift_decgd(d: Decgd, reps=None) -> CylGrowthDiagram:
             if not dual_equivalent(t, d.a[0][m].representative):
                 raise ValueError(
                     f"representative {m} is not in the stated class")
-    chain = list(reps[0])
-    for t in reps[1:]:
-        if t[0] != chain[-1]:
-            raise ValueError("representatives do not concatenate")
-        chain.extend(t[1:])
-    total = d.frame.size
-    return cgd_from_path(row_path(total), tuple(chain), d.frame)
+    return cgd_from_path(row_path(d.frame.size), _concatenate(reps), d.frame)
 
 
 def decgd_from_first_row(mu_chain, classes, frame: Frame) -> Decgd:
@@ -191,10 +195,8 @@ def decgd_from_first_row(mu_chain, classes, frame: Frame) -> Decgd:
                              f"expected {mu_chain[m + 1]}/{mu_chain[m]}")
     fine = cgd_from_path(
         row_path(frame.size),
-        sum((cls.representative[1:] for cls in classes), ((),)),
-        frame)
-    d = restrict_cgd(fine, tuple(sum(c.rshape) for c in classes))
-    return d
+        _concatenate([cls.representative for cls in classes]), frame)
+    return restrict_cgd(fine, tuple(sum(c.rshape) for c in classes))
 
 
 def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:

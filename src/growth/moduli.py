@@ -10,11 +10,9 @@ positions; it is identified with the complementary interval."""
 from dataclasses import dataclass
 from itertools import permutations
 
-from growth.cylgrowth import (
-    CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
-)
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import (
-    Decgd, _iota, decgd_enumerate, restrict_cgd,
+    Decgd, _concatenate, _iota, decgd_enumerate, restrict_cgd,
 )
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
@@ -107,23 +105,29 @@ def cross_facet(order, wall: Wall):
 # ---------------------------------------------------------------------------
 # wall crossing on diagrams
 
+def _crossing_path(top: int, row: int, col: int):
+    """The path right along the row from the diagonal to the column, then
+    up the column to the top row."""
+    return ([(row, j) for j in range(row, col + 1)]
+            + [(i, col) for i in range(row - 1, top - 1, -1)])
+
+
 def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
     """Cross a wall: the new diagram agrees with g on the triangle over
     the reversed interval and is its reflection across the short diagonal
-    on the complementary triangle; everything else is recomputed by the
-    growth recursion."""
+    on the complementary triangle.
+
+    A diagram is fixed by its chain along a path, so the crossed diagram
+    is regrown from the path between the two triangles: along row b+1 it
+    holds the reflection of g's column a, and up column a+r the glide
+    images (complements) of g's row a."""
     r = g.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
     a, b = wall.a, wall.b
-    solver = _Completion(g.frame, r)
-    for i in range(a, b + 2):
-        for j in range(i, b + 2):
-            solver.seed_point(i, j, g.get(i, j))
-    for i in range(b + 1, a + r + 1):
-        for j in range(i, a + r + 1):
-            solver.seed_point(i, j, g.get(a + b + 1 - j, a + b + 1 - i))
-    return solver.solve()
+    chain = [g.get(a + b + 1 - j, a) for j in range(b + 1, a + r + 1)]
+    chain += [complement(g.get(a, i), g.frame) for i in range(b, a - 1, -1)]
+    return cgd_from_path(_crossing_path(a, b + 1, a + r), chain, g.frame)
 
 
 def _glide_rep(cls, frame: Frame):
@@ -138,39 +142,30 @@ def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
     The crossed diagram agrees with d on the triangle over the wall and is
     the short-diagonal reflection of d on the complementary triangle, for
     classes as well as entries (reflection exchanges row and column
-    classes).  The remaining cells follow by extending chosen lifts of the
-    classes along a path through the known region, then restricting."""
+    classes).  As in :func:`cross_cgd`, it is regrown from the path
+    between the two triangles, taken in fine coordinates: representatives
+    of the reflected column classes along row b+1 and of the glide images
+    of the row a classes up column a+r are concatenated into a fine chain,
+    which is extended and restricted."""
     r = d.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
     a, b = wall.a, wall.b
     frame = d.frame
-    total = frame.size
     sizes = d.sizes
     # wall blocks a+1..b+1 keep their sizes, the complement reverses
     new_sizes = list(sizes)
     for m in range(b + 2, a + r + 1):
         new_sizes[(m - 1) % r] = sizes[(a + b + 1 - m) % r]
-    # path: right along row b+1 (reflected classes are the old column
-    # classes), then up the column a+r (glide images of row a classes)
-    reps = []
-    for l in range(b + 1, a + r):
-        reps.append(d.get_b(a + b + 1 - l, a).representative)
-    for k in range(b + 1, a, -1):
-        reps.append(_glide_rep(d.get_a(a, k - 1), frame))
-    chain = list(reps[0])
-    for t in reps[1:]:
-        if t[0] != chain[-1]:
-            raise ValueError("wall crossing produced a broken chain")
-        chain.extend(t[1:])
-    iota = _iota(tuple(new_sizes), total)
-    row = iota(b + 1)
-    top = iota(a)
-    col = top + total
-    path = [(row, row + i) for i in range(col - row + 1)]
-    path += [(row - i, col) for i in range(1, row - top + 1)]
-    fine = cgd_from_path(path, tuple(chain), frame)
-    return restrict_cgd(fine, tuple(new_sizes))
+    new_sizes = tuple(new_sizes)
+    reps = [d.get_b(a + b + 1 - l, a).representative
+            for l in range(b + 1, a + r)]
+    reps += [_glide_rep(d.get_a(a, k - 1), frame)
+             for k in range(b + 1, a, -1)]
+    iota = _iota(new_sizes, frame.size)
+    path = _crossing_path(iota(a), iota(b + 1), iota(a + r))
+    fine = cgd_from_path(path, _concatenate(reps), frame)
+    return restrict_cgd(fine, new_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +254,11 @@ class _FiberTables:
                                 {g: i for i, g in enumerate(diagrams)})
         return self.fibers[key]
 
-    def move(self, facet, wall: Wall, landing):
+    def move(self, facet, wall: Wall, new_facet, gmap):
         """Crossing the wall from fiber index i over facet lands on fiber
-        index table[i] over new_facet; returns table, given landing =
-        (new_facet, gmap) = _landing(facet, wall)."""
-        new_facet, gmap = landing
+        index table[i] over new_facet; returns table.  new_facet and gmap
+        are the facet that crossing the wall lands on and the transporter
+        to its canonical order, as given by cross_facet."""
         key = self.contents(facet)
         if (key, wall, gmap) not in self.moves:
             if (key, wall) not in self.crossed:
@@ -275,15 +270,6 @@ class _FiberTables:
             self.moves[key, wall, gmap] = [
                 index[transport(g, gmap)] for g in self.crossed[key, wall]]
         return self.moves[key, wall, gmap]
-
-
-def _landing(facet, wall: Wall):
-    """(new_facet, gmap): the facet that crossing the wall from facet
-    lands on, and the transporter to its canonical order."""
-    # the crossed diagram keeps the wall blocks in place and reflects the
-    # complementary blocks, so its raw presentation is the order with the
-    # complementary span reversed; both spans give the same facet
-    return cross_facet(facet, wall.complementary())
 
 
 def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
@@ -319,11 +305,15 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     for facet in facet_list:
         start = offset[facet]
         for wall in wall_list:
-            landing = _landing(facet, wall)
-            target = offset[landing[0]]
+            # the crossed diagram keeps the wall blocks in place and
+            # reflects the complementary blocks, so its raw presentation is
+            # the order with the complementary span reversed; both spans
+            # give the same facet
+            new_facet, gmap = cross_facet(facet, wall.complementary())
+            target = offset[new_facet]
             if target > start:
                 label = (wall.a, wall.b)
-                table = tables.move(facet, wall, landing)
+                table = tables.move(facet, wall, new_facet, gmap)
                 edges.extend((start + i, target + j, label)
                              for i, j in enumerate(table))
     return MonodromyGraph(frame, shape, tuple(nodes), tuple(sorted(edges)))

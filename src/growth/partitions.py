@@ -319,7 +319,7 @@ def partitions_in(frame: Frame):
                  for nu in _shapes_between((), rect, s))
 
 
-def lr_coefficient(target: tuple[int, ...], factors, frame: Frame | None = None) -> int:
+def lr_coefficient(target: tuple[int, ...], factors) -> int:
     """Multi-factor Littlewood-Richardson coefficient: the multiplicity of
     the product of the factors on the target shape.  Returns 0 on size
     mismatch.  Satisfies the complement identity
@@ -328,6 +328,4 @@ def lr_coefficient(target: tuple[int, ...], factors, frame: Frame | None = None)
     factors = tuple(normalize(f) for f in factors)
     if sum(map(sum, factors)) != sum(target):
         return 0
-    if frame is not None and not fits(target, frame):
-        raise ValueError(f"{target} does not fit in {frame}")
     return _lr_multi((), factors, target)

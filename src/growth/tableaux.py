@@ -25,10 +25,6 @@ def validate_chain(chain) -> Chain:
     return chain
 
 
-def outer_shape(t: Chain) -> tuple[int, ...]:
-    return t[-1]
-
-
 def superstandard(lam: tuple[int, ...]) -> Chain:
     """The row-reading straight tableau of shape lam: 1..lam_1 in row one,
     then continuing row by row; returned as a chain from the empty shape."""
@@ -94,7 +90,7 @@ def rectify(t: Chain) -> Chain:
 @cache
 def rshape(t: Chain) -> tuple[int, ...]:
     """Rectification shape of t."""
-    return outer_shape(rectify(t))
+    return rectify(t)[-1]
 
 
 @cache

@@ -7,7 +7,7 @@ same list of problems on every input below."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growth import moduli
+from growth import cylgrowth, moduli
 from growth.cylgrowth import (
     CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
     cgd_validate, read_path, row_path,
@@ -208,7 +208,7 @@ def test_cross_cgd(frame, monkeypatch):
     diagrams = cgd_enumerate(frame)
     cases = [(g, w) for g in diagrams for w in moduli.walls(frame.size)]
     crossed = [moduli.cross_cgd(g, w) for g, w in cases]
-    monkeypatch.setattr(moduli, "_Completion", RefCompletion)
+    monkeypatch.setattr(cylgrowth, "_Completion", RefCompletion)
     assert crossed == [moduli.cross_cgd(g, w) for g, w in cases]
 
 

@@ -13,7 +13,7 @@ from growth.decgd import (
 )
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    Wall, _FiberTables, _landing, all_trees, build_cover_graph,
+    Wall, _FiberTables, all_trees, build_cover_graph,
     canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
     export, facets, fiber_count, graph_components, node_labelings, star_tree,
     transport_cgd, transport_decgd, walls,
@@ -427,14 +427,15 @@ class TestCoverTables:
         for facet in facets(r):
             size = len(tables.fiber(facet)[0])
             for wall in walls(r):
-                landing = _landing(facet, wall)
-                new_facet = landing[0]
-                table = tables.move(facet, wall, landing)
+                new_facet, gmap = cross_facet(facet, wall.complementary())
+                table = tables.move(facet, wall, new_facet, gmap)
                 (back_wall,) = [w for w in walls(r) if chord(new_facet, w)
                                 == chord(facet, wall)]
-                landing = _landing(new_facet, back_wall)
-                assert landing[0] == facet
-                back_table = tables.move(new_facet, back_wall, landing)
+                back_facet, back_gmap = cross_facet(
+                    new_facet, back_wall.complementary())
+                assert back_facet == facet
+                back_table = tables.move(new_facet, back_wall, back_facet,
+                                         back_gmap)
                 assert [back_table[j] for j in table] == list(range(size))
         assert tables.moves
 
@@ -442,7 +443,8 @@ class TestCoverTables:
         tables = _FiberTables(F25, (BOX,) * 6)
         for facet in facets(6):
             for wall in walls(6):
-                tables.move(facet, wall, _landing(facet, wall))
+                tables.move(facet, wall,
+                            *cross_facet(facet, wall.complementary()))
         assert len(tables.fibers) == 1
         assert len(tables.crossed) == len(walls(6))
 
