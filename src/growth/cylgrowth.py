@@ -4,13 +4,20 @@ matching bijection.
 
 The index set is {(i, j) : i <= j <= i + r} with the glide symmetry
 (i, j) -> (i + r, j + r); an entry therefore depends only on
-(i mod r, j - i), which is how the fundamental domain is stored."""
+(i mod r, j - i), which is how the fundamental domain is stored.
+
+Diagrams hold their partitions as tuples, as the rest of the package does.
+Only inside this module, the growth solver and :func:`cgd_validate` work
+on the numbers of a frame's partitions (:class:`_Numbering`), with tables
+built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from growth.partitions import (
-    Frame, added_box, complement, intersect, is_domino, normalize, union,
+    Frame, complement, covers, intermediates, intersect, normalize,
+    partitions_in, union,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,
@@ -128,27 +135,70 @@ def validate_path(path, r: int) -> list[tuple[int, int]]:
     return path
 
 
+class _Numbering:
+    """The partitions of one frame numbered in :func:`partitions_in` order,
+    and the tables over those numbers that the solver and the validator
+    read, each built from the tuple kernels: the complement of each number,
+    the one-box steps, the valid unit squares (bottom, right middle, left
+    middle, top), and the local rule."""
+
+    def __init__(self, frame: Frame):
+        self.parts = partitions_in(frame)
+        self.index = {p: n for n, p in enumerate(self.parts)}
+        num = self.index.__getitem__
+        self.comp = [num(complement(p, frame)) for p in self.parts]
+        # the entries at offsets 0, 1, r - 1 and r of every row
+        self.anchors = tuple(map(num, ((), (1,), complement((1,), frame),
+                                       frame.rectangle())))
+        self.steps = frozenset((num(p), num(q)) for p in self.parts
+                               for q in covers(p, frame))
+        squares = []
+        for bottom in self.parts:
+            for top in {t for m in covers(bottom, frame)
+                        for t in covers(m, frame)}:
+                mids = [num(m) for m in intermediates(bottom, top)]
+                # equal middles only under a domino
+                squares += [(num(bottom), x, y, num(top)) for x in mids
+                            for y in mids if x != y or len(mids) == 1]
+        self.squares = frozenset(squares)
+        # the local rule on numbers, memoized; a miss runs the tuple kernel,
+        # so its errors keep their text
+        self.meet, self.join, self.other = (
+            cache(lambda *nums, kernel=kernel: self.index[
+                kernel(*map(self.parts.__getitem__, nums))])
+            for kernel in (intersect, union, other_middle))
+        # the glide image (a + k, a + r) of each entry (a, a + k), as
+        # positions in the rows of a diagram laid end to end; a diagram
+        # with another r fails its row steps before these are read
+        r = frame.size
+        self.images = [((a + k) % r) * (r + 1) + r - k
+                       for a in range(r) for k in range(r + 1)]
+
+
+_numbering = cache(_Numbering)
+
+
 class _Completion:
     """Fixpoint solver filling the fundamental domain from seeds.
 
     The entries are stored as rows[a][k] for the entry at (a, a + k), with
-    a = i mod r and k = j - i; an unknown entry is None, and missing counts
+    a = i mod r and k = j - i, each as its number in the frame's
+    :class:`_Numbering`; an unknown entry is None, and missing counts
     them.  Every row starts as a copy of one template holding the four
     boundary offsets 0, 1, r - 1 and r.  Unit squares have corners
     bottom rows[a][k], right middle rows[a][k+1], left middle
     rows[a-1][k+1] and top rows[a-1][k+2]; only forced deductions are
     applied: a missing middle is always unique, a missing top/bottom only
-    when the middles differ."""
+    when the middles differ.  The solved diagram holds tuples."""
 
     def __init__(self, frame: Frame, r: int):
         self.frame = frame
         self.r = r
-        box_c = complement((1,), frame)
+        self.table = _numbering(frame)
         self.rows = [[None] * (r + 1)]
         self.missing = r + 1
-        for k, value in ((0, ()), (1, (1,)), (r - 1, box_c),
-                         (r, frame.rectangle())):
-            self.set(0, k, value)
+        for k, n in zip((0, 1, r - 1, r), self.table.anchors):
+            self.set(0, k, self.table.parts[n])
         self.rows += [self.rows[0].copy() for _ in range(r - 1)]
         self.missing *= r
 
@@ -156,16 +206,21 @@ class _Completion:
         # a negative offset would index a row from its end
         if not 0 <= k <= self.r:
             raise ValueError(f"offset {k} is outside the diagram band")
-        value = normalize(value)
+        parts, index = self.table.parts, self.table.index
+        n = index.get(value)
+        if n is None:
+            value = normalize(value)
+            complement(value, self.frame)  # raises outside the frame
+            n = index[value]
         row = self.rows[a % self.r]
         old = row[k]
         if old is None:
-            row[k] = value
+            row[k] = n
             self.missing -= 1
-        elif old != value:
+        elif old != n:
             raise ValueError(
                 f"inconsistent entry at row {a % self.r}, offset {k}: "
-                f"{old} vs {value}")
+                f"{parts[old]} vs {parts[n]}")
 
     def seed_point(self, i: int, j: int, value):
         self.set(i % self.r, j - i, value)
@@ -183,8 +238,9 @@ class _Completion:
                 f"growth recursion stalled; inconsistent seeds: "
                 f"{self.missing} entries unknown, the first at row {a}, "
                 f"offset {k}")
-        diagram = CylGrowthDiagram(self.frame, self.r,
-                                   tuple(map(tuple, self.rows)))
+        part = self.table.parts.__getitem__
+        diagram = CylGrowthDiagram(self.frame, self.r, tuple(
+            tuple(map(part, row)) for row in self.rows))
         ok, problems = cgd_validate(diagram)
         if not ok:
             raise ValueError(f"completed diagram invalid: {problems[0]}")
@@ -193,14 +249,14 @@ class _Completion:
     def _glide(self) -> bool:
         # every diagram satisfies gamma(i, j) = gamma(j, i + r)^C, so a
         # known entry also determines its glide-reflect image
-        r, rows, frame = self.r, self.rows, self.frame
+        r, rows, comp = self.r, self.rows, self.table.comp
         filled = 0
         for a, row in enumerate(rows):
             for k, value in enumerate(row):
                 if value is not None:
                     image = rows[(a + k) % r]
                     if image[r - k] is None:
-                        image[r - k] = complement(value, frame)
+                        image[r - k] = comp[value]
                         filled += 1
         self.missing -= filled
         return filled > 0
@@ -208,30 +264,35 @@ class _Completion:
     def _square(self) -> bool:
         # one pass over the unit squares, in (a, k) order, each deduction
         # written in place before the next square is read
-        rows = self.rows
+        rows, table = self.rows, self.table
+        meet, join, other = table.meet, table.join, table.other
         filled = 0
         for a, below in enumerate(rows):
             above = rows[a - 1]
             for k in range(self.r - 1):
                 bottom, mid_r = below[k], below[k + 1]
                 mid_l, top = above[k + 1], above[k + 2]
-                if bottom is None:
-                    if mid_r is None or mid_l is None or top is None \
-                            or mid_r == mid_l:
+                try:
+                    if bottom is None:
+                        if mid_r is None or mid_l is None or top is None \
+                                or mid_r == mid_l:
+                            continue
+                        below[k] = meet(mid_r, mid_l)
+                    elif mid_r is None:
+                        if mid_l is None or top is None:
+                            continue
+                        below[k + 1] = other(bottom, top, mid_l)
+                    elif mid_l is None:
+                        if top is None:
+                            continue
+                        above[k + 1] = other(bottom, top, mid_r)
+                    elif top is None and mid_r != mid_l:
+                        above[k + 2] = join(mid_r, mid_l)
+                    else:
                         continue
-                    below[k] = intersect(mid_r, mid_l)
-                elif mid_r is None:
-                    if mid_l is None or top is None:
-                        continue
-                    below[k + 1] = other_middle(bottom, top, mid_l)
-                elif mid_l is None:
-                    if top is None:
-                        continue
-                    above[k + 1] = other_middle(bottom, top, mid_r)
-                elif top is None and mid_r != mid_l:
-                    above[k + 2] = union(mid_r, mid_l)
-                else:
-                    continue
+                except ValueError as exc:
+                    raise ValueError(
+                        f"local rule at row {a}, offset {k}: {exc}") from None
                 filled += 1
         self.missing -= filled
         return filled > 0
@@ -256,55 +317,61 @@ def cgd_from_path(path, chain, frame: Frame) -> CylGrowthDiagram:
 
 def cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
     """Check boundary anchors, single-box growth, the local condition on
-    every unit square, and the glide-reflect symmetry."""
-    problems = []
+    every unit square, and the glide-reflect symmetry.  An entry outside
+    the frame raises complement's ValueError."""
+    table = _numbering(g.frame)
     r = g.r
-    rows = g.rows
-    frame = g.frame
-    box_c = complement((1,), frame)
-    rect = frame.rectangle()
-    for a in range(r):
-        row = rows[a]
-        if row[0] != ():
-            problems.append(f"row {a}: diagonal entry not empty")
-        if row[1] != (1,):
-            problems.append(f"row {a}: offset 1 is not a single box")
-        if row[r - 1] != box_c:
-            problems.append(f"row {a}: offset {r - 1} is not the box complement")
-        if row[r] != rect:
-            problems.append(f"row {a}: offset {r} is not the rectangle")
-        for k in range(r):
-            if added_box(row[k], row[k + 1]) is None:
-                problems.append(f"row {a}, offset {k}: step does not add a box")
+    try:
+        flat = [table.index[p] for row in g.rows for p in row]
+    except KeyError as exc:
+        # complement's error for the first such entry in glide order
+        for a in range(r):
+            for k in range(r + 1):
+                complement(g.rows[(a + k) % r][r - k], g.frame)
+        raise ValueError(
+            f"{exc.args[0]} is not a partition in normal form") from None
+    rows = [flat[a * (r + 1):(a + 1) * (r + 1)] for a in range(r)]
+    empty, box, box_c, rect = table.anchors
+    steps, squares, comp = table.steps, table.squares, table.comp
+    # Offsets 1 and r - 1 follow from the steps out of the empty shape and
+    # into the rectangle.  The column steps up to offset r - 1 are sides
+    # of unit squares, and the one into offset r is the glide image of a
+    # row step out of offset 0.
+    if all(row[0] == empty and row[r] == rect
+           and steps.issuperset(zip(row, row[1:])) for row in rows) \
+            and all(squares.issuperset(zip(below, below[1:], above[1:],
+                                           above[2:]))
+                    for below, above in zip(rows, rows[-1:] + rows[:-1])) \
+            and [comp[flat[q]] for q in table.images] == flat:
+        return (True, [])
+    problems = []
+    for a, row in enumerate(rows):
+        problems += [f"row {a}: {text}" for ok, text in (
+            (row[0] == empty, "diagonal entry not empty"),
+            (row[1] == box, "offset 1 is not a single box"),
+            (row[r - 1] == box_c, f"offset {r - 1} is not the box complement"),
+            (row[r] == rect, f"offset {r} is not the rectangle")) if not ok]
+        problems += [f"row {a}, offset {k}: step does not add a box"
+                     for k in range(r) if (row[k], row[k + 1]) not in steps]
         below = rows[(a + 1) % r]
-        for k in range(r):
-            if added_box(below[k], row[k + 1]) is None:
-                problems.append(
-                    f"column step into row {a}, offset {k + 1}: not one box")
-    for a in range(r):
-        below, above = rows[a], rows[a - 1]
+        problems += [f"column step into row {a}, offset {k + 1}: not one box"
+                     for k in range(r) if (below[k], row[k + 1]) not in steps]
+    # (bottom, top) of a two-box skew -> whether it is a domino
+    skews = {(b, t): x == y for b, x, y, t in squares}
+    for a, below in enumerate(rows):
+        above = rows[a - 1]
         for k in range(r - 1):
-            try:
-                if not is_domino(below[k], above[k + 2]) \
-                        and below[k + 1] == above[k + 1]:
-                    problems.append(
-                        f"square at row {a}, offset {k}: equal middles under "
-                        f"a nonadjacent skew")
-            except ValueError:
+            domino = skews.get((below[k], above[k + 2]))
+            if domino is None:
                 problems.append(f"square at row {a}, offset {k}: malformed")
-    # entry at (a, a+k) must equal the complement of the entry at
-    # (a+k, a+r); the complements are looked up once per distinct entry
-    comp = {}
-    for a in range(r):
-        for k in range(r + 1):
-            image = rows[(a + k) % r][r - k]
-            expect = comp.get(image)
-            if expect is None:
-                expect = comp[image] = complement(image, frame)
-            if rows[a][k] != expect:
+            elif not domino and below[k + 1] == above[k + 1]:
                 problems.append(
-                    f"glide-reflect fails at row {a}, offset {k}")
-    return (not problems, problems)
+                    f"square at row {a}, offset {k}: equal middles under "
+                    f"a nonadjacent skew")
+    problems += [f"glide-reflect fails at row {a}, offset {k}"
+                 for a, row in enumerate(rows) for k in range(r + 1)
+                 if row[k] != comp[rows[(a + k) % r][r - k]]]
+    return (False, problems)
 
 
 def read_path(g: CylGrowthDiagram, path) -> Chain:

@@ -5,13 +5,16 @@ A partition is a tuple of weakly decreasing positive integers; trailing
 zeros are stripped, so () is the empty partition.  The box is a
 :class:`Frame` passed explicitly to every operation that needs it.
 
-The box kernels under the local rule and diagram validation (containment,
-complement, adding a box, union, intersection, the middles of a two-box
-skew) are memoized: a frame holds few partitions, and these are called
-for the same pairs many times over.  Their caches are keyed by value, so
-they take tuples of ``int`` only; a float or bool part would hash like an
-int and its cached result would be served for the int input.  Untrusted
-data is checked for this where it is read (``from_json``).
+The box kernels (containment, complement, adding a box, union,
+intersection, the middles of a two-box skew) are memoized: a frame holds
+few partitions, and these are called for the same pairs many times over.
+Their caches are keyed by value, so they take tuples of ``int`` only; a
+float or bool part would hash like an int and its cached result would be
+served for the int input.  Untrusted data is checked for this where it is
+read (``from_json``).  The growth solver and diagram validation do not
+call them per entry: ``growth.cylgrowth`` numbers each frame's partitions
+once and builds its tables over those numbers from these kernels.  Tuples
+stay the public representation of a partition.
 """
 
 from dataclasses import dataclass

@@ -1,11 +1,14 @@
 """Differential tests for the memoized partition kernels: on every
 argument drawn from two frames, each cached function returns what its
-uncached body (``fn.__wrapped__``) returns, or raises the same error."""
+uncached body (``fn.__wrapped__``) returns, or raises the same error.
+The numbered tables of a frame, which the growth solver and diagram
+validation read, must agree with the tuple kernels they are built from."""
 
 from itertools import product
 
 import pytest
 
+from growth.cylgrowth import _numbering
 from growth.partitions import (
     Frame, _intermediates, add_box, added_box, complement, contains,
     intermediates, intersect, is_domino, partitions_in, union,
@@ -63,3 +66,62 @@ def test_intermediates_returns_a_fresh_list():
     mids.append((9,))
     mids.reverse()
     assert intermediates((1,), (2, 1)) == [(2,), (1, 1)]
+
+
+TABLE_FRAMES = [Frame(d, n) for n in range(2, 8)
+                for d in range(1, min(n, 4))] + [Frame(4, 8)]
+
+
+@pytest.mark.parametrize("frame", TABLE_FRAMES, ids=str)
+def test_frame_table(frame):
+    table = _numbering(frame)
+    parts = table.parts
+    num = table.index.__getitem__
+    assert parts == partitions_in(frame)
+    assert list(map(num, parts)) == list(range(len(parts)))
+    assert [parts[c] for c in table.comp] == [complement(p, frame)
+                                              for p in parts]
+    assert table.anchors == tuple(map(num, (
+        (), (1,), complement((1,), frame), frame.rectangle())))
+    assert table.steps == {(i, j) for (i, p), (j, q)
+                           in product(enumerate(parts), repeat=2)
+                           if added_box(p, q) is not None}
+    # unit squares from the cover steps: the middles are the shapes one
+    # step above the bottom and one step below the top, equal only under
+    # a domino
+    up = {i: {j for s, j in table.steps if s == i} for i in range(len(parts))}
+    squares = set()
+    for b in up:
+        for t in {t for m in up[b] for t in up[m]}:
+            mids = {m for m in up[b] if t in up[m]}
+            assert mids == set(map(num, intermediates(parts[b], parts[t])))
+            domino = is_domino(parts[b], parts[t])
+            assert domino == (len(mids) == 1)
+            squares |= {(b, x, y, t) for x in mids for y in mids
+                        if x != y or domino}
+    assert table.squares == squares
+
+
+@pytest.mark.parametrize("frame", TABLE_FRAMES, ids=str)
+def test_frame_table_local_rule(frame):
+    # every pair for meet and join, every (bottom, top, middle) of a unit
+    # square for the other middle: these are all the inputs on which the
+    # kernels return, so the memos then hold nothing unchecked
+    table = _numbering(frame)
+    parts = table.parts
+    for p, q in product(range(len(parts)), repeat=2):
+        assert parts[table.meet(p, q)] == intersect(parts[p], parts[q])
+        assert parts[table.join(p, q)] == union(parts[p], parts[q])
+    keys = {(b, t, x) for b, x, _, t in table.squares}
+    for b, t, x in keys:
+        assert parts[table.other(b, t, x)] == \
+            other_middle(parts[b], parts[t], parts[x])
+    assert table.meet.cache_info().currsize == len(parts) ** 2
+    assert table.join.cache_info().currsize == len(parts) ** 2
+    assert table.other.cache_info().currsize == len(keys)
+    # off a square the kernel's error comes through with its text
+    with pytest.raises(ValueError) as new:
+        table.other(0, 0, 0)
+    with pytest.raises(ValueError) as ref:
+        other_middle((), (), ())
+    assert str(new.value) == str(ref.value)

@@ -14,7 +14,7 @@ from growth.cylgrowth import (
 )
 from growth.partitions import (
     Frame, added_box, complement, covers, down_covers, intersect, is_domino,
-    normalize, union,
+    normalize, partitions_in, union,
 )
 from growth.tableaux import enumerate_chains, other_middle
 
@@ -29,6 +29,7 @@ class RefCompletion:
         self.frame = frame
         self.r = r
         self.known: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.square = None
         box_c = complement((1,), frame)
         rect = frame.rectangle()
         for a in range(r):
@@ -57,8 +58,11 @@ class RefCompletion:
             progress = False
             for a in range(r):
                 for k in range(r - 1):
+                    # where a local-rule kernel raised, for local_rule_message
+                    self.square = (a, k)
                     if self._square(a, k):
                         progress = True
+            self.square = None
             if self._glide():
                 progress = True
         if len(self.known) < total:
@@ -173,6 +177,13 @@ def stall_message(ref: RefCompletion) -> str:
             f"row {a}, offset {k}")
 
 
+def local_rule_message(ref: RefCompletion, text: str) -> str:
+    """The row-indexed solver's error for a local-rule kernel that raised
+    text: the kernel's text, prefixed with the square."""
+    a, k = ref.square
+    return f"local rule at row {a}, offset {k}: {text}"
+
+
 def assert_same_outcome(frame: Frame, seeds):
     new = solve_with(_Completion, frame, seeds)
     ref = solve_with(RefCompletion, frame, seeds)
@@ -181,6 +192,8 @@ def assert_same_outcome(frame: Frame, seeds):
         assert new[1] == ref[1]
     elif ref[1] == STALLED:
         assert new[1] == stall_message(ref[2])
+    elif ref[2] is not None and ref[2].square is not None:
+        assert new[1] == local_rule_message(ref[2], ref[1])
     else:
         assert new[1] == ref[1]
     return new
@@ -281,7 +294,8 @@ class TestErrors:
         seeds = self.row_seeds(Frame(2, 5)) + [(2, 4, (2, 1))]
         outcome = assert_same_outcome(Frame(2, 5), seeds)
         assert outcome[:2] == (
-            "error", "(3, 1)/(2, 1) is not a two-box skew shape")
+            "error", "local rule at row 2, offset 2: "
+            "(3, 1)/(2, 1) is not a two-box skew shape")
 
     def test_invalid_completion(self):
         # every entry seeded, one of them changed: nothing is left to
@@ -343,6 +357,49 @@ def test_validate_rows_exchanged(frame, g):
             rows[a], rows[b] = rows[b], rows[a]
             bad = CylGrowthDiagram(frame, g.r, tuple(rows))
             assert cgd_validate(bad) == ref_cgd_validate(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FRAMES), st.data())
+def test_hypothesis_validate(frame, data):
+    # one to three entries replaced by any partition of the frame, or two
+    # entries of a row swapped: the fast acceptance and the problem walk
+    # agree with the reference
+    g = data.draw(st.sampled_from(DIAGRAMS[frame]))
+    r = frame.size
+    rows = [list(row) for row in g.rows]
+    if data.draw(st.booleans()):
+        for a, k in data.draw(st.lists(st.tuples(
+                st.integers(0, r - 1), st.integers(0, r)),
+                min_size=1, max_size=3)):
+            rows[a][k] = data.draw(st.sampled_from(partitions_in(frame)))
+    else:
+        a = data.draw(st.integers(0, r - 1))
+        k1, k2 = data.draw(st.lists(st.integers(0, r), min_size=2,
+                                    max_size=2, unique=True))
+        rows[a][k1], rows[a][k2] = rows[a][k2], rows[a][k1]
+    bad = CylGrowthDiagram(frame, r, tuple(map(tuple, rows)))
+    assert cgd_validate(bad) == ref_cgd_validate(bad)
+
+
+def test_validation_runs_on_every_solve(monkeypatch):
+    calls = []
+    validate = cylgrowth.cgd_validate
+    monkeypatch.setattr(cylgrowth, "cgd_validate",
+                        lambda g: calls.append(g) or validate(g))
+    assert len(cgd_enumerate(Frame(3, 7))) == len(calls) == 462
+    # one local-rule result made wrong, still a partition of the frame:
+    # the other middle of (1,) < (2,) < (2, 1) read as (2,), not (1, 1)
+    frame = Frame(2, 4)
+    table = cylgrowth._numbering(frame)
+    num = table.index.__getitem__
+    wrong = (num((1,)), num((2, 1)), num((2,)))
+    other = table.other
+    monkeypatch.setattr(table, "other", lambda *key: (
+        num((2,)) if key == wrong else other(*key)))
+    chain = ((), (1,), (2,), (2, 1), (2, 2))
+    with pytest.raises(ValueError, match="^completed diagram invalid: "):
+        cgd_from_path(row_path(frame.size), chain, frame)
 
 
 @pytest.mark.parametrize("frame,g", VALIDATE_CASES)
