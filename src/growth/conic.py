@@ -7,15 +7,14 @@ All arithmetic is exact over the rationals; floating point appears only in
 the final root report of the flag example, after bisection on the exact
 quartic."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from growth.cylgrowth import cgd_enumerate
 from growth.partitions import (
-    Frame, _intermediates, added_box, complement, contains, index_set,
-    is_domino, normalize,
+    Frame, _intermediates, _set, _Value, added_box, complement, contains,
+    index_set, is_domino, normalize,
 )
 
 
@@ -61,13 +60,15 @@ def wronski_polynomial(pluecker, frame: Frame):
     return {k: v for k, v in sorted(coeffs.items()) if v != 0}
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """Exact monomial c * tau^s * u^t with rational coefficient."""
 
-    coeff: Fraction
-    tau_pow: int
-    u_pow: int
+    __slots__ = ("coeff", "tau_pow", "u_pow")
+
+    def __init__(self, coeff: Fraction, tau_pow: int, u_pow: int):
+        _set(self, "coeff", coeff)
+        _set(self, "tau_pow", tau_pow)
+        _set(self, "u_pow", u_pow)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coeff * other.coeff,
@@ -79,29 +80,32 @@ class Monomial:
                 "tau_pow": self.tau_pow, "u_pow": self.u_pow}
 
 
-@dataclass(frozen=True)
-class EmptyReport:
+class EmptyReport(_Value):
     """The two conditions are incompatible: the complement of one does not
     contain the other, so there are no solutions."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
+    __slots__ = ("lam", "mu")
     kind = "empty"
 
+    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
 
-@dataclass(frozen=True)
-class DegenerateReport:
+
+class DegenerateReport(_Value):
     """The skew shape between the conditions is a domino: the solution
     family maps isomorphically to the base, degree one, no monodromy."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
+    __slots__ = ("lam", "mu")
     degree = 1
     kind = "degenerate"
 
+    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
 
-@dataclass(frozen=True)
-class ConicReport:
+
+class ConicReport(_Value):
     """The generic case: two nonadjacent boxes between the conditions.
 
     The solutions are parametrized by the conic
@@ -109,16 +113,24 @@ class ConicReport:
     (j-i-1, j-i, j-i, j-i+1), and only four Pluecker coordinates are
     nonzero."""
 
-    frame: Frame
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    s: tuple[int, ...]
-    i: int
-    j: int
-    conic: tuple[int, int, int, int]
-    pluecker: tuple[tuple[frozenset, Monomial], ...]
-    labels: tuple[tuple[int, ...], ...]
+    __slots__ = ("frame", "lam", "mu", "s", "i", "j", "conic", "pluecker",
+                 "labels")
     kind = "conic"
+
+    def __init__(self, frame: Frame, lam: tuple[int, ...],
+                 mu: tuple[int, ...], s: tuple[int, ...], i: int, j: int,
+                 conic: tuple[int, int, int, int],
+                 pluecker: tuple[tuple[frozenset, Monomial], ...],
+                 labels: tuple[tuple[int, ...], ...]):
+        _set(self, "frame", frame)
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
+        _set(self, "s", s)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "conic", conic)
+        _set(self, "pluecker", pluecker)
+        _set(self, "labels", labels)
 
     def to_json(self) -> dict:
         return {

@@ -11,27 +11,29 @@ Only inside this module, the growth solver and :func:`cgd_validate` work
 on the numbers of a frame's partitions (:class:`_Numbering`), with tables
 built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 from growth.partitions import (
-    Frame, complement, covers, intermediates, intersect, normalize,
-    partitions_in, union,
+    Frame, _set, _Value, complement, covers, intermediates, intersect,
+    normalize, partitions_in, union,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,
 )
 
 
-@dataclass(frozen=True)
-class CylGrowthDiagram:
+class CylGrowthDiagram(_Value):
     """A cylindrical growth diagram on the fundamental domain rows
     i in [0, r); rows[i][k] holds the entry at (i, i + k) for k in [0, r]."""
 
-    frame: Frame
-    r: int
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("frame", "r", "rows")
+
+    def __init__(self, frame: Frame, r: int,
+                 rows: tuple[tuple[tuple[int, ...], ...], ...]):
+        _set(self, "frame", frame)
+        _set(self, "r", r)
+        _set(self, "rows", rows)
 
     def get(self, i: int, j: int) -> tuple[int, ...]:
         """Entry at (i, j) for any integers with 0 <= j - i <= r."""
@@ -309,7 +311,12 @@ def cgd_from_path(path, chain, frame: Frame) -> CylGrowthDiagram:
         raise ValueError(f"chain must have {r + 1} shapes, got {len(chain)}")
     if chain[0] != () or chain[-1] != frame.rectangle():
         raise ValueError("chain must run from the empty shape to the rectangle")
-    solver = _Completion(frame, r)
+    return _grow(path, chain, frame)
+
+
+def _grow(path, chain, frame: Frame) -> CylGrowthDiagram:
+    """:func:`cgd_from_path` on a path and a chain already checked."""
+    solver = _Completion(frame, frame.size)
     for (i, j), value in zip(path, chain):
         solver.seed_point(i, j, value)
     return solver.solve()
@@ -383,8 +390,10 @@ def read_path(g: CylGrowthDiagram, path) -> Chain:
 def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
     """One diagram per standard tableau of the full rectangle, built along
     row 0, in lexicographic order of the row-0 chain."""
-    r = frame.size
-    return [cgd_from_path(row_path(r), chain, frame)
+    path = row_path(frame.size)
+    # enumerate_chains gives only chains of normalized one-box steps from
+    # the empty shape to the rectangle, so they are not checked again
+    return [_grow(path, chain, frame)
             for chain in enumerate_chains(frame.rectangle(), ())]
 
 

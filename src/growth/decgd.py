@@ -8,31 +8,35 @@ gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the column step
 gamma(k, l) -> gamma(k-1, l), both for 0 <= l - k < r.  Everything is
 periodic under (k, l) -> (k+r, l+r) and stored on residues of k."""
 
-from dataclasses import dataclass
-
 from growth.cylgrowth import (
     CylGrowthDiagram, cgd_from_path, _json_frame, _json_int, _json_list,
     _json_partition, _json_table, row_path,
 )
-from growth.partitions import Frame, normalize, shapes_between
+from growth.partitions import Frame, _set, _Value, normalize, shapes_between
 from growth.tableaux import (
     DualClass, dual_classes, dual_equivalent, shuffle_classes, validate_chain,
 )
 
 
-@dataclass(frozen=True)
-class Decgd:
+class Decgd(_Value):
     """Growth diagram of dual-equivalence classes.
 
     gamma[k][m] is the entry at (k, k+m) for k in [0, r), m in [0, r];
     a[k][m] and b[k][m] are the classes at (k, k+m) for m in [0, r)."""
 
-    frame: Frame
-    r: int
-    shape: tuple[tuple[int, ...], ...]
-    gamma: tuple[tuple[tuple[int, ...], ...], ...]
-    a: tuple[tuple[DualClass, ...], ...]
-    b: tuple[tuple[DualClass, ...], ...]
+    __slots__ = ("frame", "r", "shape", "gamma", "a", "b")
+
+    def __init__(self, frame: Frame, r: int,
+                 shape: tuple[tuple[int, ...], ...],
+                 gamma: tuple[tuple[tuple[int, ...], ...], ...],
+                 a: tuple[tuple[DualClass, ...], ...],
+                 b: tuple[tuple[DualClass, ...], ...]):
+        _set(self, "frame", frame)
+        _set(self, "r", r)
+        _set(self, "shape", shape)
+        _set(self, "gamma", gamma)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def get_gamma(self, k: int, l: int) -> tuple[int, ...]:
         m = l - k

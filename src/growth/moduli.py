@@ -7,7 +7,6 @@ the representative starts at 1 and takes the lexicographically smaller
 direction.  A wall is the chord reversing a circular interval of marked
 positions; it is identified with the complementary interval."""
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
@@ -16,7 +15,7 @@ from growth.decgd import (
 )
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
-    Frame, complement, lr_coefficient, normalize, partitions_in,
+    Frame, _set, _Value, complement, lr_coefficient, normalize, partitions_in,
 )
 
 
@@ -28,13 +27,12 @@ def canonical_order(order):
     0-based index map g with order[g(q)] = canonical[q] (a rotation or a
     reflection of positions)."""
     order = tuple(order)
-    r = len(order)
     t = order.index(1)
-    rot = tuple(order[(q + t) % r] for q in range(r))
-    ref = tuple(order[(t - q) % r] for q in range(r))
-    if rot <= ref:
-        return rot, ("rot", t)
-    return ref, ("ref", t)
+    # the rotation and the reflection both start at 1; the neighbour of 1
+    # they put second decides (equal only for r <= 2, where they agree)
+    if order[(t + 1) % len(order)] <= order[t - 1]:
+        return order[t:] + order[:t], ("rot", t)
+    return order[t::-1] + order[:t:-1], ("ref", t)
 
 
 def facets(r: int):
@@ -47,23 +45,23 @@ def facets(r: int):
             if tail[0] < tail[-1]]
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(_Value):
     """The chord reversing circular positions a..b (1-based, inclusive;
     b may exceed r to denote a wrapped interval)."""
 
-    a: int
-    b: int
-    r: int
+    __slots__ = ("a", "b", "r")
 
-    def __post_init__(self):
-        length = self.b - self.a + 1
-        if not (2 <= length <= self.r - 2):
+    def __init__(self, a: int, b: int, r: int):
+        length = b - a + 1
+        if not (2 <= length <= r - 2):
             raise ValueError(
-                f"reversed interval must have length 2..{self.r - 2}, "
+                f"reversed interval must have length 2..{r - 2}, "
                 f"got {length}")
-        if not (1 <= self.a <= self.r):
+        if not (1 <= a <= r):
             raise ValueError("interval start must lie in [1, r]")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "r", r)
 
     @property
     def positions(self) -> frozenset[int]:
@@ -94,11 +92,12 @@ def cross_facet(order, wall: Wall):
     crossed positions to canonical ones."""
     order = tuple(order)
     r = len(order)
-    raw = list(order)
-    span = [((x - 1) % r) for x in range(wall.a, wall.b + 1)]
-    vals = [order[q] for q in span]
-    for q, v in zip(span, reversed(vals)):
-        raw[q] = v
+    a, b = wall.a - 1, wall.b  # the span is order[a:b], wrapped past r
+    if b <= r:
+        raw = order[:a] + order[a:b][::-1] + order[b:]
+    else:
+        span = (order[a:] + order[:b - r])[::-1]
+        raw = span[r - a:] + order[b - r:a] + span[:r - a]
     return canonical_order(raw)
 
 
@@ -209,12 +208,18 @@ def transport_decgd(d: Decgd, gmap) -> Decgd:
 # ---------------------------------------------------------------------------
 # the monodromy graph
 
-@dataclass(frozen=True)
-class MonodromyGraph:
-    frame: Frame
-    shape: tuple[tuple[int, ...], ...]
-    nodes: tuple  # (facet, diagram) pairs
-    edges: tuple  # (from_id, to_id, wall (a, b)) triples
+class MonodromyGraph(_Value):
+    """The cover graph: nodes are (facet, diagram) pairs, edges are
+    (from_id, to_id, wall (a, b)) triples."""
+
+    __slots__ = ("frame", "shape", "nodes", "edges")
+
+    def __init__(self, frame: Frame, shape: tuple[tuple[int, ...], ...],
+                 nodes: tuple, edges: tuple):
+        _set(self, "frame", frame)
+        _set(self, "shape", shape)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
 
 
 class _FiberTables:
@@ -301,18 +306,18 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     for facet in facet_list:
         offset[facet] = len(nodes)
         nodes.extend((facet, g) for g in tables.fiber(facet)[0])
+    # the crossed diagram keeps the wall blocks in place and reflects the
+    # complementary blocks, so its raw presentation is the order with the
+    # complementary span reversed; both spans give the same facet
+    crossings = [(wall, wall.complementary(), (wall.a, wall.b))
+                 for wall in wall_list]
     edges = []
     for facet in facet_list:
         start = offset[facet]
-        for wall in wall_list:
-            # the crossed diagram keeps the wall blocks in place and
-            # reflects the complementary blocks, so its raw presentation is
-            # the order with the complementary span reversed; both spans
-            # give the same facet
-            new_facet, gmap = cross_facet(facet, wall.complementary())
+        for wall, span, label in crossings:
+            new_facet, gmap = cross_facet(facet, span)
             target = offset[new_facet]
             if target > start:
-                label = (wall.a, wall.b)
                 table = tables.move(facet, wall, new_facet, gmap)
                 edges.extend((start + i, target + j, label)
                              for i, j in enumerate(table))
@@ -383,13 +388,15 @@ def export(graph: MonodromyGraph, fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 # trees, node labelings, fiber counts
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(_Value):
     """A tree with leaves 1..r and internal vertices of degree >= 3,
     given by its adjacency map.  Internal vertices are negative ints."""
 
-    r: int
-    adj: tuple  # sorted tuple of (vertex, sorted tuple of neighbours)
+    __slots__ = ("r", "adj")
+
+    def __init__(self, r: int, adj: tuple):
+        _set(self, "r", r)
+        _set(self, "adj", adj)  # sorted (vertex, sorted neighbours) pairs
 
     def neighbours(self, v):
         return dict(self.adj)[v]

@@ -15,23 +15,77 @@ read (``from_json``).  The growth solver and diagram validation do not
 call them per entry: ``growth.cylgrowth`` numbers each frame's partitions
 once and builds its tables over those numbers from these kernels.  Tuples
 stay the public representation of a partition.
+
+The package's value classes (:class:`Frame` here, the diagrams, classes,
+walls, graphs, trees and conic reports elsewhere) derive from
+:class:`_Value`, defined here because every other module imports this one.
+It gives them what a frozen dataclass would: equality within one class,
+the hash of the field tuple, the dataclass repr, pickling and
+immutability.  They are not dataclasses, for start-up time: importing
+``dataclasses`` brings ``inspect``, ``ast`` and ``dis`` (about 10 of the
+35 ms of ``import growth.cli`` on CPython 3.11), and every dataclass
+compiles its generated methods with ``exec`` when it is created, on every
+run, about 1 ms each.  The base's methods are compiled once, with this
+module, and not at all where its ``.pyc`` is cached.  A fresh checkout run
+with ``PYTHONDONTWRITEBYTECODE=1`` has no cache and compiles the package
+from source on every start.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Value:
+    """Base of an immutable value class.  A subclass names its fields in
+    ``__slots__`` and assigns each in its own ``__init__`` through
+    ``_set(self, name, value)``; it compares, hashes, prints and pickles
+    by the tuple of its field values, in slot order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if len(cls.__slots__) < 2:
+            # attrgetter of one name returns the value, not a 1-tuple
+            raise TypeError(f"{cls.__name__} needs at least two fields")
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frame(_Value):
     """The d x (n-d) box: d rows available, n-d columns available."""
 
-    d: int
-    n: int
+    __slots__ = ("d", "n")
 
-    def __post_init__(self):
-        if not (0 <= self.d <= self.n):
-            raise ValueError(f"need 0 <= d <= n, got d={self.d}, n={self.n}")
+    def __init__(self, d: int, n: int):
+        if not (0 <= d <= n):
+            raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+        _set(self, "d", d)
+        _set(self, "n", n)
 
     @property
     def cols(self) -> int:

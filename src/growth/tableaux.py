@@ -6,10 +6,11 @@ entry k of the tableau is the box added at step k.  All jeu de taquin is
 done through the local rule on unit squares of a growth rectangle.
 """
 
-from dataclasses import dataclass
 from functools import cache
 
-from growth.partitions import _intermediates, added_box, contains, normalize
+from growth.partitions import (
+    _intermediates, _set, _Value, added_box, contains, normalize,
+)
 
 Chain = tuple[tuple[int, ...], ...]
 
@@ -145,13 +146,15 @@ def enumerate_chains(outer, inner) -> list[Chain]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class DualClass:
+class DualClass(_Value):
     """A dual-equivalence class of skew standard tableaux, stored by its
     canonical representative and rectification shape."""
 
-    representative: Chain
-    rshape: tuple[int, ...]
+    __slots__ = ("representative", "rshape")
+
+    def __init__(self, representative: Chain, rshape: tuple[int, ...]):
+        _set(self, "representative", representative)
+        _set(self, "rshape", rshape)
 
     @staticmethod
     def of(t: Chain) -> "DualClass":

@@ -428,6 +428,22 @@ class TestVerify:
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
 
+    def test_no_dataclasses_at_start(self):
+        # the value classes are not dataclasses: importing dataclasses (and
+        # inspect, ast and dis with it) would cost every command more than
+        # many spend on their work.  The checks may bring inspect, through
+        # the goldens' importlib.resources on Python 3.12 and later.
+        code = ("import sys, growth.cli, growth.moduli; "
+                "late = {'dataclasses', 'inspect'} & set(sys.modules); "
+                "import growth.checks; "
+                "late |= {'dataclasses'} & set(sys.modules); "
+                "sys.exit(f'imported: {sorted(late)}' if late else 0)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                               / "src")}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--only", "algebra"])

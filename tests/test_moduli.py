@@ -32,6 +32,31 @@ def reference_facets(r):
                    for tail in permutations(range(2, r + 1))})
 
 
+def reference_canonical_order(order):
+    """Both dihedral candidates starting at 1 built in full; the smaller
+    wins, ties to the rotation."""
+    order = tuple(order)
+    r = len(order)
+    t = order.index(1)
+    rot = tuple(order[(q + t) % r] for q in range(r))
+    ref = tuple(order[(t - q) % r] for q in range(r))
+    if rot <= ref:
+        return rot, ("rot", t)
+    return ref, ("ref", t)
+
+
+def reference_cross_facet(order, wall):
+    """The wall's positions reversed one by one, then canonicalized."""
+    order = tuple(order)
+    r = len(order)
+    raw = list(order)
+    span = [((x - 1) % r) for x in range(wall.a, wall.b + 1)]
+    vals = [order[q] for q in span]
+    for q, v in zip(span, reversed(vals)):
+        raw[q] = v
+    return reference_canonical_order(raw)
+
+
 def reference_walls(r):
     """Every non-wrapping interval of length 2..r-2, keeping the smaller
     (a, b) of the two presentations of each chord, sorted."""
@@ -65,6 +90,20 @@ class TestFacets:
 
     def test_reflection_identified(self):
         assert canonical_order((1, 3, 2))[0] == canonical_order((1, 2, 3))[0]
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_canonical_order_matches_reference(self, r):
+        for order in permutations(range(1, r + 1)):
+            assert canonical_order(order) == reference_canonical_order(order)
+
+    @pytest.mark.parametrize("r", range(4, 9))
+    def test_cross_facet_matches_reference(self, r):
+        spans = [span for w in walls(r) for span in (w, w.complementary())]
+        assert any(span.b > r for span in spans)  # a wrapped presentation
+        for order in facets(r):
+            for span in spans:
+                assert cross_facet(order, span) == \
+                    reference_cross_facet(order, span)
 
 
 class TestWalls:
