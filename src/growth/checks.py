@@ -5,6 +5,7 @@ reports one line per check with its runtime."""
 
 import time
 from itertools import product
+from math import gcd
 
 from growth.conic import consistency_with_growth, flag6_example, four_point_solve
 from growth.cylgrowth import (
@@ -60,16 +61,78 @@ def check_figure_wall():
     return True, "bottom figure reproduced and crossing is an involution"
 
 
+def q_hook(frame: Frame) -> list[int]:
+    """Coefficients, lowest degree first, of the q-hook polynomial
+    [N]_q! / prod [h(c)]_q of the d x (n-d) rectangle, N = d(n-d)."""
+    poly = [1]
+    for k in range(1, frame.size + 1):
+        # times [k]_q = 1 + q + ... + q^(k-1)
+        poly = [sum(poly[max(0, e - k + 1):e + 1])
+                for e in range(len(poly) + k - 1)]
+    for i in range(frame.d):
+        for j in range(frame.cols):
+            h = (frame.d - i) + (frame.cols - j) - 1
+            # exact division by [h]_q, lowest degree first
+            quotient = []
+            for e in range(len(poly) - h + 1):
+                quotient.append(poly[e] - sum(quotient[max(0, e - h + 1):]))
+            poly = quotient
+    return poly
+
+
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _ramanujan(m: int, t: int) -> int:
+    """The sum of w^t over the primitive m-th roots of unity w, by Moebius
+    inversion: the sum of mu(m / e) e over the divisors e of gcd(m, t)."""
+    g = gcd(m, t)
+    return sum(_mobius(m // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+def at_primitive_root(poly: list[int], m: int) -> int | None:
+    """poly at a primitive m-th root of unity, when that value is an
+    integer: the average of its conjugates, sum_t s_t c_m(t) / phi(m), with
+    s_t the coefficient sum over exponents = t (mod m) and c_m the
+    Ramanujan sum.  None when that average is not an integer."""
+    trace = sum(sum(poly[t::m]) * _ramanujan(m, t) for t in range(m))
+    value, rest = divmod(trace, _ramanujan(m, 0))
+    return None if rest else value
+
+
+def rotation_fixed(diagrams, k: int) -> int:
+    """How many diagrams equal their rotation by k rows."""
+    return sum(g.rows[k:] + g.rows[:k] == g.rows for g in diagrams)
+
+
 def check_counts():
     """Diagram counts match the hook-length number of standard fillings of
-    the rectangle."""
+    the rectangle, and rotating the rows exhibits the cyclic sieving
+    phenomenon with the q-hook polynomial."""
     for frame, expected in [(F24, 2), (F25, 5), (Frame(3, 6), 42)]:
-        got = len(cgd_enumerate(frame))
+        diagrams = cgd_enumerate(frame)
+        got = len(diagrams)
         hook = rectangle_syt_formula(frame)
         chain = syt_count(frame.rectangle())
         if not got == hook == chain == expected:
             return False, (f"{frame}: enumerated {got}, hook {hook}, "
                            f"chains {chain}, expected {expected}")
+        poly, n = q_hook(frame), frame.size
+        for k in range(n):
+            fixed = rotation_fixed(diagrams, k)
+            sieve = at_primitive_root(poly, n // gcd(k, n))
+            if fixed != sieve:
+                return False, (f"{frame}: rotation by {k} fixes {fixed} "
+                               f"diagrams, the q-hook sieve gives {sieve}")
     return True, "counts 2, 5, 42 agree with the hook formula"
 
 

@@ -1,6 +1,7 @@
 """Cylindrical growth diagrams: construction from a path, validation,
-enumeration, promotion, caterpillar labels, and the d=2 noncrossing
-matching bijection.
+enumeration by promotion orbits (one solve per orbit, its rotations
+added), promotion, caterpillar labels, and the d=2 noncrossing matching
+bijection.
 
 The index set is {(i, j) : i <= j <= i + r} with the glide symmetry
 (i, j) -> (i + r, j + r); an entry therefore depends only on
@@ -388,13 +389,30 @@ def read_path(g: CylGrowthDiagram, path) -> Chain:
 
 
 def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
-    """One diagram per standard tableau of the full rectangle, built along
-    row 0, in lexicographic order of the row-0 chain."""
-    path = row_path(frame.size)
+    """One diagram per standard tableau of the full rectangle, in
+    lexicographic order of the row-0 chain.
+
+    Row t of a diagram is row 0 of its rotation rows[t:] + rows[:t], the
+    t-th promotion of its row-0 tableau, so one solve along row 0 gives
+    the diagrams of a whole promotion orbit.  Every solve is validated;
+    a rotation is not, since every condition of :func:`cgd_validate` is
+    invariant under it."""
+    r = frame.size
+    path = row_path(r)
     # enumerate_chains gives only chains of normalized one-box steps from
     # the empty shape to the rectangle, so they are not checked again
-    return [_grow(path, chain, frame)
-            for chain in enumerate_chains(frame.rectangle(), ())]
+    chains = enumerate_chains(frame.rectangle(), ())
+    found = {}
+    for chain in chains:
+        if chain in found:
+            continue
+        rows = _grow(path, chain, frame).rows
+        # an orbit shorter than r closes when row t is row 0 again
+        for t in range(r):
+            if rows[t] in found:
+                break
+            found[rows[t]] = CylGrowthDiagram(frame, r, rows[t:] + rows[:t])
+    return [found[chain] for chain in chains]
 
 
 def promotion(chain: Chain, frame: Frame) -> Chain:

@@ -383,11 +383,16 @@ def test_hypothesis_validate(frame, data):
 
 
 def test_validation_runs_on_every_solve(monkeypatch):
-    calls = []
-    validate = cylgrowth.cgd_validate
+    # one solve per promotion orbit, each validated: 44 orbits of the
+    # 462 tableaux of the 3 x 4 rectangle
+    solves, validations = [], []
+    solve, validate = _Completion.solve, cylgrowth.cgd_validate
+    monkeypatch.setattr(_Completion, "solve",
+                        lambda self: solves.append(self) or solve(self))
     monkeypatch.setattr(cylgrowth, "cgd_validate",
-                        lambda g: calls.append(g) or validate(g))
-    assert len(cgd_enumerate(Frame(3, 7))) == len(calls) == 462
+                        lambda g: validations.append(g) or validate(g))
+    assert len(cgd_enumerate(Frame(3, 7))) == 462
+    assert len(solves) == len(validations) == 44
     # one local-rule result made wrong, still a partition of the frame:
     # the other middle of (1,) < (2,) < (2, 1) read as (2,), not (1, 1)
     frame = Frame(2, 4)
