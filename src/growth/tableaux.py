@@ -118,31 +118,34 @@ def dual_equivalent(t1: Chain, t2: Chain) -> bool:
 
 def enumerate_chains(outer, inner) -> list[Chain]:
     """All standard tableaux of shape outer/inner, as chains, in
-    lexicographic order of the chain."""
+    lexicographic order of the chain.  A step adds one box: a new row of
+    length 1 below the current shape, if outer has that row, or a box at
+    the end of a row i that is shorter than outer's row i and than the
+    row above it.  The steps are tried from the lowest row up, which
+    builds the chains in order, so the sort that guarantees it is one
+    pass."""
     outer, inner = normalize(outer), normalize(inner)
     if not contains(outer, inner):
         return []
     out = []
+    acc = [inner]
 
-    def build(acc):
-        cur = acc[-1]
-        if cur == outer:
+    def build(cur, left):
+        if not left:
             out.append(tuple(acc))
             return
-        for row in range(len(outer)):
-            c = cur[row] if row < len(cur) else 0
-            above = (cur[row - 1] if row - 1 < len(cur) else 0) if row else None
-            if c >= outer[row]:
-                continue
-            if row and c >= above:
-                continue
-            nxt = list(cur) + [0] * (row + 1 - len(cur))
-            nxt[row] += 1
-            nxt = normalize(nxt)
-            if contains(outer, nxt):
-                build(acc + [nxt])
+        if len(cur) < len(outer):
+            acc.append(cur + (1,))
+            build(acc[-1], left - 1)
+            acc.pop()
+        for i in range(len(cur) - 1, -1, -1):
+            c = cur[i]
+            if c < outer[i] and (i == 0 or c < cur[i - 1]):
+                acc.append(cur[:i] + (c + 1,) + cur[i + 1:])
+                build(acc[-1], left - 1)
+                acc.pop()
 
-    build([inner])
+    build(inner, sum(outer) - sum(inner))
     return sorted(out)
 
 

@@ -97,6 +97,56 @@ def test_repeated_int_tuples(rows):
         dumps({"rows": rows, "same": rows})
 
 
+def at_depth(value, depth: int) -> str:
+    """The text json.dumps gives value, nested depth levels deep."""
+    return dumps(value)[:-1].replace("\n", "\n" + "  " * depth)
+
+
+@given(st.data())
+def test_shared_tuple_objects(data):
+    # the memo is keyed by identity, so reuse one tuple object at many
+    # places and depths, as diagrams reuse their partitions and rows
+    parts = data.draw(st.lists(
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        min_size=1, max_size=4))
+    chains = data.draw(st.lists(
+        st.lists(st.sampled_from(parts), max_size=3).map(tuple), max_size=3))
+    pool = parts + chains + [(1,), (True,), (1.0,), ((1,),), ((True,),)]
+    value = data.draw(st.recursive(
+        st.sampled_from(pool) | SCALARS,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.text(max_size=2), inner,
+                                         max_size=3)),
+        max_leaves=20))
+    assert written(value) == dumps(value)
+    text = JsonText()
+    for depth in (0, 2, 0, 1):
+        assert text(value, depth) == at_depth(value, depth)
+        assert [text(v, depth) for v in pool] == \
+            [at_depth(v, depth) for v in pool]
+
+
+def test_tuple_holding_a_mutated_list():
+    items = [1]
+    value = (items, (2,))
+    text = JsonText()
+    assert text(value) == at_depth(value, 0)
+    items.append(3)
+    assert text(value) == at_depth(value, 0)
+    assert text([value]) == at_depth([value], 0)
+
+
+def test_equal_tuples_of_other_types():
+    # distinct objects that compare equal keep their own texts in one memo
+    values = [(1,), (True,), (1.0,), ((1,),), ((True,),), ((1.0,),)]
+    text = JsonText()
+    for _ in range(2):
+        for depth in (0, 1):
+            assert [text(v, depth) for v in values] == \
+                [at_depth(v, depth) for v in values]
+
+
 TRAPS = [[(1,), (True,)], [(1,), (1.0,)], [(True,), (1,)], [(1.0,), (1,)],
          [((1,),), ((True,),)], [((1, 2), (1,)), ((1, 2), (1.0,))],
          [[1], [True]], [[1], [1.0]], [[[1]], [[True]]]]

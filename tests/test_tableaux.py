@@ -4,8 +4,11 @@ The small d x (n-d) boxes are exhaustively enumerable, so most properties
 are checked over every tableau in frame (2,4)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from growth.partitions import Frame, lr_coefficient
+from growth.partitions import (
+    Frame, contains, lr_coefficient, normalize, partitions_in, syt_count,
+)
 from growth.tableaux import (
     DualClass, canonical_rep, dual_classes, dual_equivalent,
     enumerate_chains, other_middle, rectify, rshape, shuffle,
@@ -32,6 +35,70 @@ def all_skew_chains(frame):
     for mu in parts:
         for nu in parts:
             yield from enumerate_chains(nu, mu)
+
+
+def reference_chains(outer, inner):
+    """enumerate_chains by the earlier recursion: every step pads the
+    shape to a list, normalizes it and checks containment in outer."""
+    outer, inner = normalize(outer), normalize(inner)
+    if not contains(outer, inner):
+        return []
+    out = []
+
+    def build(acc):
+        cur = acc[-1]
+        if cur == outer:
+            out.append(tuple(acc))
+            return
+        for row in range(len(outer)):
+            c = cur[row] if row < len(cur) else 0
+            above = (cur[row - 1] if row - 1 < len(cur) else 0) if row else None
+            if c >= outer[row]:
+                continue
+            if row and c >= above:
+                continue
+            nxt = list(cur) + [0] * (row + 1 - len(cur))
+            nxt[row] += 1
+            nxt = normalize(nxt)
+            if contains(outer, nxt):
+                build(acc + [nxt])
+
+    build([inner])
+    return sorted(out)
+
+
+class TestEnumerateChains:
+    # (4,8) holds 465,210 chains over all its pairs, which the reference
+    # takes seconds to build, so there only skews of at most 8 boxes
+    @pytest.mark.parametrize("frame,most", [
+        (F24, 4), (Frame(2, 6), 8), (Frame(3, 6), 9), (Frame(3, 7), 12),
+        (Frame(4, 8), 8)], ids=str)
+    def test_matches_reference(self, frame, most):
+        # every (outer, inner) pair of the box, contained or not
+        parts = partitions_in(frame)
+        for outer in parts:
+            for inner in parts:
+                if sum(outer) - sum(inner) <= most:
+                    assert enumerate_chains(outer, inner) == \
+                        reference_chains(outer, inner), (outer, inner)
+
+    def test_unnormalized_and_empty(self):
+        assert enumerate_chains([2, 1, 0], [1, 0]) == \
+            [((1,), (1, 1), (2, 1)), ((1,), (2,), (2, 1))]
+        assert enumerate_chains((2,), (2,)) == [((2,),)]
+        assert enumerate_chains((), ()) == [((),)]
+        assert enumerate_chains((1,), (1, 1)) == []
+
+    @given(st.lists(st.integers(0, 4), max_size=4),
+           st.lists(st.integers(0, 4), max_size=4))
+    def test_count_is_syt_count(self, a, b):
+        outer = normalize(sorted(a, reverse=True))
+        inner = normalize(sorted(b, reverse=True))
+        if contains(outer, inner):
+            assert len(enumerate_chains(outer, inner)) == \
+                syt_count(outer, inner)
+        else:
+            assert enumerate_chains(outer, inner) == []
 
 
 class TestLocalRule:
