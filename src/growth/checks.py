@@ -1,16 +1,18 @@
 """Verification checks shared by the command line and the test suite.
 
 Each check returns (ok, detail).  run_checks executes a named suite and
-reports one line per check with its runtime."""
+reports one line per check with its runtime.  Besides the checks, this
+module holds what only they use: the q-hook polynomial and its values at
+roots of unity, promotion as a function on rectangular tableaux, and the
+d=2 bijection between growth diagrams and noncrossing matchings."""
 
 import time
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from growth.conic import consistency_with_growth, flag6_example, four_point_solve
 from growth.cylgrowth import (
-    cgd_enumerate, cgd_from_path, cgd_of_matching, matching_of_cgd,
-    noncrossing_matchings, promotion, rotate_matching, row_path,
+    CylGrowthDiagram, cgd_enumerate, cgd_from_path, row_path,
 )
 from growth.decgd import decgd_enumerate
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
@@ -20,10 +22,11 @@ from growth.moduli import (
 )
 from growth.partitions import (
     Frame, complement, contains, is_domino, lr_coefficient, normalize,
-    partitions_in, rectangle_syt_formula, size, syt_count,
+    partitions_in, rectangle_syt_formula, syt_count,
 )
 from growth.tableaux import (
-    dual_classes, enumerate_chains, rectify, shuffle, shuffle_classes,
+    Chain, dual_classes, enumerate_chains, rectify, shuffle, shuffle_classes,
+    validate_chain,
 )
 
 F24 = Frame(2, 4)
@@ -114,6 +117,100 @@ def rotation_fixed(diagrams, k: int) -> int:
     return sum(g.rows[k:] + g.rows[:k] == g.rows for g in diagrams)
 
 
+def promotion(chain: Chain, frame: Frame) -> Chain:
+    """Promotion of a rectangular standard tableau: place the chain along
+    row 0 of its growth diagram and read row 1."""
+    chain = validate_chain(chain)
+    if chain[0] != () or chain[-1] != frame.rectangle():
+        raise ValueError("promotion needs a straight tableau of the rectangle")
+    g = cgd_from_path(row_path(frame.size), chain, frame)
+    return g.row(1)
+
+
+def matching_of_cgd(g: CylGrowthDiagram):
+    """The noncrossing matching of a d=2 diagram: {a, b} is an arc exactly
+    when the interior window entry is a balanced column pair (s, s) and the
+    closed window entry is (s+1, s+1)."""
+    if g.frame.d != 2:
+        raise ValueError("matchings exist only for d = 2")
+    r = g.r
+    arcs = []
+    for a, b in combinations(range(1, r + 1), 2):
+        if (b - a) % 2 == 0:
+            continue
+        s = (b - a - 1) // 2
+        interior = g.get(a, b - 1)
+        closed = g.get(a - 1, b)
+        if interior == normalize((s, s)) and closed == (s + 1, s + 1):
+            arcs.append(frozenset((a, b)))
+    matched = sorted(x for arc in arcs for x in arc)
+    if matched != list(range(1, r + 1)):
+        raise ValueError("diagram did not yield a perfect matching")
+    validate_matching(arcs, r)
+    return frozenset(arcs)
+
+
+def validate_matching(arcs, r: int):
+    """Check that arcs form a perfect noncrossing matching of [r]."""
+    pts = sorted(x for arc in arcs for x in arc)
+    if pts != list(range(1, r + 1)):
+        raise ValueError("not a perfect matching of [r]")
+    for arc1, arc2 in combinations(arcs, 2):
+        a, b = sorted(arc1)
+        c, e = sorted(arc2)
+        if (a < c < b) != (a < e < b):
+            raise ValueError(f"arcs {sorted(arc1)} and {sorted(arc2)} cross")
+
+
+def matching_entry(arcs, i: int, j: int, r: int) -> tuple[int, ...]:
+    """Diagram entry determined by a matching: over the window of points
+    i+1 .. j (mod r), the entry is (s + t, s) with s arcs inside the window
+    and t arcs crossing its boundary."""
+    window = {((x - 1) % r) + 1 for x in range(i + 1, j + 1)}
+    s = sum(1 for arc in arcs if arc <= window)
+    t = sum(1 for arc in arcs if len(arc & window) == 1)
+    return normalize((s + t, s))
+
+
+def cgd_of_matching(arcs, frame: Frame) -> CylGrowthDiagram:
+    """Inverse of :func:`matching_of_cgd`: rebuild row 0 from window
+    counts and extend."""
+    if frame.d != 2:
+        raise ValueError("matchings exist only for d = 2")
+    r = frame.size
+    arcs = frozenset(frozenset(a) for a in arcs)
+    validate_matching(arcs, r)
+    chain = [matching_entry(arcs, 0, j, r) for j in range(r + 1)]
+    return cgd_from_path(row_path(r), chain, frame)
+
+
+def rotate_matching(arcs, r: int, step: int = 1):
+    """Rotate every point of the matching by step positions around the
+    circle."""
+    return frozenset(frozenset(((x - 1 + step) % r) + 1 for x in arc)
+                     for arc in arcs)
+
+
+def noncrossing_matchings(r: int):
+    """All noncrossing perfect matchings of [r]."""
+    return _matchings_of(list(range(1, r + 1)))
+
+
+def _matchings_of(points):
+    if not points:
+        return [frozenset()]
+    first = points[0]
+    out = []
+    for idx in range(1, len(points), 2):
+        partner = points[idx]
+        inside = _matchings_of(points[1:idx])
+        outside = _matchings_of(points[idx + 1:])
+        for m1 in inside:
+            for m2 in outside:
+                out.append(frozenset({frozenset((first, partner))} | m1 | m2))
+    return out
+
+
 def check_counts():
     """Diagram counts match the hook-length number of standard fillings of
     the rectangle, and rotating the rows exhibits the cyclic sieving
@@ -143,7 +240,7 @@ def check_decgd_counts():
     parts = [p for p in partitions_in(F24) if p]
     for r in (3, 4):
         for shape in product(parts, repeat=r):
-            if sum(map(size, shape)) != F24.size:
+            if sum(map(sum, shape)) != F24.size:
                 continue
             got = len(decgd_enumerate(F24, shape))
             want = lr_coefficient(rect, list(shape))
@@ -181,7 +278,7 @@ def check_six_point():
         parts = partitions_in(frame)
         for lam in parts:
             for mu in parts:
-                if size(lam) + size(mu) != frame.size - 2:
+                if sum(lam) + sum(mu) != frame.size - 2:
                     continue
                 muc = complement(mu, frame)
                 if not contains(muc, lam) or is_domino(lam, muc):
@@ -265,7 +362,7 @@ def check_properties():
             if not contains(outer, inner):
                 continue
             for target in parts:
-                if size(target) != size(outer) - size(inner):
+                if sum(target) != sum(outer) - sum(inner):
                     continue
                 got = len(dual_classes(outer, inner, target))
                 want = lr_coefficient(outer, [inner, target])

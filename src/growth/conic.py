@@ -1,7 +1,7 @@
 """Exact rational analysis of four-point problems with two single-box
-conditions: the hypersurface equation in the Pluecker coordinates, the
-explicit conic through the solutions, the circular order of the six
-boundary points, and the six-step flag example with real branch points.
+conditions: the explicit conic through the solutions with its four
+nonzero Pluecker coordinates, the circular order of the six boundary
+points, and the six-step flag example with real branch points.
 
 All arithmetic is exact over the rationals; floating point appears only in
 the final root report of the flag example, after bisection on the exact
@@ -9,7 +9,6 @@ quartic."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from growth.cylgrowth import cgd_enumerate
 from growth.partitions import (
@@ -27,39 +26,6 @@ def delta(subset) -> int:
     return out
 
 
-def ell(subset, d: int) -> int:
-    """Sum of the elements minus the triangular offset for d rows."""
-    return sum(subset) - comb(d, 2)
-
-
-def wronski_polynomial(pluecker, frame: Frame):
-    """Coefficients in z of the single-box condition at the point z: the
-    sum over d-subsets I of delta(I) * p_I * (-z)^(d(n-d) - ell(I)).
-
-    pluecker maps d-subsets (any iterable of ints) to coefficients; missing
-    subsets count as zero.  Returns a sparse map from the power of z to the
-    coefficient; powers may be negative, so the result is a polynomial only
-    up to a global power of z."""
-    d, n = frame.d, frame.n
-    total = frame.size
-    table = {}
-    for subset, value in pluecker.items():
-        key = frozenset(subset)
-        if len(key) != d or any(not 1 <= x <= n for x in key):
-            raise ValueError(f"{subset} is not a {d}-subset of [1,{n}]")
-        if key in table:
-            raise ValueError(f"duplicate subset {subset}")
-        table[key] = value
-    if all(v == 0 for v in table.values()) or not table:
-        raise ValueError("all Pluecker coordinates are zero")
-    coeffs = {}
-    for key, value in table.items():
-        power = total - ell(key, d)
-        sign = -1 if power % 2 else 1
-        coeffs[power] = coeffs.get(power, 0) + sign * delta(key) * value
-    return {k: v for k, v in sorted(coeffs.items()) if v != 0}
-
-
 class Monomial(_Value):
     """Exact monomial c * tau^s * u^t with rational coefficient."""
 
@@ -74,10 +40,6 @@ class Monomial(_Value):
         return Monomial(self.coeff * other.coeff,
                         self.tau_pow + other.tau_pow,
                         self.u_pow + other.u_pow)
-
-    def to_json(self):
-        return {"coeff": [self.coeff.numerator, self.coeff.denominator],
-                "tau_pow": self.tau_pow, "u_pow": self.u_pow}
 
 
 class EmptyReport(_Value):
@@ -131,23 +93,6 @@ class ConicReport(_Value):
         _set(self, "conic", conic)
         _set(self, "pluecker", pluecker)
         _set(self, "labels", labels)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "frame": {"d": self.frame.d, "n": self.frame.n},
-            "lam": list(self.lam),
-            "mu": list(self.mu),
-            "s": list(self.s),
-            "i": self.i,
-            "j": self.j,
-            "conic": list(self.conic),
-            "pluecker": [{"subset": sorted(k), **m.to_json()}
-                         for k, m in self.pluecker],
-            "boundary_points": [list(p) for p in
-                                boundary_points(self.j - self.i)],
-            "labels": [list(p) for p in self.labels],
-        }
 
 
 def _split_indices(left, right):

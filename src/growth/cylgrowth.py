@@ -1,7 +1,8 @@
 """Cylindrical growth diagrams: construction from a path, validation,
 enumeration by promotion orbits (one solve per orbit, its rotations
-added), promotion, caterpillar labels, and the d=2 noncrossing matching
-bijection.
+added), and reading and writing them as JSON.  Promotion as a function
+on tableaux and the d=2 noncrossing matching bijection check these
+diagrams, so they live in :mod:`growth.checks`.
 
 The index set is {(i, j) : i <= j <= i + r} with the glide symmetry
 (i, j) -> (i + r, j + r); an entry therefore depends only on
@@ -13,7 +14,6 @@ on the numbers of a frame's partitions (:class:`_Numbering`), with tables
 built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 
 from functools import cache
-from itertools import combinations
 
 from growth.partitions import (
     Frame, _set, _Value, complement, covers, intermediates, intersect,
@@ -382,12 +382,6 @@ def cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
     return (False, problems)
 
 
-def read_path(g: CylGrowthDiagram, path) -> Chain:
-    """The chain of entries along a path."""
-    path = validate_path(path, g.r)
-    return tuple(g.get(i, j) for i, j in path)
-
-
 def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
     """One diagram per standard tableau of the full rectangle, in
     lexicographic order of the row-0 chain.
@@ -413,111 +407,3 @@ def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
                 break
             found[rows[t]] = CylGrowthDiagram(frame, r, rows[t:] + rows[:t])
     return [found[chain] for chain in chains]
-
-
-def promotion(chain: Chain, frame: Frame) -> Chain:
-    """Promotion of a rectangular standard tableau: place the chain along
-    row 0 of its growth diagram and read row 1."""
-    chain = validate_chain(chain)
-    if chain[0] != () or chain[-1] != frame.rectangle():
-        raise ValueError("promotion needs a straight tableau of the rectangle")
-    g = cgd_from_path(row_path(frame.size), chain, frame)
-    return g.row(1)
-
-
-def caterpillar_labels(g: CylGrowthDiagram, path):
-    """The caterpillar data of a path: the permutation pi of [r] listing
-    which marked point each step attaches, and the r-3 internal node
-    labels, which are the path entries at steps 2 .. r-2."""
-    r = g.r
-    path = validate_path(path, r)
-    pi = []
-    for (i1, j1), (i2, j2) in zip(path, path[1:]):
-        pos = i2 if i2 == i1 - 1 else j1
-        pi.append((pos - 1) % r + 1)
-    labels = [g.get(i, j) for i, j in path[2:r - 1]]
-    return pi, labels
-
-
-def matching_of_cgd(g: CylGrowthDiagram):
-    """The noncrossing matching of a d=2 diagram: {a, b} is an arc exactly
-    when the interior window entry is a balanced column pair (s, s) and the
-    closed window entry is (s+1, s+1)."""
-    if g.frame.d != 2:
-        raise ValueError("matchings exist only for d = 2")
-    r = g.r
-    arcs = []
-    for a, b in combinations(range(1, r + 1), 2):
-        if (b - a) % 2 == 0:
-            continue
-        s = (b - a - 1) // 2
-        interior = g.get(a, b - 1)
-        closed = g.get(a - 1, b)
-        if interior == normalize((s, s)) and closed == (s + 1, s + 1):
-            arcs.append(frozenset((a, b)))
-    matched = sorted(x for arc in arcs for x in arc)
-    if matched != list(range(1, r + 1)):
-        raise ValueError("diagram did not yield a perfect matching")
-    validate_matching(arcs, r)
-    return frozenset(arcs)
-
-
-def validate_matching(arcs, r: int):
-    """Check that arcs form a perfect noncrossing matching of [r]."""
-    pts = sorted(x for arc in arcs for x in arc)
-    if pts != list(range(1, r + 1)):
-        raise ValueError("not a perfect matching of [r]")
-    for arc1, arc2 in combinations(arcs, 2):
-        a, b = sorted(arc1)
-        c, e = sorted(arc2)
-        if (a < c < b) != (a < e < b):
-            raise ValueError(f"arcs {sorted(arc1)} and {sorted(arc2)} cross")
-
-
-def matching_entry(arcs, i: int, j: int, r: int) -> tuple[int, ...]:
-    """Diagram entry determined by a matching: over the window of points
-    i+1 .. j (mod r), the entry is (s + t, s) with s arcs inside the window
-    and t arcs crossing its boundary."""
-    window = {((x - 1) % r) + 1 for x in range(i + 1, j + 1)}
-    s = sum(1 for arc in arcs if arc <= window)
-    t = sum(1 for arc in arcs if len(arc & window) == 1)
-    return normalize((s + t, s))
-
-
-def cgd_of_matching(arcs, frame: Frame) -> CylGrowthDiagram:
-    """Inverse of :func:`matching_of_cgd`: rebuild row 0 from window
-    counts and extend."""
-    if frame.d != 2:
-        raise ValueError("matchings exist only for d = 2")
-    r = frame.size
-    arcs = frozenset(frozenset(a) for a in arcs)
-    validate_matching(arcs, r)
-    chain = [matching_entry(arcs, 0, j, r) for j in range(r + 1)]
-    return cgd_from_path(row_path(r), chain, frame)
-
-
-def rotate_matching(arcs, r: int, step: int = 1):
-    """Rotate every point of the matching by step positions around the
-    circle."""
-    return frozenset(frozenset(((x - 1 + step) % r) + 1 for x in arc)
-                     for arc in arcs)
-
-
-def noncrossing_matchings(r: int):
-    """All noncrossing perfect matchings of [r]."""
-    return _matchings_of(list(range(1, r + 1)))
-
-
-def _matchings_of(points):
-    if not points:
-        return [frozenset()]
-    first = points[0]
-    out = []
-    for idx in range(1, len(points), 2):
-        partner = points[idx]
-        inside = _matchings_of(points[1:idx])
-        outside = _matchings_of(points[idx + 1:])
-        for m1 in inside:
-            for m2 in outside:
-                out.append(frozenset({frozenset((first, partner))} | m1 | m2))
-    return out

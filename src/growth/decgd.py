@@ -1,5 +1,6 @@
 """Cylindrical growth diagrams of dual-equivalence classes: restriction
-from fine diagrams, lifting, first-row construction, enumeration, and
+from fine diagrams, first-row construction (lift the row-0 classes'
+representatives to a fine diagram and restrict it), enumeration, and
 validation.
 
 A diagram of r conditions stores the coarse entries gamma(k, l) for
@@ -14,7 +15,7 @@ from growth.cylgrowth import (
 )
 from growth.partitions import Frame, _set, _Value, normalize, shapes_between
 from growth.tableaux import (
-    DualClass, dual_classes, dual_equivalent, shuffle_classes, validate_chain,
+    DualClass, dual_classes, shuffle_classes, validate_chain,
 )
 
 
@@ -166,21 +167,6 @@ def _concatenate(reps) -> tuple:
             raise ValueError("representatives do not concatenate")
         chain.extend(t[1:])
     return tuple(chain)
-
-
-def lift_decgd(d: Decgd, reps=None) -> CylGrowthDiagram:
-    """A fine diagram restricting to d: concatenate representatives of the
-    row-0 classes (canonical ones unless reps are given) along row 0 and
-    extend."""
-    if reps is None:
-        reps = [d.a[0][m].representative for m in range(d.r)]
-    else:
-        reps = [validate_chain(t) for t in reps]
-        for m, t in enumerate(reps):
-            if not dual_equivalent(t, d.a[0][m].representative):
-                raise ValueError(
-                    f"representative {m} is not in the stated class")
-    return cgd_from_path(row_path(d.frame.size), _concatenate(reps), d.frame)
 
 
 def decgd_from_first_row(mu_chain, classes, frame: Frame) -> Decgd:

@@ -430,26 +430,6 @@ def star_tree(r: int) -> LabeledTree:
     return LabeledTree.from_adjacency(adj)
 
 
-def caterpillar_tree(r: int) -> LabeledTree:
-    """Internal path -1 .. -(r-2); leaf 1 on the first internal vertex,
-    leaf r on the last, leaf k+1 on vertex -k."""
-    if r < 4:
-        return star_tree(r)
-    inner = [-k for k in range(1, r - 1)]
-    adj = {v: [] for v in inner}
-    for u, v in zip(inner, inner[1:]):
-        adj[u].append(v)
-        adj[v].append(u)
-    adj[1] = [inner[0]]
-    adj[inner[0]].append(1)
-    adj[r] = [inner[-1]]
-    adj[inner[-1]].append(r)
-    for k in range(1, r - 1):
-        adj[k + 1] = [-k]
-        adj[-k].append(k + 1)
-    return LabeledTree.from_adjacency(adj)
-
-
 def all_trees(r: int):
     """Every tree with leaves [r] and internal degrees >= 3, built by
     attaching leaves one at a time."""

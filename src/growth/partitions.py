@@ -1,4 +1,4 @@
-"""Partitions in a d x (n-d) box: complementation, the index-set bijection,
+"""Partitions in a d x (n-d) box: complementation, index sets,
 covers, and brute-force Littlewood-Richardson coefficients.
 
 A partition is a tuple of weakly decreasing positive integers; trailing
@@ -117,10 +117,6 @@ def fits(lam: tuple[int, ...], frame: Frame) -> bool:
     return len(lam) <= frame.d and (not lam or lam[0] <= frame.cols)
 
 
-def size(lam: tuple[int, ...]) -> int:
-    return sum(lam)
-
-
 @cache
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """True if inner is contained in outer as Young diagrams."""
@@ -144,17 +140,6 @@ def index_set(lam: tuple[int, ...], frame: Frame) -> frozenset[int]:
         raise ValueError(f"{lam} does not fit in {frame}")
     full = list(lam) + [0] * (frame.d - len(lam))
     return frozenset(full[frame.d - k] + k for k in range(1, frame.d + 1))
-
-
-def from_index_set(subset, frame: Frame) -> tuple[int, ...]:
-    """Inverse of :func:`index_set`."""
-    elems = sorted(subset)
-    if len(elems) != frame.d or any(not (1 <= e <= frame.n) for e in elems):
-        raise ValueError(f"{subset} is not a {frame.d}-subset of [1,{frame.n}]")
-    if len(set(elems)) != frame.d:
-        raise ValueError(f"repeated elements in {subset}")
-    parts = [elems[k - 1] - k for k in range(frame.d, 0, -1)]
-    return normalize(parts)
 
 
 def covers(lam: tuple[int, ...], frame: Frame) -> list[tuple[int, ...]]:

@@ -1,5 +1,8 @@
 """Standard skew tableaux as partition chains, the growth-diagram local
 rule, shuffling, rectification, and dual-equivalence canonical forms.
+Two tableaux are dual equivalent exactly when their classes
+:meth:`DualClass.of` are equal: the canonical representative keeps its
+tableau's shape, so equal classes have equal shapes.
 
 A tableau is a tuple of partitions, each adding one box to the previous;
 entry k of the tableau is the box added at step k.  All jeu de taquin is
@@ -105,15 +108,6 @@ def canonical_rep(t: Chain) -> Chain:
     mu = rect[-1]
     _, phi = shuffle(superstandard(mu), beta)
     return phi
-
-
-def dual_equivalent(t1: Chain, t2: Chain) -> bool:
-    """True iff the tableaux have the same shape and equal canonical
-    representatives."""
-    t1, t2 = validate_chain(t1), validate_chain(t2)
-    if t1[0] != t2[0] or t1[-1] != t2[-1] or len(t1) != len(t2):
-        return False
-    return canonical_rep(t1) == canonical_rep(t2)
 
 
 def enumerate_chains(outer, inner) -> list[Chain]:

@@ -271,6 +271,22 @@ def test_condition_outside_the_frame(capsys, command, d, n, shape):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a condition of no boxes, first or last, as 0 or 0,0
+EMPTY_CONDITION = [(command, shape) for command in ("enumerate", "cover")
+                   for shape in ("0;2;1;1", "2;1;1;0", "0,0;2;1;1",
+                                 "2;1;1;0,0")]
+
+
+@pytest.mark.parametrize("command,shape", EMPTY_CONDITION,
+                         ids=[f"{c}-{s}" for c, s in EMPTY_CONDITION])
+def test_empty_condition(capsys, command, shape):
+    code, out, err = run(capsys, command, "--d", "2", "--n", "4",
+                         "--shape", shape, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "empty" in err
+
+
 @pytest.mark.parametrize("command", [
     "cover --d 2 --n 4 --shape 1;1;1;1 --format json",
     "enumerate --d 2 --n 4 --format json",

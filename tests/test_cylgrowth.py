@@ -1,13 +1,15 @@
 """Tests for cylindrical growth diagrams: figure reproduction, uniqueness,
-enumeration counts, symmetries, promotion, caterpillar labels, and the
-d=2 matching bijection."""
+enumeration counts, symmetries, and the promotion and d=2 matching
+bijection that growth.checks builds on them."""
 
 import pytest
 
+from growth.checks import (
+    cgd_of_matching, matching_of_cgd, noncrossing_matchings, promotion,
+    rotate_matching,
+)
 from growth.cylgrowth import (
-    caterpillar_labels, cgd_enumerate, cgd_from_path, cgd_of_matching,
-    cgd_validate, matching_of_cgd, noncrossing_matchings, promotion,
-    read_path, rotate_matching, row_path, CylGrowthDiagram,
+    cgd_enumerate, cgd_from_path, cgd_validate, row_path, CylGrowthDiagram,
 )
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.partitions import Frame, complement, is_domino, normalize, syt_count
@@ -28,7 +30,7 @@ class TestFigureReproduction:
     def test_marked_path_chain(self):
         g = golden_diagram("growth_example")
         path, chain = figure_path_and_chain()
-        assert read_path(g, path) == chain
+        assert tuple(g.get(i, j) for i, j in path) == chain
 
     def test_rebuild_from_path(self):
         # the recursion recovers every printed entry from the marked path
@@ -70,7 +72,8 @@ class TestConstruction:
         paths.append([(4, 4), (3, 4), (3, 5), (3, 6), (2, 6), (2, 7), (2, 8)])
         paths.append([(2, 2), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)])
         for path in paths:
-            rebuilt = cgd_from_path(path, read_path(g, path), F25)
+            rebuilt = cgd_from_path(
+                path, tuple(g.get(i, j) for i, j in path), F25)
             assert rebuilt == g
 
     def test_rejects_bad_anchors(self):
@@ -136,35 +139,6 @@ class TestPromotion:
             for _ in range(frame.size):
                 t = promotion(t, frame)
             assert t == chain
-
-
-class TestCaterpillar:
-    def test_figure_path(self):
-        g = golden_diagram("growth_example")
-        path, chain = figure_path_and_chain()
-        pi, labels = caterpillar_labels(g, path)
-        assert sorted(pi) == list(range(1, 7))
-        assert pi == [3, 4, 5, 2, 6, 1]
-        assert labels == [(2,), (2, 1), (2, 2)]
-        # labels are the interior of the chain read along the path
-        assert tuple(labels) == chain[2:g.r - 1]
-
-    def test_prefix_intervals(self):
-        # the first k values of pi always occupy the circular interval
-        # [i_k, j_k) of marked-point positions
-        g = golden_diagram("growth_example")
-        path, _ = figure_path_and_chain()
-        pi, _ = caterpillar_labels(g, path)
-        for k in range(1, g.r + 1):
-            i_k, j_k = path[k]
-            window = {((x - 1) % g.r) + 1 for x in range(i_k, j_k)}
-            assert set(pi[:k]) == window
-
-    def test_r4_single_node(self):
-        g = cgd_enumerate(F24)[0]
-        pi, labels = caterpillar_labels(g, row_path(4))
-        assert len(labels) == 1
-        assert labels[0] == g.get(0, 2)
 
 
 class TestMatchings:

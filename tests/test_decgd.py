@@ -6,18 +6,35 @@ import json
 
 import pytest
 
-from growth.cylgrowth import cgd_enumerate
+from growth.cylgrowth import cgd_enumerate, cgd_from_path, row_path
 from growth.decgd import (
-    Decgd, decgd_enumerate, decgd_from_first_row, decgd_validate,
-    lift_decgd, restrict_cgd,
+    Decgd, _concatenate, decgd_enumerate, decgd_from_first_row,
+    decgd_validate, restrict_cgd,
 )
 from growth.partitions import Frame, lr_coefficient
-from growth.tableaux import dual_classes, dual_equivalent, enumerate_chains
+from growth.tableaux import (
+    DualClass, dual_classes, enumerate_chains, validate_chain,
+)
 from test_partitions import all_partitions
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
 BOX = (1,)
+
+
+def lift_decgd(d: Decgd, reps=None):
+    """A fine diagram restricting to d: concatenate representatives of the
+    row-0 classes (canonical ones unless reps are given) along row 0 and
+    extend."""
+    if reps is None:
+        reps = [d.a[0][m].representative for m in range(d.r)]
+    else:
+        reps = [validate_chain(t) for t in reps]
+        for m, t in enumerate(reps):
+            if DualClass.of(t) != d.a[0][m]:
+                raise ValueError(
+                    f"representative {m} is not in the stated class")
+    return cgd_from_path(row_path(d.frame.size), _concatenate(reps), d.frame)
 
 
 def shapes_of_total(frame, r):
@@ -92,10 +109,10 @@ class TestLift:
             d = restrict_cgd(g, (2, 2))
             classes = [d.a[0][0], d.a[0][1]]
             reps0 = [t for t in enumerate_chains(classes[0].outer, ())
-                     if dual_equivalent(t, classes[0].representative)]
+                     if DualClass.of(t) == classes[0]]
             reps1 = [t for t in enumerate_chains(classes[1].outer,
                                                  classes[1].inner)
-                     if dual_equivalent(t, classes[1].representative)]
+                     if DualClass.of(t) == classes[1]]
             for t0 in reps0:
                 for t1 in reps1:
                     lifted = lift_decgd(d, [t0, t1])

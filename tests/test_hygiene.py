@@ -1,5 +1,7 @@
 """Source hygiene: every name a growth module imports is used in that
-module (or re-exported through its __all__)."""
+module (or re-exported through its __all__), and every public function or
+class a growth module defines is used by the package itself, not only by
+the tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,15 @@ import growth
 
 MODULES = sorted(Path(growth.__file__).parent.glob("*.py"))
 
+# the console script of pyproject.toml, growth = "growth.cli:main"
+ENTRY_POINTS = {("cli", "main")}
+
+
+def reads(node) -> set[str]:
+    """The bare names that node reads anywhere inside it."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that nothing else in the module
@@ -17,20 +28,42 @@ def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
     exported = set()
-    used = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
-        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             exported.update(ast.literal_eval(node.value))
+    used = reads(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each public module-level function or class of the
+    package {module: source} that no package code references: no module
+    imports it, its own module reads it nowhere outside its definition,
+    and it is not an entry point."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    imported = {(node.module.removeprefix("growth."), alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("growth.")
+                for alias in node.names}
+    unused = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") \
+                    or (stem, node.name) in imported | ENTRY_POINTS:
+                continue
+            if not any(node.name in reads(other) for other in tree.body
+                       if other is not node):
+                unused.append(f"{stem}.{node.name} (line {node.lineno})")
+    return sorted(unused)
 
 
 def test_detects_unused_import():
@@ -45,3 +78,23 @@ def test_all_counts_as_use():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unreferenced_names():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef alone():\n    return alone()\n"
+             "\n\nclass _Private:\n    pass\n",
+        "b": "from growth.a import used\n\n\ndef helper():\n    pass\n"
+             "\n\nclass Shape:\n    pass\n\n\nVALUE = helper(), used\n",
+        # sharing a name with a.alone uses neither
+        "cli": "from growth.b import Shape\n\n\ndef main():\n    pass\n"
+               "\n\ndef orphan():\n    pass\n\n\ndef alone():\n    pass\n",
+    }
+    # a recursive call is no use from outside; cli.main is the entry point
+    assert unreferenced_names(sources) == [
+        "a.alone (line 5)", "cli.alone (line 12)", "cli.orphan (line 8)"]
+
+
+def test_no_test_only_public_names():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_names(sources) == []

@@ -8,17 +8,16 @@ from itertools import permutations
 import pytest
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_validate
-from growth.decgd import (
-    decgd_enumerate, decgd_validate, lift_decgd, restrict_cgd,
-)
+from growth.decgd import decgd_enumerate, decgd_validate, restrict_cgd
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    Wall, _FiberTables, all_trees, build_cover_graph,
-    canonical_order, caterpillar_tree, cross_cgd, cross_decgd, cross_facet,
-    export, facets, fiber_count, graph_components, node_labelings, star_tree,
-    transport_cgd, transport_decgd, walls,
+    LabeledTree, Wall, _FiberTables, all_trees, build_cover_graph,
+    canonical_order, cross_cgd, cross_decgd, cross_facet, export, facets,
+    fiber_count, graph_components, node_labelings, star_tree, transport_cgd,
+    transport_decgd, walls,
 )
 from growth.partitions import Frame, lr_coefficient, syt_count
+from test_decgd import lift_decgd
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
@@ -546,6 +545,26 @@ class TestExport:
 
 
 class TestTrees:
+    @staticmethod
+    def caterpillar_tree(r: int) -> LabeledTree:
+        """Internal path -1 .. -(r-2); leaf 1 on the first internal vertex,
+        leaf r on the last, leaf k+1 on vertex -k."""
+        if r < 4:
+            return star_tree(r)
+        inner = [-k for k in range(1, r - 1)]
+        adj = {v: [] for v in inner}
+        for u, v in zip(inner, inner[1:]):
+            adj[u].append(v)
+            adj[v].append(u)
+        adj[1] = [inner[0]]
+        adj[inner[0]].append(1)
+        adj[r] = [inner[-1]]
+        adj[inner[-1]].append(r)
+        for k in range(1, r - 1):
+            adj[k + 1] = [-k]
+            adj[-k].append(k + 1)
+        return LabeledTree.from_adjacency(adj)
+
     def test_counts(self):
         assert len(all_trees(4)) == 4
         assert len(all_trees(5)) == 26
@@ -554,19 +573,19 @@ class TestTrees:
         trees4 = all_trees(4)
         assert star_tree(4) in trees4
         # caterpillar on 4 leaves = one internal edge splitting {1,2}|{3,4}
-        cat = caterpillar_tree(4)
+        cat = self.caterpillar_tree(4)
         assert cat in trees4
 
     def test_caterpillar_labelings_all_box(self):
         # labelings of the path tree with all-box leaves are saturated chains
         for frame in (F24, F25):
-            tree = caterpillar_tree(frame.size)
+            tree = self.caterpillar_tree(frame.size)
             shape = [BOX] * frame.size
             labelings = node_labelings(tree, shape, frame)
             assert len(labelings) == syt_count(frame.rectangle())
 
     def test_r4_internal_edge_labels(self):
-        tree = caterpillar_tree(4)
+        tree = self.caterpillar_tree(4)
         labelings = node_labelings(tree, [BOX] * 4, F24)
         edge_labels = set()
         for lab in labelings:

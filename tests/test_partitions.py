@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from growth.partitions import (
-    Frame, complement, contains, covers, from_index_set, index_set,
-    intermediates, is_domino, lr_coefficient, normalize,
-    rectangle_syt_formula, syt_count,
+    Frame, complement, contains, covers, index_set, intermediates,
+    is_domino, lr_coefficient, normalize, rectangle_syt_formula, syt_count,
 )
 
 
@@ -26,6 +25,18 @@ def all_partitions(frame: Frame):
 
     build(0, frame.cols, [])
     return sorted(set(out))
+
+
+def from_index_set(subset, frame: Frame) -> tuple[int, ...]:
+    """The inverse of index_set: the round trips through it show that
+    index_set is a bijection onto the d-subsets of [n]."""
+    elems = sorted(subset)
+    if len(elems) != frame.d or any(not (1 <= e <= frame.n) for e in elems):
+        raise ValueError(f"{subset} is not a {frame.d}-subset of [1,{frame.n}]")
+    if len(set(elems)) != frame.d:
+        raise ValueError(f"repeated elements in {subset}")
+    parts = [elems[k - 1] - k for k in range(frame.d, 0, -1)]
+    return normalize(parts)
 
 
 F24 = Frame(2, 4)

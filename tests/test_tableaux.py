@@ -10,9 +10,8 @@ from growth.partitions import (
     Frame, contains, lr_coefficient, normalize, partitions_in, syt_count,
 )
 from growth.tableaux import (
-    DualClass, canonical_rep, dual_classes, dual_equivalent,
-    enumerate_chains, other_middle, rectify, rshape, shuffle,
-    shuffle_classes, superstandard, validate_chain,
+    DualClass, canonical_rep, dual_classes, enumerate_chains, other_middle,
+    rectify, rshape, shuffle, shuffle_classes, superstandard, validate_chain,
 )
 from test_partitions import all_partitions
 
@@ -193,7 +192,7 @@ class TestCanonicalRep:
     def test_rep_is_dual_equivalent_to_input(self):
         # the representative lies in the class it represents
         for t in all_skew_chains(F24):
-            assert dual_equivalent(t, canonical_rep(t))
+            assert DualClass.of(t) == DualClass.of(canonical_rep(t))
 
 
 class TestDualClassOf:
@@ -211,15 +210,15 @@ class TestDualEquivalence:
             chains = enumerate_chains(lam, ())
             for t1 in chains:
                 for t2 in chains:
-                    assert dual_equivalent(t1, t2)
+                    assert DualClass.of(t1) == DualClass.of(t2)
 
     def test_different_shapes(self):
-        assert not dual_equivalent(((), (1,)), ((1,), (2,)))
+        assert DualClass.of(((), (1,))) != DualClass.of(((1,), (2,)))
 
     def test_disconnected_two_cells(self):
         chains = enumerate_chains((2, 1), (1,))
         assert len(chains) == 2
-        assert not dual_equivalent(chains[0], chains[1])
+        assert DualClass.of(chains[0]) != DualClass.of(chains[1])
         assert {rshape(t) for t in chains} == {(2,), (1, 1)}
 
     def test_class_counts_match_lr(self):
@@ -256,7 +255,8 @@ class TestDualEquivalence:
         for t1 in chains:
             for t2 in chains:
                 if t1[0] == t2[0] and t1[-1] == t2[-1]:
-                    assert dual_equivalent(t1, t2) == oracle(t1, t2)
+                    same = DualClass.of(t1) == DualClass.of(t2)
+                    assert same == oracle(t1, t2)
 
 
 class TestShuffleClasses:
@@ -271,10 +271,10 @@ class TestShuffleClasses:
                         for b in ups:
                             expected = None
                             for t1 in enumerate_chains(nu, mu):
-                                if not dual_equivalent(t1, a.representative):
+                                if DualClass.of(t1) != a:
                                     continue
                                 for t2 in enumerate_chains(pi, nu):
-                                    if not dual_equivalent(t2, b.representative):
+                                    if DualClass.of(t2) != b:
                                         continue
                                     nl, nu_ = shuffle(t1, t2)
                                     got = (DualClass.of(nl), DualClass.of(nu_))
