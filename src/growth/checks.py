@@ -10,7 +10,10 @@ import time
 from itertools import combinations, product
 from math import gcd
 
-from growth.conic import consistency_with_growth, flag6_example, four_point_solve
+from growth.conic import (
+    consistency_with_growth, flag6_example, four_point_solve, sturm_count,
+    sturm_sequence,
+)
 from growth.cylgrowth import (
     CylGrowthDiagram, cgd_enumerate, cgd_from_path, row_path,
 )
@@ -297,10 +300,17 @@ def check_six_point():
 
 def check_flag6():
     """The six-step flag example has the expected quartic and real
-    roots."""
+    roots, four isolating intervals that each hold one root, and each
+    rounded root in its interval."""
     result = flag6_example()
     if result["quartic"] != (256, -960, 1281, -720, 144):
         return False, f"quartic {result['quartic']}"
+    seq = sturm_sequence(result["quartic"])
+    intervals = result["intervals"]
+    if len(intervals) != 4 or any(
+            sturm_count(seq, lo, hi) != 1 or not lo <= root <= hi
+            for (lo, hi), root in zip(intervals, result["roots"])):
+        return False, f"isolating intervals {intervals}"
     expected = [0.678121, 0.945553, 1.41011, 1.96622]
     roots = result["roots"]
     if len(roots) != 4 or any(abs(g - w) > 1e-4

@@ -75,13 +75,12 @@ def _shape(args, frame: Frame):
     """The conditions of --shape: at least three, each of at least one box
     and fitting the frame's box.  Sizes that do not sum to d(n-d) give no
     diagrams; a note says so."""
-    shape = parse_shape(args.shape)
-    if len(shape) < 3:
-        raise UsageError("need at least 3 conditions")
-    for m, lam in enumerate(shape, 1):
-        if not lam:
-            raise UsageError(f"condition {m} of {args.shape!r} is empty; "
-                             f"each condition needs at least one box")
+    from growth.decgd import check_shape
+    try:
+        shape = check_shape(parse_shape(args.shape), args.shape)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    for lam in shape:
         if not fits(lam, frame):
             raise UsageError(
                 f"condition {','.join(map(str, lam))} does not fit the "

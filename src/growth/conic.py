@@ -3,12 +3,15 @@ conditions: the explicit conic through the solutions with its four
 nonzero Pluecker coordinates, the circular order of the six boundary
 points, and the six-step flag example with real branch points.
 
-All arithmetic is exact over the rationals; floating point appears only in
-the final root report of the flag example, after bisection on the exact
-quartic."""
+All arithmetic is exact over the integers and rationals.  The flag
+example's branch points are the real roots of an integer quartic: a Sturm
+sequence isolates them into exact intervals with dyadic ends, each
+certified by its Sturm count to hold one root, and halving in integers
+narrows each to a float that is for display only."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from growth.cylgrowth import cgd_enumerate
 from growth.partitions import (
@@ -262,11 +265,137 @@ def _poly_mul(p, q):
     return out
 
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
+def _poly_add(*polys):
+    out = [0] * max(map(len, polys))
+    for p in polys:
+        for k, x in enumerate(p):
+            out[k] += x
     return out
+
+
+def _trim(p):
+    """p without its leading zero coefficients (lowest degree first)."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _primitive(p):
+    """p divided by the gcd of its coefficients, a positive number, so the
+    sign of p is kept everywhere."""
+    g = gcd(*p)
+    return [x // g for x in p]
+
+
+def _pseudo_divide(a, b):
+    """(q, rem) with |lc(b)|^(deg a - deg b + 1) * a = q * b + rem and
+    deg rem < deg b: integer polynomials, positive multiples of the
+    quotient and remainder over the rationals."""
+    m = len(a) - len(b) + 1
+    a = [abs(b[-1]) ** m * x for x in a]
+    q = [0] * m
+    while len(a) >= len(b):
+        f = a[-1] // b[-1]
+        shift = len(a) - len(b)
+        q[shift] = f
+        for k, y in enumerate(b):
+            a[shift + k] -= f * y
+        a = _trim(a)
+    return q, a
+
+
+def sturm_sequence(poly):
+    """The Sturm sequence of the square-free part of a nonconstant integer
+    polynomial (coefficients lowest degree first): p, p', and then the
+    negated remainders, each a positive multiple of the field version, so
+    sign counts are exact."""
+    p = _primitive(_trim(poly))
+    if len(p) < 2:
+        raise ValueError("need a nonconstant polynomial")
+    seq = [p, _primitive([k * x for k, x in enumerate(p)][1:])]
+    while len(seq[-1]) > 1:
+        rem = _pseudo_divide(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append(_primitive([-x for x in rem]))
+    if len(seq[-1]) > 1:
+        # p has repeated roots: restart from p divided by gcd(p, p')
+        return sturm_sequence(_pseudo_divide(p, seq[-1])[0])
+    return tuple(tuple(q) for q in seq)
+
+
+def _sign_at(poly, num: int, den: int) -> int:
+    """The sign of poly at num/den, den > 0, from the integer
+    den^deg * poly(num/den) by Horner's rule."""
+    acc = 0
+    scale = 1
+    for x in reversed(poly):
+        acc = acc * num + x * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(seq, num: int, den: int) -> int:
+    """Sign changes along seq at num/den, zeros skipped."""
+    signs = [s for s in (_sign_at(q, num, den) for q in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_count(seq, lo: Fraction, hi: Fraction) -> int:
+    """The number of distinct real roots in (lo, hi] of the polynomial
+    whose Sturm sequence is seq."""
+    return (_variations(seq, lo.numerator, lo.denominator)
+            - _variations(seq, hi.numerator, hi.denominator))
+
+
+def isolate_real_roots(seq):
+    """Disjoint intervals (lo, hi] with dyadic ends, in increasing order,
+    each holding exactly one real root of the polynomial whose Sturm
+    sequence is seq; every root lies in one of them.  Found by halving
+    from the Cauchy bound, in integers: at level k the ends are m / 2^k."""
+    p = seq[0]
+    bound = 2 + max(abs(x) for x in p[:-1]) // abs(p[-1])
+    top = 1
+    while top < bound:
+        top *= 2
+    out = []
+    pending = [(-top, top, 0)]
+    while pending:
+        lo, hi, k = pending.pop()
+        ends = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+        n = sturm_count(seq, *ends)
+        if n == 1:
+            out.append(ends)
+        elif n > 1:
+            # the upper half first, so the pop order is increasing
+            pending.append((lo + hi, 2 * hi, k + 1))
+            pending.append((2 * lo, lo + hi, k + 1))
+    return out
+
+
+def _approximate(p, lo: Fraction, hi: Fraction, bits: int) -> Fraction:
+    """A dyadic point within 2^-bits of the one root of the square-free p
+    in the interval (lo, hi] with dyadic ends, by halving on the sign of
+    p in integers: the root is at or left of a midpoint exactly where p
+    has hi's sign there."""
+    scale = max(lo.denominator, hi.denominator)
+    k = scale.bit_length() - 1
+    lo, hi = int(lo * scale), int(hi * scale)
+    top = _sign_at(p, hi, 1 << k)
+    if top == 0:
+        return Fraction(hi, 1 << k)
+    while (hi - lo) << bits > 1 << k:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        s = _sign_at(p, mid, 1 << k)
+        if s == 0:
+            return Fraction(mid, 1 << k)
+        if s == top:
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo + hi, 2 << k)
 
 
 def flag6_example() -> dict:
@@ -274,47 +403,38 @@ def flag6_example() -> dict:
 
     Two bilinear equations in (u, v) with a parameter tau are reduced by
     eliminating u; the resulting quadratic in v has a quartic discriminant
-    in tau whose four real roots are isolated by exact bisection."""
-    # 4 - 3u - 5v + 4uv = 0 and 16 - 6 tau u - 30 tau v + 12 tau^2 uv = 0;
-    # substituting u = (5v - 4)/(4v - 3) and clearing denominators gives a
-    # quadratic in v with these tau-coefficient rows (v^0, v^1, v^2)
-    system = (((4, -3, -5, 4), (0, 0, 0, 0)),
-              ((16, 0, 0, 0), (0, -6, -30, 12)))
-    c0 = (-12, 6)
-    c1 = (16, 15, -12)
-    c2 = (0, -30, 15)
-    disc = [0] * 5
-    for k, v in enumerate(_poly_mul(c1, c1)):
-        disc[k] += v
-    for k, v in enumerate(_poly_mul(c0, c2)):
-        disc[k] -= 4 * v
+    in tau.  Its real roots are isolated by a Sturm sequence into exact
+    intervals with dyadic ends, each certified to hold one root; the
+    floats in "roots" are for display only, each within 2^-64 of its
+    root."""
+    # each equation lists its coefficients of (1, u, v, uv) by the power
+    # of tau: 4 - 3u - 5v + 4uv = 0 and
+    # 16 - 6 tau u - 30 tau v + 12 tau^2 uv = 0
+    system = (((4, -3, -5, 4),),
+              ((16, 0, 0, 0), (0, -6, -30, 0), (0, 0, 0, 12)))
+    # the first equation gives u = (5v - 4)/(4v - 3); the second times
+    # 4v - 3 is a quadratic in v whose coefficients are polynomials in
+    # tau, and dividing by their content gives the eliminant
+    (a, b, c, e), = system[0]
+    num, den = (-a, -c), (b, e)
+    # row t of the second equation times den(v), as a polynomial in v
+    rows = [_poly_add([one * x for x in den], [u * x for x in num],
+                      [0] + [v * x for x in den], [0] + [uv * x for x in num])
+            for one, u, v, uv in system[1]]
+    coeffs = [tuple(row[k] if k < len(row) else 0 for row in rows)
+              for k in range(3)]
+    g = gcd(*(x for c in coeffs for x in c))
+    c0, c1, c2 = (tuple(_trim(x // g for x in c)) for c in coeffs)
+    disc = _poly_add(_poly_mul(c1, c1),
+                     [-4 * x for x in _poly_mul(c0, c2)])
     quartic = tuple(disc)
-
-    def f(x):
-        return _poly_eval(quartic, x)
-
-    roots = []
-    grid = [Fraction(k, 16) for k in range(0, 48)]
-    for lo, hi in zip(grid, grid[1:]):
-        flo, fhi = f(lo), f(hi)
-        if flo == 0:
-            roots.append(lo)
-            continue
-        if flo * fhi < 0:
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                fmid = f(mid)
-                if fmid == 0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            roots.append((lo + hi) / 2)
+    seq = sturm_sequence(quartic)
+    intervals = tuple(isolate_real_roots(seq))
     return {
         "system": system,
         "eliminant": (c0, c1, c2),
         "quartic": quartic,
-        "roots": tuple(float(x) for x in roots),
+        "intervals": intervals,
+        "roots": tuple(float(_approximate(seq[0], lo, hi, 64))
+                       for lo, hi in intervals),
     }

@@ -109,25 +109,18 @@ def _json_class(value, path: str) -> DualClass:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _iota(sizes: tuple[int, ...], total: int):
-    """Cumulative index map: iota(m) for any integer m, with
-    iota(m + r) = iota(m) + total."""
-    r = len(sizes)
-    prefix = [0]
-    for s in sizes:
-        prefix.append(prefix[-1] + s)
-
-    def iota(m: int) -> int:
-        return (m // r) * total + prefix[m % r]
-
-    return iota
-
-
 def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
     """Restrict a fine diagram to the sublattice marked off by sizes: the
     coarse entries are fine entries at the cumulative indices, and the
     classes are the dual-equivalence classes of the fine sub-chains along
-    rows and columns."""
+    rows and columns.
+
+    Block boundary x of the coarse diagram sits at fine index at[x + 1],
+    for x from -1 to 2r.  Row k of the coarse diagram lies in fine row
+    at[k + 1] < d(n-d), so its entries and row classes are slices of that
+    stored row.  The column class at (k, l) runs up fine column at[l + 1]
+    from row at[k + 1] to row at[k], reading entry (i, j) from fine.rows
+    at (i mod d(n-d), j - i)."""
     sizes = tuple(int(s) for s in sizes)
     if any(s <= 0 for s in sizes):
         raise ValueError("sizes must be positive")
@@ -136,27 +129,30 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
         raise ValueError(
             f"sizes {sizes} must sum to d(n-d) = {total}")
     r = len(sizes)
-    iota = _iota(sizes, total)
-    gamma = tuple(
-        tuple(fine.get(iota(k), iota(k + m)) for m in range(r + 1))
-        for k in range(r))
+    prefix = [0]
+    for s in sizes:
+        prefix.append(prefix[-1] + s)
+    at = [prefix[r - 1] - total] + prefix + [total + p for p in prefix[1:]]
+    rows = fine.rows
+    of = DualClass.of
+    gamma = []
     a_rows = []
     b_rows = []
     for k in range(r):
-        a_row = []
-        b_row = []
-        for m in range(r):
-            l = k + m
-            row_chain = tuple(fine.get(iota(k), j)
-                              for j in range(iota(l), iota(l + 1) + 1))
-            a_row.append(DualClass.of(row_chain))
-            col_chain = tuple(fine.get(i, iota(l))
-                              for i in range(iota(k), iota(k - 1) - 1, -1))
-            b_row.append(DualClass.of(col_chain))
-        a_rows.append(tuple(a_row))
-        b_rows.append(tuple(b_row))
-    shape = tuple(a_rows[0][m].rshape for m in range(r))
-    return Decgd(fine.frame, r, shape, gamma, tuple(a_rows), tuple(b_rows))
+        start = at[k + 1]
+        below = at[k]
+        row = rows[start]
+        cuts = [x - start for x in at[k + 1:k + r + 2]]
+        gamma.append(tuple(row[c] for c in cuts))
+        a_rows.append(tuple(of(row[lo:hi + 1])
+                            for lo, hi in zip(cuts, cuts[1:])))
+        b_rows.append(tuple(
+            of(tuple(rows[i % total][col - i]
+                     for i in range(start, below - 1, -1)))
+            for col in at[k + 1:k + r + 1]))
+    shape = tuple(cls.rshape for cls in a_rows[0])
+    return Decgd(fine.frame, r, shape, tuple(gamma), tuple(a_rows),
+                 tuple(b_rows))
 
 
 def _concatenate(reps) -> tuple:
@@ -222,13 +218,29 @@ def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
+def check_shape(shape, written=None) -> tuple[tuple[int, ...], ...]:
+    """The conditions of a class diagram, normalized: at least three, and
+    each of at least one box.  An empty condition is named by its 1-based
+    index in the shape as written, which is the normalized shape unless
+    the caller passes the text it read."""
+    shape = tuple(normalize(lam) for lam in shape)
+    if len(shape) < 3:
+        raise ValueError("need at least 3 conditions")
+    for m, lam in enumerate(shape, 1):
+        if not lam:
+            if written is None:
+                written = shape
+            raise ValueError(f"condition {m} of {written!r} is empty; "
+                             f"each condition needs at least one box")
+    return shape
+
+
 def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
     """All diagrams with the given sequence of contents, one per choice of
-    first-row chain and classes, ordered by the first row."""
-    shape = tuple(normalize(lam) for lam in shape)
+    first-row chain and classes, ordered by the first row.  The shape is
+    checked by :func:`check_shape`."""
+    shape = check_shape(shape)
     r = len(shape)
-    if r < 3:
-        raise ValueError("need at least 3 conditions")
     total = frame.size
     if sum(sum(lam) for lam in shape) != total:
         # no diagram can exist unless the sizes sum to d(n-d)

@@ -11,11 +11,11 @@ from itertools import permutations
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import (
-    Decgd, _concatenate, _iota, decgd_enumerate, restrict_cgd,
+    Decgd, _concatenate, check_shape, decgd_enumerate, restrict_cgd,
 )
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
-    Frame, _set, _Value, complement, lr_coefficient, normalize, partitions_in,
+    Frame, _lr_multi, _set, _shapes_between, _Value, complement, normalize,
 )
 
 
@@ -133,6 +133,20 @@ def _glide_rep(cls, frame: Frame):
     """Representative of the glide image of a class: the complemented,
     reversed chain."""
     return tuple(complement(p, frame) for p in reversed(cls.representative))
+
+
+def _iota(sizes: tuple[int, ...], total: int):
+    """Cumulative index map: iota(m) for any integer m, with
+    iota(m + r) = iota(m) + total."""
+    r = len(sizes)
+    prefix = [0]
+    for s in sizes:
+        prefix.append(prefix[-1] + s)
+
+    def iota(m: int) -> int:
+        return (m // r) * total + prefix[m % r]
+
+    return iota
 
 
 def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
@@ -292,10 +306,8 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     Crossing a wall is an involution, so each edge is taken once, from the
     facet with the smaller offset (crossing never returns to the same
     facet), and labelled with that facet's wall.  Edges are sorted."""
-    shape = tuple(normalize(lam) for lam in shape)
+    shape = check_shape(shape)
     r = len(shape)
-    if r < 3:
-        raise ValueError("need at least 3 conditions")
     if sum(sum(lam) for lam in shape) != frame.size:
         return MonodromyGraph(frame, shape, (), ())
     tables = _FiberTables(frame, shape)
@@ -398,13 +410,6 @@ class LabeledTree(_Value):
         _set(self, "r", r)
         _set(self, "adj", adj)  # sorted (vertex, sorted neighbours) pairs
 
-    def neighbours(self, v):
-        return dict(self.adj)[v]
-
-    @property
-    def internal_vertices(self):
-        return [v for v, _ in self.adj if v < 0]
-
     @property
     def internal_edges(self):
         out = []
@@ -471,69 +476,65 @@ def node_labelings(tree: LabeledTree, shape, frame: Frame):
     edge) pair such that leaf edges carry the leaf's condition, the two
     sides of an internal edge are complementary, every internal vertex has
     total size d(n-d), and every internal vertex admits at least one
-    tableau filling."""
+    tableau filling.
+
+    The sizes alone fix the size of every label: the side of an internal
+    edge at vertex v carries the total size of the leaves beyond the edge,
+    away from v.  So each internal edge tries only the partitions of that
+    one size, in the order of :func:`partitions_in`, and the labelings
+    come out in the order of trying every partition on every edge."""
     shape = tuple(normalize(lam) for lam in shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return []
-    all_parts = partitions_in(frame)
-    internal_edges = tree.internal_edges
+    adj = dict(tree.adj)
+    internal = [v for v, _ in tree.adj if v < 0]
+    edges = tree.internal_edges
+    rect = frame.rectangle()
+
+    def beyond(v, w):
+        """Total leaf size on w's side of the edge (v, w)."""
+        if w > 0:
+            return sum(shape[w - 1])
+        return sum(beyond(w, u) for u in adj[w] if u != v)
+
+    choices = [_shapes_between((), rect, beyond(v, w)) for v, w in edges]
+    labels = {}
     labelings = []
 
-    def vertex_ok(assign, v, complete: bool):
-        total = 0
-        for w in tree.neighbours(v):
-            if w > 0:
-                total += sum(shape[w - 1])
-            else:
-                e = (min(v, w), max(v, w))
-                if e not in assign:
-                    return not complete
-                nu = assign[e] if v == e[0] else complement(assign[e], frame)
-                total += sum(nu)
-        return total == frame.size if complete else total <= frame.size
+    def label(v, w):
+        if w > 0:
+            return shape[w - 1]
+        if v < w:
+            return labels[v, w]
+        return complement(labels[w, v], frame)
 
-    def build(idx, assign):
-        if idx == len(internal_edges):
-            if all(vertex_ok(assign, v, True)
-                   for v in tree.internal_vertices):
-                out = {}
-                for v in tree.internal_vertices:
-                    for w in tree.neighbours(v):
-                        if w > 0:
-                            out[(v, w)] = shape[w - 1]
-                        else:
-                            e = (min(v, w), max(v, w))
-                            out[(v, w)] = (assign[e] if v == e[0]
-                                           else complement(assign[e], frame))
-                # a labeling must admit a tableau at every internal vertex
-                for v in tree.internal_vertices:
-                    incident = [out[(v, w)] for w in tree.neighbours(v)]
-                    if lr_coefficient(frame.rectangle(), incident) == 0:
-                        return
-                labelings.append(out)
+    def build(idx):
+        if idx < len(edges):
+            for nu in choices[idx]:
+                labels[edges[idx]] = nu
+                build(idx + 1)
             return
-        e = internal_edges[idx]
-        for nu in all_parts:
-            assign[e] = nu
-            if vertex_ok(assign, e[0], False) and vertex_ok(assign, e[1], False):
-                build(idx + 1, assign)
-            del assign[e]
+        labeling = {(v, w): label(v, w) for v in internal for w in adj[v]}
+        # a labeling must admit a tableau at every internal vertex
+        if all(_lr_multi((), tuple(labeling[v, w] for w in adj[v]), rect)
+               for v in internal):
+            labelings.append(labeling)
 
-    build(0, {})
+    build(0)
     return labelings
 
 
 def fiber_count(tree: LabeledTree, shape, frame: Frame) -> int:
     """Sum over labelings of the product of per-vertex multi-factor
     Littlewood-Richardson coefficients; independent of the tree."""
-    shape = tuple(normalize(lam) for lam in shape)
+    adj = dict(tree.adj)
+    internal = [v for v, _ in tree.adj if v < 0]
+    rect = frame.rectangle()
     total = 0
     for labeling in node_labelings(tree, shape, frame):
         prod = 1
-        for v in tree.internal_vertices:
-            incident = [labeling[(v, w)] for w in tree.neighbours(v)]
-            prod *= lr_coefficient(frame.rectangle(), incident)
-            if prod == 0:
-                break
+        for v in internal:
+            prod *= _lr_multi(
+                (), tuple(labeling[v, w] for w in adj[v]), rect)
         total += prod
     return total

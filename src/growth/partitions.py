@@ -101,14 +101,23 @@ class Frame(_Value):
 
 
 def normalize(parts) -> tuple[int, ...]:
-    """Canonical form: tuple with trailing zeros removed."""
+    """Canonical form: tuple with trailing zeros removed.  Raises on a
+    part above its predecessor first, and then on a negative part, which
+    in a weakly decreasing tuple shows in the last part."""
     parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"not weakly decreasing: {parts}")
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part: {parts}")
+    if parts:
+        if parts[-1] == 0:
+            n = len(parts) - 1
+            while n and parts[n - 1] == 0:
+                n -= 1
+            parts = parts[:n]
+        prev = parts[0] if parts else 0
+        for p in parts:
+            if p > prev:
+                raise ValueError(f"not weakly decreasing: {parts}")
+            prev = p
+        if prev < 0:
+            raise ValueError(f"negative part: {parts}")
     return parts
 
 

@@ -7,6 +7,12 @@ tableau's shape, so equal classes have equal shapes.
 A tableau is a tuple of partitions, each adding one box to the previous;
 entry k of the tableau is the box added at step k.  All jeu de taquin is
 done through the local rule on unit squares of a growth rectangle.
+
+Only :func:`validate_chain` and the public :func:`shuffle` check their
+chains.  Rectification, canonical forms and class shuffles take chains
+that are already valid (the package's own, or read through
+``validate_chain``), and :meth:`DualClass.of` returns one shared object
+per class.
 """
 
 from functools import cache
@@ -29,16 +35,18 @@ def validate_chain(chain) -> Chain:
     return chain
 
 
+@cache
 def superstandard(lam: tuple[int, ...]) -> Chain:
-    """The row-reading straight tableau of shape lam: 1..lam_1 in row one,
-    then continuing row by row; returned as a chain from the empty shape."""
-    lam = normalize(lam)
+    """The row-reading straight tableau of the partition lam: 1..lam_1 in
+    row one, then continuing row by row; returned as a chain from the
+    empty shape.  The rows below the current one are still empty, so each
+    step rewrites the last part."""
     chain = [()]
-    for row in range(len(lam)):
-        for _ in range(lam[row]):
-            prev = list(chain[-1]) + [0] * (row + 1 - len(chain[-1]))
-            prev[row] += 1
-            chain.append(normalize(prev))
+    cur = ()
+    for row, length in enumerate(lam):
+        for c in range(1, length + 1):
+            cur = cur[:row] + (c,)
+            chain.append(cur)
     return tuple(chain)
 
 
@@ -66,29 +74,35 @@ def shuffle(lower: Chain, upper: Chain) -> tuple[Chain, Chain]:
     if lower[-1] != upper[0]:
         raise ValueError(
             f"chains not consecutive: {lower[-1]} != {upper[0]}")
-    w = len(lower) - 1
-    h = len(upper) - 1
-    grid = [[None] * (w + 1) for _ in range(h + 1)]
-    grid[0] = list(lower)
-    for i in range(h + 1):
-        grid[i][w] = upper[i]
-    for i in range(h):
+    return _shuffle(lower, upper)
+
+
+def _shuffle(lower: Chain, upper: Chain) -> tuple[Chain, Chain]:
+    """:func:`shuffle` of two chains already known to be valid and
+    consecutive.  The rectangle is filled one row at a time, right to
+    left, in a single list: entry j of the row above comes from the old
+    entries j and j + 1 and the new entry j + 1."""
+    row = list(lower)
+    w = len(row) - 1
+    firsts = [row[0]]
+    for top in upper[1:]:
+        old_right = row[w]
+        row[w] = top
         for j in range(w - 1, -1, -1):
-            grid[i + 1][j] = other_middle(
-                grid[i][j], grid[i + 1][j + 1], grid[i][j + 1])
-    new_lower = tuple(grid[i][0] for i in range(h + 1))
-    new_upper = tuple(grid[h][j] for j in range(w + 1))
-    return new_lower, new_upper
+            old = row[j]
+            row[j] = other_middle(old, row[j + 1], old_right)
+            old_right = old
+        firsts.append(row[0])
+    return tuple(firsts), tuple(row)
 
 
 def rectify(t: Chain) -> Chain:
     """The unique straight-shape tableau slide equivalent to t, obtained by
-    shuffling a straight tableau of the inner shape past t."""
-    t = validate_chain(t)
+    shuffling a straight tableau of the inner shape past t.  t must be a
+    valid chain (see :func:`validate_chain`)."""
     if not t[0]:
         return t
-    new_lower, _ = shuffle(superstandard(t[0]), t)
-    return new_lower
+    return _shuffle(superstandard(t[0]), t)[0]
 
 
 @cache
@@ -102,12 +116,10 @@ def canonical_rep(t: Chain) -> Chain:
     """The unique tableau dual equivalent to t and slide equivalent to the
     superstandard tableau of t's rectification shape.  Computed by two
     shuffles: push the superstandard tableau of the inner shape through t,
-    then push the superstandard tableau of the rectification shape back."""
-    t = validate_chain(t)
-    rect, beta = shuffle(superstandard(t[0]), t)
-    mu = rect[-1]
-    _, phi = shuffle(superstandard(mu), beta)
-    return phi
+    then push the superstandard tableau of the rectification shape back.
+    t must be a valid chain (see :func:`validate_chain`)."""
+    rect, beta = _shuffle(superstandard(t[0]), t)
+    return _shuffle(superstandard(rect[-1]), beta)[1]
 
 
 def enumerate_chains(outer, inner) -> list[Chain]:
@@ -155,8 +167,9 @@ class DualClass(_Value):
 
     @staticmethod
     def of(t: Chain) -> "DualClass":
-        rep = canonical_rep(t)
-        return DualClass(rep, rshape(rep))
+        """The class of the valid chain t; equal chains, and dual
+        equivalent ones, give the same object."""
+        return _class_of(canonical_rep(t))
 
     @property
     def inner(self) -> tuple[int, ...]:
@@ -165,6 +178,11 @@ class DualClass(_Value):
     @property
     def outer(self) -> tuple[int, ...]:
         return self.representative[-1]
+
+
+@cache
+def _class_of(rep: Chain) -> DualClass:
+    return DualClass(rep, rshape(rep))
 
 
 def dual_classes(outer, inner, target_rshape=None) -> list[DualClass]:
@@ -188,5 +206,5 @@ def shuffle_classes(a: DualClass, b: DualClass) -> tuple[DualClass, DualClass]:
     result is independent of the representatives used."""
     if a.outer != b.inner:
         raise ValueError(f"classes not consecutive: {a.outer} != {b.inner}")
-    new_lower, new_upper = shuffle(a.representative, b.representative)
+    new_lower, new_upper = _shuffle(a.representative, b.representative)
     return DualClass.of(new_lower), DualClass.of(new_upper)

@@ -2,6 +2,7 @@
 against the hypersurface polynomial, the six boundary labels,
 consistency with the growth diagrams, and the flag example quartic."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,8 @@ import sympy
 
 from growth.conic import (
     ConicReport, DegenerateReport, EmptyReport, Monomial, consistency_with_growth,
-    delta, flag6_example, four_point_solve, six_point_cycle,
+    delta, flag6_example, four_point_solve, isolate_real_roots, six_point_cycle,
+    sturm_count, sturm_sequence,
 )
 from growth.partitions import Frame, complement, contains, is_domino
 from test_partitions import all_partitions
@@ -228,6 +230,120 @@ class TestFlag6:
         assert len(roots) == 4
         for got, want in zip(roots, expected):
             assert abs(got - want) < 1e-4
+
+    def test_roots_as_found_by_grid_bisection(self):
+        # the floats that sign changes on a 1/16 grid, then 60 halvings in
+        # Fraction, gave for the same quartic
+        before = (0.6781214568770147, 0.9455532774973412,
+                  1.4101091552052525, 1.9662161104203917)
+        for got, want in zip(flag6_example()["roots"], before, strict=True):
+            assert abs(got - want) < 1e-12
+
+    def test_intervals_certified(self):
+        result = flag6_example()
+        seq = sturm_sequence(result["quartic"])
+        intervals = result["intervals"]
+        assert len(intervals) == 4
+        for (lo, hi), root in zip(intervals, result["roots"]):
+            assert sturm_count(seq, lo, hi) == 1
+            assert lo < root <= hi
+            # dyadic ends
+            assert lo.denominator & (lo.denominator - 1) == 0
+            assert hi.denominator & (hi.denominator - 1) == 0
+        tau = sympy.Symbol("tau")
+        quartic = sympy.Poly(list(reversed(result["quartic"])), tau)
+        assert quartic.count_roots() == 4
+
+    def test_system_yields_eliminant(self):
+        # the resultant in u of the two returned equations is a constant
+        # multiple of the returned eliminant c0 + c1 v + c2 v^2
+        tau, u, v = sympy.symbols("tau u v")
+        result = flag6_example()
+        equations = [sum(t ** k * (one + x * u + y * v + xy * u * v)
+                         for k, (one, x, y, xy) in enumerate(rows))
+                     for t, rows in ((tau, eq) for eq in result["system"])]
+        eliminant = sum(v ** k * sum(c * tau ** j for j, c in enumerate(cs))
+                        for k, cs in enumerate(result["eliminant"]))
+        ratio = sympy.cancel(sympy.resultant(*equations, u) / eliminant)
+        assert ratio.is_number and ratio != 0
+
+
+def sympy_poly(coeffs):
+    """The sympy polynomial of integer coefficients, lowest degree first."""
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+
+
+def assert_isolates(coeffs):
+    """The intervals from the Sturm isolator are increasing, disjoint, and
+    hold one root each, and sympy finds no real root outside them."""
+    seq = sturm_sequence(coeffs)
+    intervals = isolate_real_roots(seq)
+    p = sympy_poly(coeffs)
+    assert len(intervals) == p.count_roots(), coeffs
+    for (lo, hi), (lo2, _) in zip(intervals, intervals[1:]):
+        assert hi <= lo2
+    for lo, hi in intervals:
+        assert lo < hi
+        # count_roots counts the closed interval [lo, hi]
+        at_lo = p.eval(sympy.Rational(lo.numerator, lo.denominator)) == 0
+        assert p.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                             sympy.Rational(hi.numerator, hi.denominator)) \
+            - at_lo == 1, (coeffs, lo, hi)
+        assert sturm_count(seq, lo, hi) == 1
+
+
+def poly_product(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+class TestSturm:
+    def test_cases_the_grid_missed(self):
+        # two roots in one cell of the old 1/16 grid, 0.3 and 0.31
+        assert_isolates(poly_product((-3, 10), (-31, 100)))
+        # a double root, where the sign does not change
+        assert_isolates(poly_product((-1, 3), (-1, 3), (-2, 1)))
+        # a root on an interval end: 0 and 1 are halving points
+        assert_isolates(poly_product((0, 1), (-1, 1), (1, 1), (5, 0, 1)))
+        # a triple root and a negative double root
+        assert_isolates(poly_product((-2, 1), (-2, 1), (-2, 1), (7, 2),
+                                     (7, 2)))
+
+    def test_random_against_sympy(self):
+        rng = random.Random(14)
+        for _ in range(120):
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.random()
+                if kind < 0.5:
+                    a = rng.randint(1, 40)
+                    factors.append((rng.randint(-60, 60), a))
+                    if rng.random() < 0.3:
+                        factors.append(factors[-1])  # a repeated root
+                elif kind < 0.8:
+                    factors.append(tuple(rng.randint(-9, 9)
+                                         for _ in range(3)))
+                else:
+                    factors.append(tuple(rng.randint(-20, 20)
+                                         for _ in range(rng.randint(2, 6))))
+            coeffs = poly_product(*factors)
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            if len(coeffs) < 2:
+                continue
+            assert_isolates(coeffs)
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValueError):
+            sturm_sequence((3,))
+        with pytest.raises(ValueError):
+            sturm_sequence((0, 0))
 
 
 def test_delta_oracle():

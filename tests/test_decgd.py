@@ -8,7 +8,7 @@ import pytest
 
 from growth.cylgrowth import cgd_enumerate, cgd_from_path, row_path
 from growth.decgd import (
-    Decgd, _concatenate, decgd_enumerate, decgd_from_first_row,
+    Decgd, _concatenate, check_shape, decgd_enumerate, decgd_from_first_row,
     decgd_validate, restrict_cgd,
 )
 from growth.partitions import Frame, lr_coefficient
@@ -83,6 +83,68 @@ class TestRestrict:
             restrict_cgd(g, (2, 1))
         with pytest.raises(ValueError):
             restrict_cgd(g, (4, 0))
+
+
+def reference_restrict_cgd(fine, sizes):
+    """restrict_cgd as it was before it read rows by slices: every entry
+    through fine.get at indices from a cumulative index closure."""
+    r = len(sizes)
+    total = fine.frame.size
+    prefix = [0]
+    for s in sizes:
+        prefix.append(prefix[-1] + s)
+
+    def iota(m):
+        return (m // r) * total + prefix[m % r]
+
+    gamma = tuple(
+        tuple(fine.get(iota(k), iota(k + m)) for m in range(r + 1))
+        for k in range(r))
+    a_rows, b_rows = [], []
+    for k in range(r):
+        a_row, b_row = [], []
+        for m in range(r):
+            l = k + m
+            a_row.append(DualClass.of(tuple(
+                fine.get(iota(k), j)
+                for j in range(iota(l), iota(l + 1) + 1))))
+            b_row.append(DualClass.of(tuple(
+                fine.get(i, iota(l))
+                for i in range(iota(k), iota(k - 1) - 1, -1))))
+        a_rows.append(tuple(a_row))
+        b_rows.append(tuple(b_row))
+    shape = tuple(a_rows[0][m].rshape for m in range(r))
+    return Decgd(fine.frame, r, shape, gamma, tuple(a_rows), tuple(b_rows))
+
+
+def compositions(total, parts):
+    """The compositions of total with parts drawn from parts."""
+    if total == 0:
+        return [()]
+    return [(p,) + rest for p in parts if p <= total
+            for rest in compositions(total - p, parts)]
+
+
+RESTRICT_SIZES = [
+    (F25, compositions(6, (1, 2, 3))),
+    (Frame(2, 6), compositions(8, (1, 2, 3)) + [(4, 4), (5, 3)]),
+    (Frame(3, 6), [(1,) * 9, (3, 3, 3), (2, 3, 4), (4, 3, 2), (1, 2, 6),
+                   (5, 1, 1, 1, 1), (2, 2, 2, 2, 1), (1, 4, 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("frame,sizes_list", RESTRICT_SIZES,
+                         ids=[str(f) for f, _ in RESTRICT_SIZES])
+def test_restrict_matches_reference(frame, sizes_list):
+    for g in cgd_enumerate(frame):
+        for sizes in sizes_list:
+            d = restrict_cgd(g, sizes)
+            assert d == reference_restrict_cgd(g, sizes), (g, sizes)
+            # one class object per class
+            for rows in (d.a, d.b):
+                for row in rows:
+                    for cls in row:
+                        assert DualClass.of(cls.representative) is cls
 
 
 class TestLift:
@@ -189,6 +251,26 @@ class TestEnumerate:
         assert decgd_enumerate(F24, [BOX] * 3) == []
         with pytest.raises(ValueError):
             decgd_enumerate(F24, [(2, 2), (1, 1)])  # fewer than 3 conditions
+
+    @pytest.mark.parametrize("shape,index", [
+        ([(), (2,), BOX, BOX], 1), ([(2,), BOX, BOX, (0, 0)], 4),
+        ([(2,), (), (), (2,)], 2), ([(), BOX, BOX], 1)])
+    def test_empty_condition_named(self, shape, index):
+        # checked before the sizes, so a mismatched sum is refused too
+        with pytest.raises(ValueError, match=f"^condition {index} of .* is "
+                           f"empty; each condition needs at least one box$"):
+            decgd_enumerate(F24, shape)
+
+
+def test_check_shape():
+    assert check_shape([[2, 0], (1,), [1]]) == ((2,), BOX, BOX)
+    with pytest.raises(ValueError, match="^need at least 3 conditions$"):
+        check_shape([(2, 2), (2, 2)])
+    with pytest.raises(ValueError, match=r"^condition 2 of \(\(1,\), \(\), "):
+        check_shape([BOX, (0,), BOX])
+    # the text the caller read names the shape when given
+    with pytest.raises(ValueError, match="^condition 2 of '1;0;1' is empty"):
+        check_shape([BOX, (), BOX], "1;0;1")
 
 
 def test_json_round_trip():

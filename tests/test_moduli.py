@@ -16,7 +16,9 @@ from growth.moduli import (
     fiber_count, graph_components, node_labelings, star_tree, transport_cgd,
     transport_decgd, walls,
 )
-from growth.partitions import Frame, lr_coefficient, syt_count
+from growth.partitions import (
+    Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
+)
 from test_decgd import lift_decgd
 
 F24 = Frame(2, 4)
@@ -612,3 +614,101 @@ class TestTrees:
             expected = lr_coefficient(frame.rectangle(), shape)
             for tree in all_trees(r):
                 assert fiber_count(tree, shape, frame) == expected, (shape, tree)
+
+
+@pytest.mark.parametrize("shape,index", [
+    ([(), (2,), BOX, BOX], 1), ([BOX, BOX, (2,), ()], 4),
+    ([BOX] * 3 + [()] * 2, 4)])
+def test_cover_graph_empty_condition(shape, index):
+    with pytest.raises(ValueError, match=f"^condition {index} of .* is "
+                       f"empty; each condition needs at least one box$"):
+        build_cover_graph(F24, shape)
+
+
+def reference_node_labelings(tree, shape, frame):
+    """node_labelings as it was before the edge-size rule: every partition
+    of the frame tried on every internal edge, pruned by the running
+    vertex sums, and the Littlewood-Richardson test made on complete
+    labelings through lr_coefficient."""
+    shape = tuple(normalize(lam) for lam in shape)
+    if sum(sum(lam) for lam in shape) != frame.size:
+        return []
+    adj = dict(tree.adj)
+    internal = [v for v, _ in tree.adj if v < 0]
+    all_parts = partitions_in(frame)
+    internal_edges = tree.internal_edges
+    labelings = []
+
+    def vertex_ok(assign, v, complete):
+        total = 0
+        for w in adj[v]:
+            if w > 0:
+                total += sum(shape[w - 1])
+            else:
+                e = (min(v, w), max(v, w))
+                if e not in assign:
+                    return not complete
+                nu = assign[e] if v == e[0] else complement(assign[e], frame)
+                total += sum(nu)
+        return total == frame.size if complete else total <= frame.size
+
+    def build(idx, assign):
+        if idx == len(internal_edges):
+            if all(vertex_ok(assign, v, True) for v in internal):
+                out = {}
+                for v in internal:
+                    for w in adj[v]:
+                        if w > 0:
+                            out[(v, w)] = shape[w - 1]
+                        else:
+                            e = (min(v, w), max(v, w))
+                            out[(v, w)] = (assign[e] if v == e[0]
+                                           else complement(assign[e], frame))
+                for v in internal:
+                    incident = [out[(v, w)] for w in adj[v]]
+                    if lr_coefficient(frame.rectangle(), incident) == 0:
+                        return
+                labelings.append(out)
+            return
+        e = internal_edges[idx]
+        for nu in all_parts:
+            assign[e] = nu
+            if vertex_ok(assign, e[0], False) and \
+                    vertex_ok(assign, e[1], False):
+                build(idx + 1, assign)
+            del assign[e]
+
+    build(0, {})
+    return labelings
+
+
+# the shapes of check_properties' tree-independence cases, and mixed
+# shapes in the (2,6) box
+LABELING_CASES = [
+    (F24, [BOX] * 4), (F24, [(2,), BOX, BOX]),
+    (F25, [(2,), BOX, BOX, BOX, BOX]), (F25, [(2,), (2,), BOX, BOX]),
+    (F25, [(1, 1), (2,), BOX, BOX]),
+    (F26, [(3, 1), (2,), BOX, BOX]), (F26, [(2, 1), (2,), BOX, BOX, BOX]),
+    (F26, [(2,), (1, 1), (2,), BOX, BOX]),
+    (F26, [(2,), (2,), BOX, BOX, BOX, BOX]),
+    (F26, [(1, 1), BOX, (2,), BOX, BOX, BOX]),
+]
+
+
+@pytest.mark.parametrize("frame,shape", LABELING_CASES,
+                         ids=[f"{f.d}{f.n}-{s}" for f, s in LABELING_CASES])
+def test_node_labelings_match_brute_force(frame, shape):
+    # the same labelings, as ordered lists, on every tree
+    expected = lr_coefficient(frame.rectangle(), shape)
+    for tree in all_trees(len(shape)):
+        got = node_labelings(tree, shape, frame)
+        assert got == reference_node_labelings(tree, shape, frame), tree
+        assert fiber_count(tree, shape, frame) == expected, tree
+
+
+def test_node_labelings_size_mismatch_and_empty_fiber():
+    tree = TestTrees.caterpillar_tree(4)
+    for shape in ([(2, 2), BOX, BOX, (1, 1)], [BOX] * 3 + [(2,)],
+                  [(2,), (2,), (2,), (2,)]):
+        assert node_labelings(tree, shape, F24) == \
+            reference_node_labelings(tree, shape, F24)

@@ -200,3 +200,37 @@ class TestLR:
 def test_normalize_idempotent(parts):
     parts = sorted(parts, reverse=True)
     assert normalize(normalize(parts)) == normalize(parts)
+
+
+def normalize_reference(parts):
+    """The three-pass body normalize had before its one-pass rewrite: strip
+    trailing zeros, then check the order, then the signs."""
+    parts = tuple(parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"not weakly decreasing: {parts}")
+    if any(p < 0 for p in parts):
+        raise ValueError(f"negative part: {parts}")
+    return parts
+
+
+def normalize_outcome(fn, parts):
+    try:
+        return fn(parts)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=3), max_size=5))
+def test_normalize_matches_reference(parts):
+    # the same value or the same error, message included
+    assert normalize_outcome(normalize, parts) == \
+        normalize_outcome(normalize_reference, parts)
+
+
+def test_normalize_reference_cases():
+    for parts in [(), (0,), (0, 0), (2, 1, 0), (1, 2, 0), (0, -1),
+                  (-1, 0), (3, -1), (1, 0, 1), (-1, -2), [2, 2]]:
+        assert normalize_outcome(normalize, parts) == \
+            normalize_outcome(normalize_reference, parts)
