@@ -10,6 +10,7 @@ certified by its Sturm count to hold one root, and halving in integers
 narrows each to a float that is for display only."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -176,14 +177,50 @@ def boundary_points(q: int):
     )
 
 
-def six_point_cycle(lam, mu, frame: Frame):
-    """Labels of the six boundary points in circular order.
+@cache
+def _boundary_labels(q: int):
+    """The six-point cycle of the conic for q, each label an index into
+    (southwest intermediate, northeast intermediate, (1, 1), (2,)): which
+    of the four Pluecker coordinates vanish at each boundary point depends
+    only on q, so it is evaluated once per q, exactly.  Vanishing of the u
+    coordinate picks the northeast intermediate, vanishing of tau/u the
+    southwest one.  The two points where all four survive sit between
+    equal flanking labels and carry the column pair or the row pair
+    accordingly."""
+    labels = []
+    for point in boundary_points(q):
+        if point == ("slant_end",):
+            # u grows linearly in tau, so after rescaling by u the
+            # coordinate carrying tau/u dies and the southwest label shows
+            labels.append(0)
+        elif point == ("horizontal_end",):
+            # tau alone grows, killing the plain-u coordinate
+            labels.append(1)
+        else:
+            tau, u = point
+            k1_value = u
+            # at u = 0 the ratio tau/u is read off the conic as a limit
+            k2_value = _tau_over_u(q, u) if u == 0 else tau / u
+            if k1_value == 0 and k2_value == 0:
+                raise ValueError("both intermediate coordinates vanish")
+            if k1_value == 0:
+                labels.append(1)
+            elif k2_value == 0:
+                labels.append(0)
+            else:
+                labels.append(None)
+    for pos in (2, 5):
+        before = labels[pos - 1]
+        after = labels[(pos + 1) % 6]
+        if labels[pos] is not None or before != after:
+            raise ValueError("boundary labels do not follow the pattern")
+        labels[pos] = 2 if before == 1 else 3
+    return tuple(labels)
 
-    The label of each point is read off from which of the four Pluecker
-    coordinates vanish there: vanishing of the u coordinate picks the
-    northeast intermediate, vanishing of tau/u the southwest one.  The two
-    points where all four survive sit between equal flanking labels and
-    carry the column pair or the row pair accordingly."""
+
+def six_point_cycle(lam, mu, frame: Frame):
+    """Labels of the six boundary points in circular order, read off
+    :func:`_boundary_labels`."""
     lam = normalize(lam)
     mu = normalize(mu)
     muc = complement(mu, frame)
@@ -197,36 +234,8 @@ def six_point_cycle(lam, mu, frame: Frame):
     left = index_set(lam, frame)
     right = index_set(muc, frame)
     _, i, j = _split_indices(left, right)
-    q = j - i
-    labels = []
-    for point in boundary_points(q):
-        if point == ("slant_end",):
-            # u grows linearly in tau, so after rescaling by u the
-            # coordinate carrying tau/u dies and the southwest label shows
-            labels.append(kappa1)
-        elif point == ("horizontal_end",):
-            # tau alone grows, killing the plain-u coordinate
-            labels.append(kappa2)
-        else:
-            tau, u = point
-            k1_value = u
-            # at u = 0 the ratio tau/u is read off the conic as a limit
-            k2_value = _tau_over_u(q, u) if u == 0 else tau / u
-            if k1_value == 0 and k2_value == 0:
-                raise ValueError("both intermediate coordinates vanish")
-            if k1_value == 0:
-                labels.append(kappa2)
-            elif k2_value == 0:
-                labels.append(kappa1)
-            else:
-                labels.append(None)
-    for pos in (2, 5):
-        before = labels[pos - 1]
-        after = labels[(pos + 1) % 6]
-        if labels[pos] is not None or before != after:
-            raise ValueError("boundary labels do not follow the pattern")
-        labels[pos] = (1, 1) if before == kappa2 else (2,)
-    return tuple(labels)
+    labels = (kappa1, kappa2, (1, 1), (2,))
+    return tuple(labels[x] for x in _boundary_labels(j - i))
 
 
 def consistency_with_growth(frame: Frame) -> bool:

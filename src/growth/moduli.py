@@ -7,7 +7,7 @@ the representative starts at 1 and takes the lexicographically smaller
 direction.  A wall is the chord reversing a circular interval of marked
 positions; it is identified with the complementary interval."""
 
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import (
@@ -17,6 +17,7 @@ from growth.jsonout import JsonText, write_array
 from growth.partitions import (
     Frame, _lr_multi, _set, _shapes_between, _Value, complement, normalize,
 )
+from growth.tableaux import DualClass
 
 
 # ---------------------------------------------------------------------------
@@ -111,42 +112,55 @@ def _crossing_path(top: int, row: int, col: int):
             + [(i, col) for i in range(row - 1, top - 1, -1)])
 
 
+def _cross_chain(g: CylGrowthDiagram, wall: Wall):
+    """The chain that crossing the wall regrows g from, along
+    _crossing_path(a, b+1, a+r): the reflection of g's column a along row
+    b+1, then the glide images (complements) of g's row a up column a+r."""
+    a, b, r = wall.a, wall.b, g.r
+    return (tuple(g.get(a + b + 1 - j, a) for j in range(b + 1, a + r + 1))
+            + tuple(complement(g.get(a, i), g.frame)
+                    for i in range(b, a - 1, -1)))
+
+
+def _path_chain(g: CylGrowthDiagram, wall: Wall):
+    """The chain that g takes along _crossing_path(a, b+1, a+r)."""
+    a, b, r, rows = wall.a, wall.b, wall.r, g.rows
+    return rows[(b + 1) % r][:a + r - b] + tuple(
+        rows[i % r][a + r - i] for i in range(b, a - 1, -1))
+
+
 def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
     """Cross a wall: the new diagram agrees with g on the triangle over
     the reversed interval and is its reflection across the short diagonal
     on the complementary triangle.
 
     A diagram is fixed by its chain along a path, so the crossed diagram
-    is regrown from the path between the two triangles: along row b+1 it
-    holds the reflection of g's column a, and up column a+r the glide
-    images (complements) of g's row a."""
+    is regrown from its chain between the triangles, :func:`_cross_chain`."""
     r = g.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
-    a, b = wall.a, wall.b
-    chain = [g.get(a + b + 1 - j, a) for j in range(b + 1, a + r + 1)]
-    chain += [complement(g.get(a, i), g.frame) for i in range(b, a - 1, -1)]
-    return cgd_from_path(_crossing_path(a, b + 1, a + r), chain, g.frame)
+    return cgd_from_path(_crossing_path(wall.a, wall.b + 1, wall.a + r),
+                         _cross_chain(g, wall), g.frame)
 
 
-def _glide_rep(cls, frame: Frame):
-    """Representative of the glide image of a class: the complemented,
-    reversed chain."""
-    return tuple(complement(p, frame) for p in reversed(cls.representative))
+def _cross_classes(d: Decgd, wall: Wall):
+    """The classes that crossing the wall regrows d from, along the
+    crossing path: the reflected column classes of column a along row b+1,
+    then the glide images of the row a classes up column a+r (the classes
+    of their complemented, reversed representatives)."""
+    a, b, r = wall.a, wall.b, d.r
+    glide = [tuple(complement(p, d.frame) for p in reversed(
+        d.get_a(a, k - 1).representative)) for k in range(b + 1, a, -1)]
+    return (tuple(d.get_b(a + b + 1 - l, a) for l in range(b + 1, a + r))
+            + tuple(map(DualClass.of, glide)))
 
 
-def _iota(sizes: tuple[int, ...], total: int):
-    """Cumulative index map: iota(m) for any integer m, with
-    iota(m + r) = iota(m) + total."""
-    r = len(sizes)
-    prefix = [0]
-    for s in sizes:
-        prefix.append(prefix[-1] + s)
-
-    def iota(m: int) -> int:
-        return (m // r) * total + prefix[m % r]
-
-    return iota
+def _path_classes(d: Decgd, wall: Wall):
+    """The classes that d takes along the crossing path: row classes
+    along row b+1, then column classes up column a+r."""
+    a, b, r = wall.a, wall.b, wall.r
+    return d.a[(b + 1) % r][:a + r - b - 1] + tuple(
+        d.b[k % r][a + r - k] for k in range(b + 1, a, -1))
 
 
 def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
@@ -156,29 +170,21 @@ def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
     the short-diagonal reflection of d on the complementary triangle, for
     classes as well as entries (reflection exchanges row and column
     classes).  As in :func:`cross_cgd`, it is regrown from the path
-    between the two triangles, taken in fine coordinates: representatives
-    of the reflected column classes along row b+1 and of the glide images
-    of the row a classes up column a+r are concatenated into a fine chain,
-    which is extended and restricted."""
+    between the triangles in fine coordinates: the representatives of
+    :func:`_cross_classes` make a fine chain, extended and restricted."""
     r = d.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
     a, b = wall.a, wall.b
-    frame = d.frame
-    sizes = d.sizes
     # wall blocks a+1..b+1 keep their sizes, the complement reverses
-    new_sizes = list(sizes)
+    sizes = list(d.sizes)
     for m in range(b + 2, a + r + 1):
-        new_sizes[(m - 1) % r] = sizes[(a + b + 1 - m) % r]
-    new_sizes = tuple(new_sizes)
-    reps = [d.get_b(a + b + 1 - l, a).representative
-            for l in range(b + 1, a + r)]
-    reps += [_glide_rep(d.get_a(a, k - 1), frame)
-             for k in range(b + 1, a, -1)]
-    iota = _iota(new_sizes, frame.size)
-    path = _crossing_path(iota(a), iota(b + 1), iota(a + r))
-    fine = cgd_from_path(path, _concatenate(reps), frame)
-    return restrict_cgd(fine, new_sizes)
+        sizes[(m - 1) % r] = d.sizes[(a + b + 1 - m) % r]
+    reps = [cls.representative for cls in _cross_classes(d, wall)]
+    at = list(accumulate(sizes * 2, initial=0))  # fine index of coarse m
+    path = _crossing_path(at[a], at[b + 1], at[a + r])
+    fine = cgd_from_path(path, _concatenate(reps), d.frame)
+    return restrict_cgd(fine, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +250,22 @@ class _FiberTables:
     blocks: window element m + 1 carries the condition of the marked point
     at order position m, so block m holds the condition of facet[m - 1].
     Each distinct contents tuple (one for all-box shapes) is enumerated
-    once into a tuple of diagrams with a {diagram: index} map.  Crossing a
-    wall depends on the contents and the wall, and the index it lands on
-    also on the dihedral transporter to the new facet's canonical order, so
-    both are computed once per key."""
+    once, each diagram solved and validated; the cover builds no other.
+    A diagram is fixed by what it carries along the crossing path, so
+    crossing g lands on the target that, moved back by the inverse
+    transporter, carries g's regrow key (:func:`_cross_chain`,
+    :func:`_cross_classes`) there.  A table is built once per contents,
+    wall and transporter."""
 
     def __init__(self, frame: Frame, shape):
         self.frame = frame
         self.shape = shape
         self.all_box = all(lam == (1,) for lam in shape)
-        self.fibers = {}   # contents -> (diagrams, {diagram: index})
-        self.crossed = {}  # (contents, wall) -> crossed diagrams
-        self.moves = {}    # (contents, wall, gmap) -> target fiber indices
+        self.crossing = ((_cross_chain, _path_chain, transport_cgd)
+                         if self.all_box else
+                         (_cross_classes, _path_classes, transport_decgd))
+        self.fibers = {}  # contents -> diagrams
+        self.moves = {}   # (contents, wall, gmap) -> target fiber indices
 
     def contents(self, facet):
         if self.all_box:
@@ -264,30 +274,33 @@ class _FiberTables:
         return tuple(self.shape[facet[(m - 1) % r] - 1] for m in range(r))
 
     def fiber(self, facet):
-        """(diagrams, {diagram: index}) over a facet."""
+        """The diagrams over a facet."""
         key = self.contents(facet)
         if key not in self.fibers:
-            diagrams = tuple(cgd_enumerate(self.frame) if self.all_box
-                             else decgd_enumerate(self.frame, key))
-            self.fibers[key] = (diagrams,
-                                {g: i for i, g in enumerate(diagrams)})
+            self.fibers[key] = tuple(
+                cgd_enumerate(self.frame) if self.all_box
+                else decgd_enumerate(self.frame, key))
         return self.fibers[key]
 
     def move(self, facet, wall: Wall, new_facet, gmap):
         """Crossing the wall from fiber index i over facet lands on fiber
         index table[i] over new_facet; returns table.  new_facet and gmap
-        are the facet that crossing the wall lands on and the transporter
-        to its canonical order, as given by cross_facet."""
+        are what cross_facet gives.  Raises ValueError, naming the facet
+        and the wall, unless the crossings are the target fiber, once each."""
         key = self.contents(facet)
         if (key, wall, gmap) not in self.moves:
-            if (key, wall) not in self.crossed:
-                cross = cross_cgd if self.all_box else cross_decgd
-                self.crossed[key, wall] = [cross(g, wall)
-                                           for g in self.fiber(facet)[0]]
-            transport = transport_cgd if self.all_box else transport_decgd
-            index = self.fiber(new_facet)[1]
-            self.moves[key, wall, gmap] = [
-                index[transport(g, gmap)] for g in self.crossed[key, wall]]
+            regrow_key, path_key, transport = self.crossing
+            back = ("rot", -gmap[1] % len(facet)) if gmap[0] == "rot" else gmap
+            targets = self.fiber(new_facet)
+            found = {path_key(transport(h, back), wall): j
+                     for j, h in enumerate(targets)}
+            table = [found.get(regrow_key(g, wall), -1)
+                     for g in self.fiber(facet)]
+            if sorted(table) != list(range(len(targets))):
+                raise ValueError(
+                    f"crossing wall ({wall.a}, {wall.b}) from facet {facet} "
+                    f"is no bijection onto the fiber over {new_facet}")
+            self.moves[key, wall, gmap] = table
         return self.moves[key, wall, gmap]
 
 
@@ -299,9 +312,9 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     diagram's index in its fiber table (see :class:`_FiberTables`), and
     the fiber size over every facet is the multi-factor
     Littlewood-Richardson coefficient of the shape.  Each fiber is
-    enumerated once per contents tuple, and each wall crossed once per
-    (contents, wall); the crossings become tables of fiber indices, and
-    the edges are assembled from those by integer lookups.
+    enumerated once per contents tuple, and the only diagrams solved are
+    the fibers': each crossing is looked up among them into a table of
+    fiber indices, and the edges are assembled from those tables.
 
     Crossing a wall is an involution, so each edge is taken once, from the
     facet with the smaller offset (crossing never returns to the same
@@ -317,7 +330,7 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     nodes = []
     for facet in facet_list:
         offset[facet] = len(nodes)
-        nodes.extend((facet, g) for g in tables.fiber(facet)[0])
+        nodes.extend((facet, g) for g in tables.fiber(facet))
     # the crossed diagram keeps the wall blocks in place and reflects the
     # complementary blocks, so its raw presentation is the order with the
     # complementary span reversed; both spans give the same facet
@@ -348,17 +361,6 @@ def graph_components(graph: MonodromyGraph) -> int:
     for u, v, _ in graph.edges:
         parent[find(u)] = find(v)
     return len({find(x) for x in range(len(graph.nodes))})
-
-
-def graph_to_dot(graph: MonodromyGraph) -> str:
-    lines = ["graph cover {"]
-    for i, (facet, _) in enumerate(graph.nodes):
-        label = "".join(str(x) for x in facet)
-        lines.append(f'  n{i} [label="{label}/{i}"];')
-    for u, v, (a, b) in graph.edges:
-        lines.append(f'  n{u} -- n{v} [label="{a},{b}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _write_graph_json(graph: MonodromyGraph, out) -> None:
@@ -392,7 +394,12 @@ def export(graph: MonodromyGraph, fmt: str, out) -> None:
     if fmt == "json":
         _write_graph_json(graph, out)
     elif fmt == "dot":
-        out.write(graph_to_dot(graph))
+        out.write("graph cover {\n")
+        for i, (facet, _) in enumerate(graph.nodes):
+            out.write(f'  n{i} [label="{"".join(map(str, facet))}/{i}"];\n')
+        for u, v, (a, b) in graph.edges:
+            out.write(f'  n{u} -- n{v} [label="{a},{b}"];\n')
+        out.write("}\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -412,14 +419,7 @@ class LabeledTree(_Value):
 
     @property
     def internal_edges(self):
-        out = []
-        for v, nbrs in self.adj:
-            for w in nbrs:
-                if v < w < 0 or (w < v < 0):
-                    e = (min(v, w), max(v, w))
-                    if e not in out:
-                        out.append(e)
-        return out
+        return [(v, w) for v, nbrs in self.adj for w in nbrs if v < w < 0]
 
     @staticmethod
     def from_adjacency(adj_map: dict) -> "LabeledTree":

@@ -10,11 +10,16 @@ import pytest
 import sympy
 
 from growth.conic import (
-    ConicReport, DegenerateReport, EmptyReport, Monomial, consistency_with_growth,
-    delta, flag6_example, four_point_solve, isolate_real_roots, six_point_cycle,
+    ConicReport, DegenerateReport, EmptyReport, Monomial, _split_indices,
+    _tau_over_u, boundary_points, consistency_with_growth, delta,
+    flag6_example, four_point_solve, isolate_real_roots, six_point_cycle,
     sturm_count, sturm_sequence,
 )
-from growth.partitions import Frame, complement, contains, is_domino
+from growth.cylgrowth import cgd_enumerate
+from growth.partitions import (
+    Frame, _intermediates, added_box, complement, contains, index_set,
+    is_domino,
+)
 from test_partitions import all_partitions
 
 F24 = Frame(2, 4)
@@ -140,6 +145,63 @@ class TestSixPointCycle:
             six_point_cycle((2,), (), F24)  # domino skew
         with pytest.raises(ValueError):
             six_point_cycle((2,), (1, 1), F24)  # empty problem
+
+
+def reference_six_point_cycle(lam, mu, frame):
+    """six_point_cycle as it was before its vanishing pattern was cached:
+    the Pluecker coordinates evaluated at the six boundary points on every
+    call, and the labels filled in with the intermediate partitions."""
+    muc = complement(mu, frame)
+    middles = _intermediates(lam, muc)
+    boxes = {kappa: added_box(lam, kappa) for kappa in middles}
+    kappa1, kappa2 = sorted(middles, key=lambda k: -boxes[k][0])
+    _, i, j = _split_indices(index_set(lam, frame), index_set(muc, frame))
+    q = j - i
+    labels = []
+    for point in boundary_points(q):
+        if point == ("slant_end",):
+            labels.append(kappa1)
+        elif point == ("horizontal_end",):
+            labels.append(kappa2)
+        else:
+            tau, u = point
+            k2_value = _tau_over_u(q, u) if u == 0 else tau / u
+            assert not (u == 0 and k2_value == 0)
+            labels.append(kappa2 if u == 0 else
+                          kappa1 if k2_value == 0 else None)
+    for pos in (2, 5):
+        before = labels[pos - 1]
+        assert labels[pos] is None and before == labels[(pos + 1) % 6]
+        labels[pos] = (1, 1) if before == kappa2 else (2,)
+    return tuple(labels)
+
+
+def six_point_visits():
+    """Every (frame, lam, mu) that the six-point check passes to
+    six_point_cycle: the conic pairs of (2,4)-(2,6), through
+    four_point_solve, and the two-step segments adding two nonadjacent
+    boxes in the enumerated diagrams of (2,4) and (2,5), through
+    consistency_with_growth."""
+    visits = {(frame, lam, mu) for frame in (F24, F25, F26)
+              for lam, mu in _conic_pairs(frame)}
+    for frame in (F24, F25):
+        r = frame.size
+        for g in cgd_enumerate(frame):
+            for i in range(r):
+                for j in range(i, i + r - 1):
+                    lam, top = g.get(i, j), g.get(i, j + 2)
+                    if not is_domino(lam, top):
+                        visits.add((frame, lam, complement(top, frame)))
+    return sorted(visits, key=repr)
+
+
+def test_six_point_cycle_matches_uncached():
+    visits = six_point_visits()
+    reports = [four_point_solve(lam, mu, frame) for frame, lam, mu in visits]
+    assert len({report.j - report.i for report in reports}) > 1  # several q
+    for frame, lam, mu in visits:
+        assert six_point_cycle(lam, mu, frame) == \
+            reference_six_point_cycle(lam, mu, frame), (frame, lam, mu)
 
 
 def _conic_pairs(frame):

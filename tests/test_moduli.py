@@ -1,20 +1,30 @@
 """Tests for facets, wall crossings, the monodromy graph, and tree
 labelings with fiber counts."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from functools import cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_validate
+from growth import moduli
+from growth.cylgrowth import (
+    CylGrowthDiagram, _Completion, cgd_enumerate, cgd_validate,
+)
 from growth.decgd import decgd_enumerate, decgd_validate, restrict_cgd
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
-    LabeledTree, Wall, _FiberTables, all_trees, build_cover_graph,
-    canonical_order, cross_cgd, cross_decgd, cross_facet, export, facets,
-    fiber_count, graph_components, node_labelings, star_tree, transport_cgd,
-    transport_decgd, walls,
+    LabeledTree, MonodromyGraph, Wall, _FiberTables, all_trees,
+    build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
+    export, facets, fiber_count, graph_components, node_labelings, star_tree,
+    transport_cgd, transport_decgd, walls,
 )
 from growth.partitions import (
     Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
@@ -397,6 +407,7 @@ class TestCoverGraph:
         assert graph_components(graph) == 1
 
 
+@cache
 def reference_cover(frame, shape):
     """The cover built node by node: enumerate the fiber again for every
     facet, cross every (node, wall) pair, transport the result and look it
@@ -438,9 +449,11 @@ COVER_CASES = [
     (F26, ((2,), (2,), (2,), BOX, BOX)),
     (F26, ((2,), BOX, (2,), BOX, (2,))),
     (Frame(3, 5), ((1, 1), BOX, BOX, BOX, BOX)),
+    (Frame(3, 6), ((2,), BOX, (2,), BOX, (2,), BOX)),
+    (F26, ((2,), (2,), BOX, BOX, BOX, BOX)),
 ]
 COVER_IDS = ["24-1^4", "25-1^6", "25-2;1^4", "26-2;2;2;1;1", "26-2;1;2;1;2",
-             "35-11;1^4"]
+             "35-11;1^4", "36-2;1;2;1;2;1", "26-2;2;1^4"]
 
 
 class TestCoverTables:
@@ -465,7 +478,7 @@ class TestCoverTables:
             return min(side, everyone - side, key=sorted)
 
         for facet in facets(r):
-            size = len(tables.fiber(facet)[0])
+            size = len(tables.fiber(facet))
             for wall in walls(r):
                 new_facet, gmap = cross_facet(facet, wall.complementary())
                 table = tables.move(facet, wall, new_facet, gmap)
@@ -479,14 +492,133 @@ class TestCoverTables:
                 assert [back_table[j] for j in table] == list(range(size))
         assert tables.moves
 
-    def test_one_fiber_for_all_boxes(self):
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        """Count the calls of owner.name from now on."""
+        calls = []
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_fiber_for_all_boxes(self, monkeypatch):
+        # the two promotion-orbit solves of the (2,5) fiber are the only
+        # solves: every crossing is found in the fiber, none is regrown
+        solves = self.spy(monkeypatch, _Completion, "solve")
+        crossings = self.spy(monkeypatch, moduli, "cross_cgd")
         tables = _FiberTables(F25, (BOX,) * 6)
         for facet in facets(6):
             for wall in walls(6):
                 tables.move(facet, wall,
                             *cross_facet(facet, wall.complementary()))
         assert len(tables.fibers) == 1
-        assert len(tables.crossed) == len(walls(6))
+        assert (len(solves), len(crossings)) == (2, 0)
+
+    def test_one_solve_per_class_diagram(self, monkeypatch):
+        # four contents tuples, each a fiber of four class diagrams with
+        # one solve each, and no crossing regrown
+        shape = (BOX, (2,), (2,), BOX, (2,))
+        tables = _FiberTables(F26, shape)
+        contents = {tables.contents(facet) for facet in facets(5)}
+        solves = self.spy(monkeypatch, _Completion, "solve")
+        crossings = self.spy(monkeypatch, moduli, "cross_decgd")
+        graph = build_cover_graph(F26, shape)
+        assert len(graph.nodes) == len(facets(5)) * 4
+        assert (len(contents), len(solves), len(crossings)) == (4, 16, 0)
+
+    @pytest.mark.parametrize("frame,shape", [
+        (F25, (BOX,) * 6), (F26, ((2,), (2,), (2,), BOX, BOX))],
+        ids=["25-1^6", "26-2;2;2;1;1"])
+    def test_missing_diagram_raises(self, frame, shape, monkeypatch):
+        # a fiber short of one diagram cannot hold every crossing once;
+        # the build stops, naming the facet and the wall, before any graph
+        tables = _FiberTables(frame, shape)
+        first = tables.contents(facets(len(shape))[0])
+        name = "cgd_enumerate" if tables.all_box else "decgd_enumerate"
+        enumerate_fiber = getattr(moduli, name)
+
+        def short_of_one(frame, *contents):
+            # the one all-box fiber, or the class fiber over the first facet
+            diagrams = enumerate_fiber(frame, *contents)
+            return diagrams[1:] if contents in ((), (first,)) else diagrams
+
+        monkeypatch.setattr(moduli, name, short_of_one)
+        with pytest.raises(ValueError, match=r"^crossing wall \(\d+, \d+\) "
+                           r"from facet \(1, [\d, ]+\) is no bijection onto "
+                           r"the fiber over \(1, [\d, ]+\)$"):
+            build_cover_graph(frame, shape)
+
+    def test_class_covers_of_two_frames_in_one_process(self):
+        # a (2,6) and a (3,6) cover share classes of equal representative
+        # and rectification shape but not their glide images; each is built
+        # in a fresh process after the other, and both equal the reference
+        cases = [(F26, "2;2;2;1;1"), (Frame(3, 6), "2;1;2;1;2;1")]
+        expected = []
+        for frame, text in cases:
+            shape = tuple((int(k),) for k in text.split(";"))
+            graph = MonodromyGraph(frame, shape, *reference_cover(frame, shape))
+            expected.append(hashlib.sha256(
+                exported(graph, "json").encode()).hexdigest())
+        code = (
+            "import hashlib, io, sys\n"
+            "from growth.moduli import build_cover_graph, export\n"
+            "from growth.partitions import Frame\n"
+            "for d, n, text in zip(*[iter(sys.argv[1:])] * 3):\n"
+            "    shape = [(int(k),) for k in text.split(';')]\n"
+            "    out = io.StringIO()\n"
+            "    export(build_cover_graph(Frame(int(d), int(n)), shape),\n"
+            "           'json', out)\n"
+            "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                               / "src")}
+        for order in (cases, cases[::-1]):
+            argv = [str(x) for frame, text in order
+                    for x in (frame.d, frame.n, text)]
+            run = subprocess.run([sys.executable, "-c", code, *argv],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=300)
+            assert run.returncode == 0, run.stderr
+            want = expected if order is cases else expected[::-1]
+            assert run.stdout.split() == want
+
+
+TABLE_FRAMES = [F24, F25, F26, Frame(3, 5), Frame(3, 6)]
+
+
+@st.composite
+def table_moves(draw):
+    """A frame up to (3,6), a shape of 4 to 8 conditions with a non-empty
+    fiber, a facet and a wall."""
+    frame = draw(st.sampled_from(TABLE_FRAMES))
+    total = frame.size
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=3,
+                               max_size=min(7, total - 1))))
+    sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    shape = tuple(draw(st.sampled_from([lam for lam in partitions_in(frame)
+                                        if sum(lam) == size]))
+                  for size in sizes)
+    assume(lr_coefficient(frame.rectangle(), list(shape)) > 0)
+    r = len(shape)
+    return (frame, shape, draw(st.sampled_from(facets(r))),
+            draw(st.sampled_from(walls(r))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_moves())
+def test_move_is_the_fiber_index_of_the_crossing(case):
+    frame, shape, facet, wall = case
+    tables = _FiberTables(frame, shape)
+    new_facet, gmap = cross_facet(facet, wall.complementary())
+    cross, transport = ((cross_cgd, transport_cgd) if tables.all_box
+                        else (cross_decgd, transport_decgd))
+    targets = tables.fiber(new_facet)
+    assert tables.move(facet, wall, new_facet, gmap) == [
+        targets.index(transport(cross(g, wall), gmap))
+        for g in tables.fiber(facet)]
 
 
 def exported(graph, fmt):
