@@ -51,7 +51,6 @@ class EmptyReport(_Value):
     contain the other, so there are no solutions."""
 
     __slots__ = ("lam", "mu")
-    kind = "empty"
 
     def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
         _set(self, "lam", lam)
@@ -63,8 +62,6 @@ class DegenerateReport(_Value):
     family maps isomorphically to the base, degree one, no monodromy."""
 
     __slots__ = ("lam", "mu")
-    degree = 1
-    kind = "degenerate"
 
     def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
         _set(self, "lam", lam)
@@ -81,7 +78,6 @@ class ConicReport(_Value):
 
     __slots__ = ("frame", "lam", "mu", "s", "i", "j", "conic", "pluecker",
                  "labels")
-    kind = "conic"
 
     def __init__(self, frame: Frame, lam: tuple[int, ...],
                  mu: tuple[int, ...], s: tuple[int, ...], i: int, j: int,
@@ -148,7 +144,7 @@ def four_point_solve(lam, mu, frame: Frame):
         (sub_m, Monomial(Fraction(1, delta(sub_m)), 1, 0)),
     )
     return ConicReport(frame, lam, mu, s, i, j, (q - 1, q, q, q + 1),
-                       pluecker, six_point_cycle(lam, mu, frame))
+                       pluecker, _cycle_labels(lam, muc, q))
 
 
 def _tau_over_u(q: int, u: Fraction) -> Fraction:
@@ -227,15 +223,19 @@ def six_point_cycle(lam, mu, frame: Frame):
     if not contains(muc, lam) or sum(muc) - sum(lam) != 2 or \
             is_domino(lam, muc):
         raise ValueError("the skew difference must be two nonadjacent boxes")
+    _, i, j = _split_indices(index_set(lam, frame), index_set(muc, frame))
+    return _cycle_labels(lam, muc, j - i)
+
+
+def _cycle_labels(lam, muc, q: int):
+    """The six-point cycle between lam and muc, two nonadjacent boxes
+    apart with q = j - i."""
     middles = _intermediates(lam, muc)
     boxes = {kappa: added_box(lam, kappa) for kappa in middles}
     # the southwest box has the larger row index
     kappa1, kappa2 = sorted(middles, key=lambda k: -boxes[k][0])
-    left = index_set(lam, frame)
-    right = index_set(muc, frame)
-    _, i, j = _split_indices(left, right)
     labels = (kappa1, kappa2, (1, 1), (2,))
-    return tuple(labels[x] for x in _boundary_labels(j - i))
+    return tuple(labels[x] for x in _boundary_labels(q))
 
 
 def consistency_with_growth(frame: Frame) -> bool:

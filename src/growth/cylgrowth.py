@@ -59,6 +59,7 @@ class CylGrowthDiagram(_Value):
     def from_json(data: dict) -> "CylGrowthDiagram":
         """Read a diagram from untrusted data; raises ValueError naming
         the first structural or semantic problem."""
+        _json_keys(data, "frame", "r", "rows")
         frame = _json_frame(data)
         r = _json_int(data["r"], "r")
         if r != frame.size:
@@ -85,6 +86,12 @@ def _json_table(data: dict, key: str, height: int, width: int,
                  for i, row in enumerate(table))
 
 
+def _json_keys(data: dict, *keys: str) -> None:
+    """Refuse data unless its keys are exactly the given ones."""
+    if sorted(data) != sorted(keys):
+        raise ValueError(f"the keys are {sorted(data)}, not {sorted(keys)}")
+
+
 def _json_int(value, path: str) -> int:
     """value if it is an int; a float or bool is refused, since the
     memoized partition kernels would take it for the int it hashes like."""
@@ -100,13 +107,17 @@ def _json_list(value, path: str) -> list:
 
 
 def _json_partition(value, path: str) -> tuple[int, ...]:
-    """A partition read from a list of ints."""
+    """A partition read from a list of ints, written as the diagrams
+    write it: weakly decreasing, no trailing zero."""
     parts = [_json_int(p, f"{path}[{i}]")
              for i, p in enumerate(_json_list(value, path))]
     try:
-        return normalize(parts)
+        lam = normalize(parts)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if len(lam) != len(parts):
+        raise ValueError(f"{path}: {value!r} ends in a zero part")
+    return lam
 
 
 def _json_frame(data: dict) -> Frame:

@@ -3,15 +3,17 @@ from fine diagrams, first-row construction (lift the row-0 classes'
 representatives to a fine diagram and restrict it), enumeration, and
 validation.
 
-A diagram of r conditions stores the coarse entries gamma(k, l) for
-0 <= l - k <= r together with the class a(k, l) of the row step
-gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the column step
-gamma(k, l) -> gamma(k-1, l), both for 0 <= l - k < r.  Everything is
-periodic under (k, l) -> (k+r, l+r) and stored on residues of k."""
+A diagram of r conditions stores only its classes: the class a(k, l) of
+the row step gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the
+column step gamma(k, l) -> gamma(k-1, l), both for 0 <= l - k < r.  The
+coarse entries gamma(k, l) for 0 <= l - k <= r are the shapes the row
+classes run between, and the contents are the rectification shapes of
+the row-0 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and
+stored on residues of k."""
 
 from growth.cylgrowth import (
-    CylGrowthDiagram, cgd_from_path, _json_frame, _json_int, _json_list,
-    _json_partition, _json_table, row_path,
+    CylGrowthDiagram, cgd_from_path, _json_frame, _json_int, _json_keys,
+    _json_list, _json_partition, _json_table, row_path,
 )
 from growth.partitions import Frame, _set, _Value, normalize, shapes_between
 from growth.tableaux import (
@@ -20,30 +22,20 @@ from growth.tableaux import (
 
 
 class Decgd(_Value):
-    """Growth diagram of dual-equivalence classes.
+    """Growth diagram of dual-equivalence classes, stored as its classes.
 
-    gamma[k][m] is the entry at (k, k+m) for k in [0, r), m in [0, r];
-    a[k][m] and b[k][m] are the classes at (k, k+m) for m in [0, r)."""
+    a[k][m] and b[k][m] are the classes at (k, k+m) for k, m in [0, r);
+    the entries and the contents are read off them."""
 
-    __slots__ = ("frame", "r", "shape", "gamma", "a", "b")
+    __slots__ = ("frame", "r", "a", "b")
 
     def __init__(self, frame: Frame, r: int,
-                 shape: tuple[tuple[int, ...], ...],
-                 gamma: tuple[tuple[tuple[int, ...], ...], ...],
                  a: tuple[tuple[DualClass, ...], ...],
                  b: tuple[tuple[DualClass, ...], ...]):
         _set(self, "frame", frame)
         _set(self, "r", r)
-        _set(self, "shape", shape)
-        _set(self, "gamma", gamma)
         _set(self, "a", a)
         _set(self, "b", b)
-
-    def get_gamma(self, k: int, l: int) -> tuple[int, ...]:
-        m = l - k
-        if not (0 <= m <= self.r):
-            raise IndexError(f"({k},{l}) outside the diagram band")
-        return self.gamma[k % self.r][m]
 
     def get_a(self, k: int, l: int) -> DualClass:
         m = l - k
@@ -58,12 +50,24 @@ class Decgd(_Value):
         return self.b[k % self.r][m]
 
     @property
+    def shape(self) -> tuple[tuple[int, ...], ...]:
+        """The contents: the rectification shape of each row-0 class."""
+        return tuple(cls.rshape for cls in self.a[0])
+
+    @property
+    def gamma(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """gamma[k][m], the entry at (k, k+m) for m in [0, r]: the inner
+        shape of each class of row k, then the outer shape of the last."""
+        return tuple(tuple(cls.inner for cls in row) + (row[-1].outer,)
+                     for row in self.a)
+
+    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(sum(lam) for lam in self.shape)
 
     def to_json(self) -> dict:
-        """The diagram as JSON data, with the stored tuples as arrays and
-        each class as its representative chain."""
+        """The diagram as JSON data, with its tuples as arrays and each
+        class as its representative chain."""
         return {
             "frame": {"d": self.frame.d, "n": self.frame.n},
             "r": self.r,
@@ -78,49 +82,57 @@ class Decgd(_Value):
     @staticmethod
     def from_json(data: dict) -> "Decgd":
         """Read a diagram from untrusted data; raises ValueError naming
-        the first structural or semantic problem."""
+        the first structural or semantic problem.  The shape gets the
+        checks of :func:`check_shape`, and the shape and rows must be
+        those the classes give."""
+        _json_keys(data, "frame", "r", "shape", "rows", "a", "b")
         frame = _json_frame(data)
         r = _json_int(data["r"], "r")
         shape = data["shape"]
         if not isinstance(shape, list) or len(shape) != r:
             raise ValueError(f"r = {r!r}, but the shape does not list "
                              f"r conditions")
-        d = Decgd(
-            frame, r,
-            tuple(_json_partition(lam, f"shape[{i}]")
-                  for i, lam in enumerate(shape)),
-            _json_table(data, "rows", r, r + 1, _json_partition),
-            _json_table(data, "a", r, r, _json_class),
-            _json_table(data, "b", r, r, _json_class),
-        )
+        shape = check_shape(_json_partition(lam, f"shape[{i}]")
+                            for i, lam in enumerate(shape))
+        rows = _json_table(data, "rows", r, r + 1, _json_partition)
+        d = Decgd(frame, r, _json_table(data, "a", r, r, _json_class),
+                  _json_table(data, "b", r, r, _json_class))
         ok, problems = decgd_validate(d)
         if not ok:
             raise ValueError(problems[0])
+        for k, (lam, got) in enumerate(zip(shape, d.shape)):
+            if lam != got:
+                raise ValueError(f"first-row class {k} has the wrong content")
+        if rows != d.gamma:
+            raise ValueError("the rows are not the entries of the classes")
         return d
 
 
 def _json_class(value, path: str) -> DualClass:
-    """The class of a tableau read from a list of partitions."""
+    """The class of a tableau read from a list of partitions, which must
+    be the class's representative, as the diagrams write it."""
     chain = [_json_partition(p, f"{path}[{i}]")
              for i, p in enumerate(_json_list(value, path))]
     try:
-        return DualClass.of(validate_chain(chain))
+        cls = DualClass.of(validate_chain(chain))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if list(cls.representative) != chain:
+        raise ValueError(f"{path}: not the representative of its class")
+    return cls
 
 
 def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
     """Restrict a fine diagram to the sublattice marked off by sizes: the
-    coarse entries are fine entries at the cumulative indices, and the
     classes are the dual-equivalence classes of the fine sub-chains along
-    rows and columns.
+    rows and columns between the cumulative indices.
 
     Block boundary x of the coarse diagram sits at fine index at[x + 1],
     for x from -1 to 2r.  Row k of the coarse diagram lies in fine row
-    at[k + 1] < d(n-d), so its entries and row classes are slices of that
-    stored row.  The column class at (k, l) runs up fine column at[l + 1]
-    from row at[k + 1] to row at[k], reading entry (i, j) from fine.rows
-    at (i mod d(n-d), j - i)."""
+    at[k + 1] < d(n-d), so its row classes are slices of that stored row.
+    The column class at (k, l) runs up fine column at[l + 1] from row
+    at[k + 1] to row at[k], reading entry (i, j) from fine.rows at
+    (i mod d(n-d), j - i)."""
     sizes = tuple(int(s) for s in sizes)
     if any(s <= 0 for s in sizes):
         raise ValueError("sizes must be positive")
@@ -135,7 +147,6 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
     at = [prefix[r - 1] - total] + prefix + [total + p for p in prefix[1:]]
     rows = fine.rows
     of = DualClass.of
-    gamma = []
     a_rows = []
     b_rows = []
     for k in range(r):
@@ -143,16 +154,13 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
         below = at[k]
         row = rows[start]
         cuts = [x - start for x in at[k + 1:k + r + 2]]
-        gamma.append(tuple(row[c] for c in cuts))
         a_rows.append(tuple(of(row[lo:hi + 1])
                             for lo, hi in zip(cuts, cuts[1:])))
         b_rows.append(tuple(
             of(tuple(rows[i % total][col - i]
                      for i in range(start, below - 1, -1)))
             for col in at[k + 1:k + r + 1]))
-    shape = tuple(cls.rshape for cls in a_rows[0])
-    return Decgd(fine.frame, r, shape, tuple(gamma), tuple(a_rows),
-                 tuple(b_rows))
+    return Decgd(fine.frame, r, tuple(a_rows), tuple(b_rows))
 
 
 def _concatenate(reps) -> tuple:
@@ -165,20 +173,10 @@ def _concatenate(reps) -> tuple:
     return tuple(chain)
 
 
-def decgd_from_first_row(mu_chain, classes, frame: Frame) -> Decgd:
-    """The unique diagram whose row 0 has the given coarse chain and
-    classes: lift along row 0 and restrict."""
-    mu_chain = tuple(normalize(p) for p in mu_chain)
-    classes = tuple(classes)
-    r = len(classes)
-    if len(mu_chain) != r + 1:
-        raise ValueError("need one more chain entry than classes")
-    if mu_chain[0] != () or mu_chain[-1] != frame.rectangle():
-        raise ValueError("chain must run from the empty shape to the rectangle")
-    for m, cls in enumerate(classes):
-        if cls.inner != mu_chain[m] or cls.outer != mu_chain[m + 1]:
-            raise ValueError(f"class {m} has shape {cls.outer}/{cls.inner}, "
-                             f"expected {mu_chain[m + 1]}/{mu_chain[m]}")
+def decgd_from_first_row(classes, frame: Frame) -> Decgd:
+    """The unique diagram whose row 0 has the given classes: lift along
+    row 0 and restrict.  The classes must meet end to end and run from the
+    empty shape to the rectangle."""
     fine = cgd_from_path(
         row_path(frame.size),
         _concatenate([cls.representative for cls in classes]), frame)
@@ -186,25 +184,23 @@ def decgd_from_first_row(mu_chain, classes, frame: Frame) -> Decgd:
 
 
 def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
-    """Check anchors, class shapes, first-row rectification shapes, and the
-    shuffle condition on every unit cell."""
+    """Check that the classes meet along rows and columns and that each
+    row runs from the empty shape to the rectangle, then the shuffle
+    condition on every unit cell."""
     problems = []
     r = d.r
+    gamma = d.gamma
     for k in range(r):
-        if d.gamma[k][0] != ():
+        if gamma[k][0] != ():
             problems.append(f"row {k}: diagonal entry not empty")
-        if d.gamma[k][r] != d.frame.rectangle():
+        if gamma[k][r] != d.frame.rectangle():
             problems.append(f"row {k}: offset {r} is not the rectangle")
         for m in range(r):
-            a = d.a[k][m]
-            if a.inner != d.gamma[k][m] or a.outer != d.get_gamma(k, k + m + 1):
+            if d.a[k][m].outer != gamma[k][m + 1]:
                 problems.append(f"a({k},{k + m}) has the wrong shape")
             b = d.b[k][m]
-            if b.inner != d.gamma[k][m] or \
-                    b.outer != d.get_gamma(k - 1, k + m):
+            if b.inner != gamma[k][m] or b.outer != gamma[k - 1][m + 1]:
                 problems.append(f"b({k},{k + m}) has the wrong shape")
-        if d.a[0][k].rshape != d.shape[k % r]:
-            problems.append(f"first-row class {k} has the wrong content")
     if problems:
         # the shuffle condition is defined only on consecutive classes
         return (False, problems)
@@ -237,8 +233,8 @@ def check_shape(shape, written=None) -> tuple[tuple[int, ...], ...]:
 
 def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
     """All diagrams with the given sequence of contents, one per choice of
-    first-row chain and classes, ordered by the first row.  The shape is
-    checked by :func:`check_shape`."""
+    row-0 classes, ordered by the first row.  The shape is checked by
+    :func:`check_shape`."""
     shape = check_shape(shape)
     r = len(shape)
     total = frame.size
@@ -247,16 +243,16 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
         return []
     results = []
 
-    def build(mu_chain, classes):
+    def build(classes):
         m = len(classes)
         if m == r:
-            results.append(decgd_from_first_row(mu_chain, classes, frame))
+            results.append(decgd_from_first_row(classes, frame))
             return
+        mu = classes[-1].outer if classes else ()
         target = sum(sum(lam) for lam in shape[:m + 1])
-        for nu in sorted(shapes_between(mu_chain[-1], frame.rectangle(),
-                                        target)):
-            for cls in dual_classes(nu, mu_chain[-1], shape[m]):
-                build(mu_chain + [nu], classes + [cls])
+        for nu in sorted(shapes_between(mu, frame.rectangle(), target)):
+            for cls in dual_classes(nu, mu, shape[m]):
+                build(classes + [cls])
 
-    build([()], [])
+    build([])
     return results

@@ -64,11 +64,6 @@ class Wall(_Value):
         _set(self, "b", b)
         _set(self, "r", r)
 
-    @property
-    def positions(self) -> frozenset[int]:
-        return frozenset(((x - 1) % self.r) + 1
-                         for x in range(self.a, self.b + 1))
-
     def complementary(self) -> "Wall":
         """The same chord presented from the other side."""
         start = self.b + 1
@@ -219,10 +214,7 @@ def transport_cgd(g: CylGrowthDiagram, gmap) -> CylGrowthDiagram:
 
 
 def transport_decgd(d: Decgd, gmap) -> Decgd:
-    (gamma,) = _transport(gmap, d.gamma)
-    a, b = _transport(gmap, d.a, d.b)
-    shape = tuple(cls.rshape for cls in a[0])
-    return Decgd(d.frame, d.r, shape, gamma, a, b)
+    return Decgd(d.frame, d.r, *_transport(gmap, d.a, d.b))
 
 
 # ---------------------------------------------------------------------------

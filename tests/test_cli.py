@@ -10,13 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.cli import main, parse_shape
-from growth.cylgrowth import CylGrowthDiagram
-from growth.decgd import decgd_enumerate
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
+from growth.decgd import Decgd, decgd_enumerate
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import Wall, cross_cgd
 from growth.partitions import Frame
+from growth.tableaux import DualClass, enumerate_chains
+from test_decgd import reference_restrict_cgd
 
 F24 = Frame(2, 4)
 REFERENCES = json.loads(
@@ -147,6 +150,8 @@ FIELD_CASES = [
                  "rows[0][1][0]: True is not an integer", id="bool-part"),
     pytest.param("fine", ("rows", 1, 2), 2,
                  "rows[1][2]: 2 is not a list", id="not-a-list"),
+    pytest.param("fine", ("rows", 0, 1), [1, 0],
+                 "rows[0][1]: [1, 0] ends in a zero part", id="zero-part"),
     pytest.param("fine", ("frame", "d"), 2.0,
                  "frame.d: 2.0 is not an integer", id="float-frame"),
     pytest.param("fine", ("frame", "n"), True,
@@ -159,6 +164,11 @@ FIELD_CASES = [
                  "r: True is not an integer", id="bool-r"),
     pytest.param("class", ("shape", 1), ["1"],
                  "shape[1][0]: '1' is not an integer", id="shape-part"),
+    pytest.param("class", ("shape", 1), [1, 0],
+                 "shape[1]: [1, 0] ends in a zero part", id="shape-zero"),
+    pytest.param("class", ("shape", 2), [],
+                 "condition 3 of ((1,), (1,), (), (1,)) is empty; each "
+                 "condition needs at least one box", id="empty-condition"),
     pytest.param("class", ("a", 0, 1, 1, 0), 1.0,
                  "a[0][1][1][0]: 1.0 is not an integer", id="class-entry"),
     pytest.param("class", ("b", 2, 0), [[], [1], [2, 1]],
@@ -212,6 +222,38 @@ class TestWallcrossMalformed:
         err = self._run(capsys, tmp_path, data, "1,2")
         assert "has the wrong shape" in err
 
+    @pytest.mark.parametrize("wall", ["1,2", "1,3", "2,3"])
+    def test_class_empty_condition(self, capsys, tmp_path, wall):
+        # restricted with an empty first block, the classes themselves
+        # carry the empty condition, as --shape "0;2;1;1" would
+        d = reference_restrict_cgd(cgd_enumerate(F24)[0], (0, 2, 1, 1))
+        assert d.shape[0] == ()
+        err = self._run(capsys, tmp_path,
+                        json.loads(json.dumps(d.to_json())), wall)
+        assert err.count("\n") == 1
+        assert "condition 1 of " in err and " is empty; " in err
+
+    def test_class_other_tableau(self, capsys, tmp_path):
+        # another tableau of the class names the same diagram, but the
+        # file is not that diagram's JSON
+        d = decgd_enumerate(Frame(2, 6), [(2, 1), (2, 1), (1,), (1,)])[0]
+        cls = d.a[0][0]
+        other = next(t for t in enumerate_chains(cls.outer, cls.inner)
+                     if t != cls.representative and DualClass.of(t) is cls)
+        data = json.loads(json.dumps(d.to_json()))
+        data["a"][0][0] = [list(p) for p in other]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "a[0][0]: not the representative of its class" in err
+
+    def test_class_without_a(self, capsys, tmp_path):
+        # on single boxes its rows are a fine diagram's, but the file is
+        # neither kind of diagram
+        data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
+        del data["a"]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert "the keys are ['b', 'frame', 'r', 'rows', 'shape'], " \
+            "not ['frame', 'r', 'rows']" in err
+
     def test_not_an_object(self, capsys, tmp_path):
         err = self._run(capsys, tmp_path, [1, 2], "1,2")
         assert "not a JSON object" in err
@@ -228,6 +270,133 @@ class TestWallcrossMalformed:
         target[where[-1]] = value
         err = self._run(capsys, tmp_path, data, "1,2")
         assert want in err
+
+
+# valid diagram files, as JSON data, for the fuzz tests below: fine
+# diagrams of (2,4) and (2,5), and class diagrams of single boxes, of a
+# row among boxes, and of a row beside a column
+FUZZ_BASES = [json.loads(json.dumps(d.to_json())) for d in (
+    cgd_enumerate(F24)[1], golden_diagram("growth_example"),
+    decgd_enumerate(F24, [(1,)] * 4)[0],
+    decgd_enumerate(Frame(2, 5), [(2,)] + [(1,)] * 4)[2],
+    decgd_enumerate(Frame(2, 5), [(2,), (1, 1), (1,), (1,)])[0])]
+
+# one value of each JSON type; a retyped value gets one of another type
+FUZZ_VALUES = [None, "1", 1.0, True, 2, [], {}]
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value inside node, as tuples of keys."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _mutate(data, draw):
+    """Apply one drawn mutation to data in place: drop a key, retype a
+    value, truncate or extend a table or one of its rows, swap the class
+    tables, reorder the shape, or insert an empty condition."""
+    paths = list(_json_paths(data))
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "table", "swap", "reorder", "empty"]))
+    if kind == "drop":
+        path = draw(st.sampled_from(
+            [p for p in paths if isinstance(p[-1], str)]))
+        del _at(data, path[:-1])[path[-1]]
+    elif kind == "retype":
+        path = draw(st.sampled_from(paths))
+        old = _at(data, path)
+        _at(data, path[:-1])[path[-1]] = draw(st.sampled_from(
+            [v for v in FUZZ_VALUES if type(v) is not type(old)]))
+    elif kind == "table":
+        tables = [p for p in paths if len(p) <= 2
+                  and p[0] in ("rows", "a", "b", "shape")
+                  and isinstance(_at(data, p), list)]
+        if tables:
+            table = _at(data, draw(st.sampled_from(tables)))
+            if draw(st.booleans()) and table:
+                del table[-1]
+            else:
+                table.append(json.loads(json.dumps(table[-1]))
+                             if table else [])
+    elif kind == "swap" and "a" in data and "b" in data:
+        data["a"], data["b"] = data["b"], data["a"]
+    elif kind == "reorder" and isinstance(data.get("shape"), list):
+        data["shape"] = draw(st.permutations(data["shape"]))
+    elif kind == "empty" and isinstance(data.get("shape"), list):
+        data["shape"].insert(
+            draw(st.integers(0, len(data["shape"]))), [])
+        if draw(st.booleans()) and type(data.get("r")) is int:
+            data["r"] += 1
+
+
+def _check_exit(code, out, err, twice=False):
+    """Exit 0, or 2 with one error line and no output; 1 only when
+    crossing twice does not restore the diagram."""
+    if code == 1:
+        assert twice and "does not restore" in err
+    elif code != 0:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ_SETTINGS
+@given(base=st.sampled_from(FUZZ_BASES), data=st.data(),
+       wall=st.sampled_from(["1,2", "1,3", "2,3", "2,4", "3,5"]),
+       twice=st.booleans(), fmt=st.sampled_from(["json", "text"]))
+def test_fuzz_wallcross_files(capsys, tmp_path, base, data, wall, twice,
+                              fmt):
+    # a mutated file exits 0 only if it is still a diagram's own JSON
+    mutated = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(mutated, data.draw)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(mutated))
+    code, out, err = run(
+        capsys, "wallcross", "--input", str(path), "--wall", wall,
+        "--format", fmt, *(["--twice"] if twice else []))
+    _check_exit(code, out, err, twice)
+    if code != 2:
+        kind = (Decgd if "a" in mutated and "b" in mutated
+                else CylGrowthDiagram)
+        parsed = kind.from_json(mutated)
+        assert json.dumps(parsed.to_json(), sort_keys=True) == \
+            json.dumps(mutated, sort_keys=True)
+
+
+@FUZZ_SETTINGS
+@given(command=st.sampled_from(["enumerate", "cover"]),
+       frame=st.sampled_from([("2", "4"), ("2", "5")]),
+       base=st.sampled_from(["1;1;1;1", "2;1;1;1;1", "2,1;1;1;1",
+                             "2;1,1;1;1"]),
+       edits=st.lists(st.tuples(st.integers(0, 20),
+                                st.sampled_from(["", ";", ",", "0", "1",
+                                                 "2", "-", " ", "x"])),
+                      max_size=3))
+def test_fuzz_shape_strings(capsys, command, frame, base, edits):
+    # each edit replaces one character (or appends), "" deleting it
+    shape = base
+    for at, text in edits:
+        at %= len(shape) + 1
+        shape = shape[:at] + text + shape[at + 1:]
+    code, out, err = run(capsys, command, "--d", frame[0], "--n", frame[1],
+                         f"--shape={shape}", "--format", "json")
+    _check_exit(code, out, err)
+    if code == 0:
+        json.loads(out)
 
 
 class TestCover:

@@ -117,7 +117,6 @@ class TestFourPointSolve:
     def test_degenerate_domino(self):
         report = four_point_solve((2,), (), F24)
         assert isinstance(report, DegenerateReport)
-        assert report.degree == 1
 
     def test_codimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,9 @@ class TestRestrict:
 
 def reference_restrict_cgd(fine, sizes):
     """restrict_cgd as it was before it read rows by slices: every entry
-    through fine.get at indices from a cumulative index closure."""
+    through fine.get at indices from a cumulative index closure.  The
+    coarse entries and contents it computes must be those the classes
+    give."""
     r = len(sizes)
     total = fine.frame.size
     prefix = [0]
@@ -114,7 +116,9 @@ def reference_restrict_cgd(fine, sizes):
         a_rows.append(tuple(a_row))
         b_rows.append(tuple(b_row))
     shape = tuple(a_rows[0][m].rshape for m in range(r))
-    return Decgd(fine.frame, r, shape, gamma, tuple(a_rows), tuple(b_rows))
+    d = Decgd(fine.frame, r, tuple(a_rows), tuple(b_rows))
+    assert d.gamma == gamma and d.shape == shape
+    return d
 
 
 def compositions(total, parts):
@@ -196,7 +200,7 @@ class TestFirstRow:
         for chain in chains:
             classes = [dual_classes(chain[m + 1], chain[m], BOX)[0]
                        for m in range(4)]
-            d = decgd_from_first_row(chain, classes, F24)
+            d = decgd_from_first_row(classes, F24)
             assert d.shape == (BOX,) * 4
             ok, problems = decgd_validate(d)
             assert ok, problems
@@ -213,8 +217,11 @@ class TestFirstRow:
         chain = enumerate_chains(F24.rectangle(), ())[0]
         classes = [dual_classes(chain[m + 1], chain[m], BOX)[0]
                    for m in range(4)]
+        # classes that stop short of the rectangle, or do not meet
         with pytest.raises(ValueError):
-            decgd_from_first_row(chain[:-1] + ((2, 1),), classes, F24)
+            decgd_from_first_row(classes[:-1], F24)
+        with pytest.raises(ValueError):
+            decgd_from_first_row(classes[1:] + classes[:1], F24)
 
 
 class TestEnumerate:

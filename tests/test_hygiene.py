@@ -1,9 +1,10 @@
 """Source hygiene: every name a growth module imports is used in that
-module (or re-exported through its __all__), and every public function or
-class a growth module defines is used by the package itself, not only by
-the tests."""
+module (or re-exported through its __all__), and every public function,
+class, method, property or class attribute a growth module defines is
+used by the package itself, not only by the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,62 @@ def test_detects_unreferenced_names():
 def test_no_test_only_public_names():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreferenced_names(sources) == []
+
+
+def attribute_reads(node) -> Counter:
+    """How often each attribute name is read anywhere inside node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and not isinstance(n.ctx, ast.Store))
+
+
+def unreferenced_members(sources: dict[str, str]) -> list[str]:
+    """module.Class.name of each public method, property or class
+    attribute of a module-level class of the package {module: source}
+    that no package code reads as an attribute outside the member's own
+    definition.  Names with a leading underscore, dunders among them, are
+    exempt.  A read matches by name, on any object, so a member that
+    shares its name with a used one passes."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    reads = sum(map(attribute_reads, trees.values()), Counter())
+    unused = []
+    for stem, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    continue
+                own = attribute_reads(node)
+                unused.extend(f"{stem}.{cls.name}.{name} (line {node.lineno})"
+                              for name in names if not name.startswith("_")
+                              and reads[name] == own[name])
+    return sorted(unused)
+
+
+def test_detects_unreferenced_members():
+    sources = {
+        "a": "class Shape:\n    kind = 'shape'\n    size = 1\n"
+             "    __slots__ = ()\n\n    def area(self):\n"
+             "        return self.size\n\n    @property\n"
+             "    def width(self):\n        return 0\n\n"
+             "    def again(self):\n        return self.again()\n\n"
+             "    def _helper(self):\n        pass\n\n"
+             "    def __len__(self):\n        return 0\n",
+        # reading the name on any object counts as a use
+        "b": "from growth.a import Shape\n\n\ndef main(x):\n"
+             "    return Shape().area(), x.width\n",
+    }
+    # a recursive call is no use from outside
+    assert unreferenced_members(sources) == [
+        "a.Shape.again (line 13)", "a.Shape.kind (line 2)"]
+
+
+def test_no_test_only_public_members():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_members(sources) == []
