@@ -64,8 +64,6 @@ def parse_wall(text: str, r: int):
 
 
 def _frame(args) -> Frame:
-    if args.d is None or args.n is None:
-        raise UsageError("--d and --n are required")
     if not 0 < args.d < args.n:
         raise UsageError("need 0 < d < n")
     return Frame(args.d, args.n)
@@ -90,11 +88,6 @@ def _shape(args, frame: Frame):
         print(f"note: no diagrams, the sizes must satisfy "
               f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
     return shape
-
-
-def _formats(args, *allowed) -> None:
-    if args.fmt not in allowed:
-        raise UsageError(f"format {args.fmt!r} not supported here")
 
 
 @contextmanager
@@ -132,7 +125,6 @@ def _diagram_text(obj) -> str:
 def cmd_enumerate(args) -> int:
     frame = _frame(args)
     shape = None if args.shape is None else _shape(args, frame)
-    _formats(args, "json", "text")
     with _output(args) as out:
         if shape is None:
             diagrams = cgd_enumerate(frame)
@@ -166,13 +158,8 @@ def _load_diagram(path: str):
 
 
 def cmd_wallcross(args) -> int:
-    if args.path is None:
-        raise UsageError("--input FILE with the diagram is required")
     diagram = _load_diagram(args.path)
-    if args.wall is None:
-        raise UsageError("--wall a,b is required")
     wall = parse_wall(args.wall, diagram.r)
-    _formats(args, "json", "text")
     from growth.moduli import cross_cgd, cross_decgd
     cross = (cross_cgd if isinstance(diagram, CylGrowthDiagram)
              else cross_decgd)
@@ -197,8 +184,6 @@ def cmd_wallcross(args) -> int:
 
 def cmd_cover(args) -> int:
     frame = _frame(args)
-    if args.shape is None:
-        raise UsageError("--shape is required")
     shape = _shape(args, frame)
     from growth.moduli import build_cover_graph, export, graph_components
     with _output(args) as out:
@@ -215,7 +200,6 @@ def cmd_cover(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _formats(args, "json", "text")
     with _output(args) as out:
         # imported here: the checks bring the conic and the goldens, which
         # no other command needs
@@ -248,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "exact conic verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, frame=True):
+    def common(p, frame=True, formats=("json", "text")):
         if frame:
-            p.add_argument("--d", type=int)
-            p.add_argument("--n", type=int)
+            p.add_argument("--d", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", dest="fmt", default="text",
-                       choices=["json", "dot", "text"])
+                       choices=formats)
         p.add_argument("--out")
 
     p = sub.add_parser("enumerate", help="list diagrams for a frame")
@@ -262,14 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wallcross", help="cross a wall on a diagram")
     common(p, frame=False)
-    p.add_argument("--input", dest="path", help="diagram JSON file")
-    p.add_argument("--wall", help="positions 'a,b'")
+    p.add_argument("--input", dest="path", required=True,
+                   help="diagram JSON file")
+    p.add_argument("--wall", required=True, help="positions 'a,b'")
     p.add_argument("--twice", action="store_true",
                    help="also verify that crossing twice restores the input")
 
     p = sub.add_parser("cover", help="build the monodromy cover graph")
-    common(p)
-    p.add_argument("--shape", help="conditions, e.g. '1;1;1;1'")
+    common(p, formats=("json", "dot", "text"))
+    p.add_argument("--shape", required=True,
+                   help="conditions, e.g. '1;1;1;1'")
 
     p = sub.add_parser("verify", help="run the verification suites")
     common(p, frame=False)

@@ -1,7 +1,8 @@
 """Cylindrical growth diagrams of dual-equivalence classes: restriction
 from fine diagrams, first-row construction (lift the row-0 classes'
 representatives to a fine diagram and restrict it), enumeration, and
-validation.
+reading from JSON.  A diagram is fixed by its row-0 classes, so a file is
+read as the diagram they grow and accepted only if it is that diagram.
 
 A diagram of r conditions stores only its classes: the class a(k, l) of
 the row step gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the
@@ -16,9 +17,7 @@ from growth.cylgrowth import (
     _json_list, _json_partition, _json_table, row_path,
 )
 from growth.partitions import Frame, _set, _Value, normalize, shapes_between
-from growth.tableaux import (
-    DualClass, dual_classes, shuffle_classes, validate_chain,
-)
+from growth.tableaux import DualClass, dual_classes, validate_chain
 
 
 class Decgd(_Value):
@@ -83,8 +82,10 @@ class Decgd(_Value):
     def from_json(data: dict) -> "Decgd":
         """Read a diagram from untrusted data; raises ValueError naming
         the first structural or semantic problem.  The shape gets the
-        checks of :func:`check_shape`, and the shape and rows must be
-        those the classes give."""
+        checks of :func:`check_shape` and must be the contents of the
+        row-0 classes; every class must be the one that the row-0 classes
+        grow, by :func:`decgd_from_first_row`; and the rows must be the
+        entries of the classes."""
         _json_keys(data, "frame", "r", "shape", "rows", "a", "b")
         frame = _json_frame(data)
         r = _json_int(data["r"], "r")
@@ -95,14 +96,23 @@ class Decgd(_Value):
         shape = check_shape(_json_partition(lam, f"shape[{i}]")
                             for i, lam in enumerate(shape))
         rows = _json_table(data, "rows", r, r + 1, _json_partition)
-        d = Decgd(frame, r, _json_table(data, "a", r, r, _json_class),
-                  _json_table(data, "b", r, r, _json_class))
-        ok, problems = decgd_validate(d)
-        if not ok:
-            raise ValueError(problems[0])
-        for k, (lam, got) in enumerate(zip(shape, d.shape)):
-            if lam != got:
+        a = _json_table(data, "a", r, r, _json_class)
+        b = _json_table(data, "b", r, r, _json_class)
+        for k, (lam, cls) in enumerate(zip(shape, a[0])):
+            if lam != cls.rshape:
                 raise ValueError(f"first-row class {k} has the wrong content")
+        try:
+            d = decgd_from_first_row(a[0], frame)
+        except ValueError as exc:
+            raise ValueError(
+                f"the row-0 classes grow no diagram: {exc}") from None
+        for name, table, grown in (("a", a, d.a), ("b", b, d.b)):
+            for k, (row, want) in enumerate(zip(table, grown)):
+                for m, (cls, want_cls) in enumerate(zip(row, want)):
+                    if cls != want_cls:
+                        raise ValueError(
+                            f"{name}({k},{k + m}) is not the class that "
+                            f"the row-0 classes grow")
         if rows != d.gamma:
             raise ValueError("the rows are not the entries of the classes")
         return d
@@ -166,9 +176,9 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
 def _concatenate(reps) -> tuple:
     """The chain that runs through the representatives in turn."""
     chain = list(reps[0])
-    for t in reps[1:]:
+    for k, t in enumerate(reps[1:], 1):
         if t[0] != chain[-1]:
-            raise ValueError("representatives do not concatenate")
+            raise ValueError(f"representatives {k - 1} and {k} do not meet")
         chain.extend(t[1:])
     return tuple(chain)
 
@@ -181,37 +191,6 @@ def decgd_from_first_row(classes, frame: Frame) -> Decgd:
         row_path(frame.size),
         _concatenate([cls.representative for cls in classes]), frame)
     return restrict_cgd(fine, tuple(sum(c.rshape) for c in classes))
-
-
-def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
-    """Check that the classes meet along rows and columns and that each
-    row runs from the empty shape to the rectangle, then the shuffle
-    condition on every unit cell."""
-    problems = []
-    r = d.r
-    gamma = d.gamma
-    for k in range(r):
-        if gamma[k][0] != ():
-            problems.append(f"row {k}: diagonal entry not empty")
-        if gamma[k][r] != d.frame.rectangle():
-            problems.append(f"row {k}: offset {r} is not the rectangle")
-        for m in range(r):
-            if d.a[k][m].outer != gamma[k][m + 1]:
-                problems.append(f"a({k},{k + m}) has the wrong shape")
-            b = d.b[k][m]
-            if b.inner != gamma[k][m] or b.outer != gamma[k - 1][m + 1]:
-                problems.append(f"b({k},{k + m}) has the wrong shape")
-    if problems:
-        # the shuffle condition is defined only on consecutive classes
-        return (False, problems)
-    for k in range(r):
-        for m in range(r - 1):
-            l = k + m
-            got = shuffle_classes(d.get_a(k, l), d.get_b(k, l + 1))
-            want = (d.get_b(k, l), d.get_a(k - 1, l))
-            if got != want:
-                problems.append(f"shuffle condition fails at ({k},{l})")
-    return (not problems, problems)
 
 
 def check_shape(shape, written=None) -> tuple[tuple[int, ...], ...]:

@@ -359,15 +359,15 @@ def _write_graph_json(graph: MonodromyGraph, out) -> None:
     """The text json.dumps(..., indent=2, sort_keys=True) gives the object
     {"edges": [{"from", "to", "wall": [a, b]}], "frame": {"d", "n"},
     "nodes": [{"diagram", "facet"}], "shape"}, written node by node and
-    edge by edge.  A fiber holds few distinct diagrams, so each diagram's
-    text is rendered once."""
+    edge by edge.  The nodes share a fiber's few diagram objects, so each
+    object's text is rendered once, found by its id, not by its hash."""
     text = JsonText()
     diagrams = {}
 
     def node(facet, diagram):
-        if diagram not in diagrams:
-            diagrams[diagram] = text(diagram.to_json(), 3)
-        return (f'{{\n      "diagram": {diagrams[diagram]},\n'
+        if id(diagram) not in diagrams:
+            diagrams[id(diagram)] = text(diagram.to_json(), 3)
+        return (f'{{\n      "diagram": {diagrams[id(diagram)]},\n'
                 f'      "facet": {text(facet, 3)}\n    }}')
 
     out.write('{\n  "edges": ')

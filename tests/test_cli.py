@@ -18,7 +18,7 @@ from growth.decgd import Decgd, decgd_enumerate
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import Wall, cross_cgd
 from growth.partitions import Frame
-from growth.tableaux import DualClass, enumerate_chains
+from growth.tableaux import DualClass, dual_classes, enumerate_chains
 from test_decgd import reference_restrict_cgd
 
 F24 = Frame(2, 4)
@@ -75,8 +75,11 @@ class TestEnumerate:
         assert out == ""
 
     def test_missing_frame(self, capsys):
-        code, _, err = run(capsys, "enumerate")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "required: --d, --n" in err
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "--d", "2", "--n", "4",
@@ -220,7 +223,22 @@ class TestWallcrossMalformed:
         data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
         data["a"] = data["b"]
         err = self._run(capsys, tmp_path, data, "1,2")
-        assert "has the wrong shape" in err
+        assert "the row-0 classes grow no diagram: representatives 1 " \
+            "and 2 do not meet" in err
+
+    def test_class_other_b(self, capsys, tmp_path):
+        # another class of the same skew shape in b: the rows still hold,
+        # but the file is not the diagram its row-0 classes grow
+        d = decgd_enumerate(Frame(2, 5), [(2,)] + [(1,)] * 4)[0]
+        k, m, other = next(
+            (k, m, other) for k, row in enumerate(d.b)
+            for m, cls in enumerate(row)
+            for other in dual_classes(cls.outer, cls.inner) if other != cls)
+        data = json.loads(json.dumps(d.to_json()))
+        data["b"][k][m] = [list(p) for p in other.representative]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert f"b({k},{k + m}) is not the class that the row-0 classes " \
+            f"grow" in err
 
     @pytest.mark.parametrize("wall", ["1,2", "1,3", "2,3"])
     def test_class_empty_condition(self, capsys, tmp_path, wall):
@@ -397,6 +415,69 @@ def test_fuzz_shape_strings(capsys, command, frame, base, edits):
     _check_exit(code, out, err)
     if code == 0:
         json.loads(out)
+
+
+# a valid vector for each subcommand, and for an unknown one, as
+# (option, value) pairs; FILE is a valid class-diagram file
+ARGV_BASES = {
+    "enumerate": [("--d", 2), ("--n", 4), ("--format", "json")],
+    "wallcross": [("--input", "FILE"), ("--wall", "1,2")],
+    "cover": [("--d", 2), ("--n", 4), ("--shape", "1;1;1;1")],
+    "verify": [("--only", "conic")],
+    "plot": [],
+}
+# the options of the subcommands but --out (which would write files),
+# an unknown one, and --help; a value is an int, a shape or wall string,
+# a format or suite name, the valid file or a missing path
+ARGV_OPTIONS = ["--d", "--n", "--shape", "--format", "--input", "--wall",
+                "--twice", "--only", "--help", "--size"]
+ARGV_VALUES = st.one_of(st.none(), st.integers(-1, 5), st.sampled_from(
+    ["1;1;1;1", "2;1;1;1;1", "0;1;1", "2,x;1", "", "1,2", "2,4", "0,9",
+     "json", "text", "dot", "xml", "growth", "conic", "FILE", "MISSING"]))
+
+
+@FUZZ_SETTINGS
+@given(command=st.sampled_from(sorted(ARGV_BASES)), data=st.data())
+def test_fuzz_argv(capsys, tmp_path, command, data):
+    # edits add a known or unknown option, drop one or repeat one; a
+    # missing value is argparse's to refuse.  Frames stay within d <= 2
+    # and n <= 5.
+    valid = tmp_path / "class.json"
+    valid.write_text(json.dumps(
+        decgd_enumerate(F24, [(1,)] * 4)[0].to_json()))
+    options = list(ARGV_BASES[command])
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["add", "drop", "repeat"]))
+        if edit == "add":
+            options.insert(
+                data.draw(st.integers(0, len(options))),
+                (data.draw(st.sampled_from(ARGV_OPTIONS)),
+                 data.draw(ARGV_VALUES)))
+        elif options:
+            i = data.draw(st.integers(0, len(options) - 1))
+            if edit == "drop":
+                del options[i]
+            else:
+                options.append(options[i])
+    argv = [command]
+    for option, value in options:
+        if option == "--d" and type(value) is int:
+            value = min(value, 2)
+        argv.append(option)
+        if value is not None:
+            argv.append({"FILE": str(valid),
+                         "MISSING": str(tmp_path / "missing.json")}.get(
+                             value, str(value)))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+        assert sum("error:" in line for line in err.splitlines()) == 1, \
+            (argv, err)
 
 
 class TestCover:
@@ -592,9 +673,11 @@ class TestVerify:
             assert record["seconds"] >= 0
 
     def test_dot_format_rejected(self, capsys):
-        code, out, err = run(capsys, "verify", "--format", "dot")
-        assert code == 2 and out == ""
-        assert "not supported" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "dot"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --format: invalid choice" in err
 
     def test_suites_match_checks(self):
         import growth.checks

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from growth.cylgrowth import _Completion, cgd_enumerate, cgd_from_path, \
     cgd_validate, row_path
-from growth.decgd import decgd_validate, restrict_cgd
+from growth.decgd import restrict_cgd
 from growth.moduli import (
     cross_cgd, cross_decgd, cross_facet, transport_cgd, walls,
 )
 from growth.partitions import Frame, covers
+from test_decgd import decgd_validate
 
 
 def reference_cross_cgd(g, wall):

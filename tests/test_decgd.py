@@ -9,11 +9,12 @@ import pytest
 from growth.cylgrowth import cgd_enumerate, cgd_from_path, row_path
 from growth.decgd import (
     Decgd, _concatenate, check_shape, decgd_enumerate, decgd_from_first_row,
-    decgd_validate, restrict_cgd,
+    restrict_cgd,
 )
 from growth.partitions import Frame, lr_coefficient
 from growth.tableaux import (
-    DualClass, dual_classes, enumerate_chains, validate_chain,
+    DualClass, dual_classes, enumerate_chains, shuffle_classes,
+    validate_chain,
 )
 from test_partitions import all_partitions
 
@@ -35,6 +36,37 @@ def lift_decgd(d: Decgd, reps=None):
                 raise ValueError(
                     f"representative {m} is not in the stated class")
     return cgd_from_path(row_path(d.frame.size), _concatenate(reps), d.frame)
+
+
+def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
+    """Check that the classes meet along rows and columns and that each
+    row runs from the empty shape to the rectangle, then the shuffle
+    condition on every unit cell."""
+    problems = []
+    r = d.r
+    gamma = d.gamma
+    for k in range(r):
+        if gamma[k][0] != ():
+            problems.append(f"row {k}: diagonal entry not empty")
+        if gamma[k][r] != d.frame.rectangle():
+            problems.append(f"row {k}: offset {r} is not the rectangle")
+        for m in range(r):
+            if d.a[k][m].outer != gamma[k][m + 1]:
+                problems.append(f"a({k},{k + m}) has the wrong shape")
+            b = d.b[k][m]
+            if b.inner != gamma[k][m] or b.outer != gamma[k - 1][m + 1]:
+                problems.append(f"b({k},{k + m}) has the wrong shape")
+    if problems:
+        # the shuffle condition is defined only on consecutive classes
+        return (False, problems)
+    for k in range(r):
+        for m in range(r - 1):
+            l = k + m
+            got = shuffle_classes(d.get_a(k, l), d.get_b(k, l + 1))
+            want = (d.get_b(k, l), d.get_a(k - 1, l))
+            if got != want:
+                problems.append(f"shuffle condition fails at ({k},{l})")
+    return (not problems, problems)
 
 
 def shapes_of_total(frame, r):
@@ -288,3 +320,64 @@ def test_json_round_trip():
         assert Decgd.from_json(json.loads(json.dumps(d.to_json()))) == d
         with pytest.raises(ValueError):
             Decgd.from_json(d.to_json())
+
+
+def test_fibers_ordered_by_first_row():
+    # the cover numbers its nodes in this order: each fiber lists its
+    # diagrams by their row-0 representatives, with none repeated
+    shapes = [(frame, shape)
+              for frame in (F25, Frame(2, 6), Frame(3, 6))
+              for r in (3, 4, 5) for shape in shapes_of_total(frame, r)
+              if max(sum(lam) for lam in shape) <= 3]
+    assert len(shapes) == 1263
+    for frame, shape in shapes:
+        keys = [tuple(cls.representative for cls in d.a[0])
+                for d in decgd_enumerate(frame, shape)]
+        assert keys == sorted(set(keys)), (frame, shape)
+
+
+def substitutions(d: Decgd):
+    """Each diagram that d becomes when one of its classes is replaced by
+    another class of the same skew shape, with the table it was made in.
+    The rows stay those of d, and the contents change only with a row-0
+    class."""
+    for name in ("a", "b"):
+        for k, row in enumerate(getattr(d, name)):
+            for m, cls in enumerate(row):
+                for other in dual_classes(cls.outer, cls.inner):
+                    if other != cls:
+                        tables = {"a": d.a, "b": d.b}
+                        tables[name] = (
+                            tables[name][:k]
+                            + (row[:m] + (other,) + row[m + 1:],)
+                            + tables[name][k + 1:])
+                        yield name, Decgd(d.frame, d.r, tables["a"],
+                                          tables["b"])
+
+
+def test_from_json_agrees_with_validate():
+    # a file is read as the diagram its row-0 classes grow; the earlier
+    # reader, decgd_validate with the content and rows checks, accepts
+    # and refuses exactly the same files
+    cases = 0
+    for frame in (F24, F25, Frame(3, 5)):
+        for r in range(3, frame.size + 1):
+            for shape in shapes_of_total(frame, r):
+                for d in decgd_enumerate(frame, shape):
+                    base = json.loads(json.dumps(d.to_json()))
+                    assert Decgd.from_json(base) == d
+                    for name, sub in substitutions(d):
+                        data = dict(base)
+                        data[name] = json.loads(json.dumps(
+                            sub.to_json()[name]))
+                        assert sub.gamma == d.gamma
+                        accepted = (decgd_validate(sub)[0]
+                                    and sub.shape == d.shape)
+                        try:
+                            got = Decgd.from_json(data)
+                        except ValueError:
+                            got = None
+                        assert got == (sub if accepted else None), \
+                            (d, name, sub)
+                        cases += 1
+    assert cases == 740

@@ -18,7 +18,7 @@ from growth import moduli
 from growth.cylgrowth import (
     CylGrowthDiagram, _Completion, cgd_enumerate, cgd_validate,
 )
-from growth.decgd import decgd_enumerate, decgd_validate, restrict_cgd
+from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
     LabeledTree, MonodromyGraph, Wall, _FiberTables, all_trees,
@@ -29,7 +29,7 @@ from growth.moduli import (
 from growth.partitions import (
     Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
 )
-from test_decgd import lift_decgd
+from test_decgd import decgd_validate, lift_decgd
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
