@@ -163,18 +163,17 @@ def cmd_wallcross(args) -> int:
     from growth.moduli import cross_cgd, cross_decgd
     cross = (cross_cgd if isinstance(diagram, CylGrowthDiagram)
              else cross_decgd)
-    try:
-        crossed = cross(diagram, wall)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if args.twice:
-        again = cross(crossed, wall)
-        if again != diagram:
-            print("crossing twice does not restore the diagram",
-                  file=sys.stderr)
-            return 1
-        print("crossing twice restores the diagram", file=sys.stderr)
     with _output(args) as out:
+        try:
+            crossed = cross(diagram, wall)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if args.twice:
+            if cross(crossed, wall) != diagram:
+                print("crossing twice does not restore the diagram",
+                      file=sys.stderr)
+                return 1
+            print("crossing twice restores the diagram", file=sys.stderr)
         if args.fmt == "json":
             write_json(crossed.to_json(), out)
         else:

@@ -36,18 +36,6 @@ class Decgd(_Value):
         _set(self, "a", a)
         _set(self, "b", b)
 
-    def get_a(self, k: int, l: int) -> DualClass:
-        m = l - k
-        if not (0 <= m < self.r):
-            raise IndexError(f"a({k},{l}) undefined")
-        return self.a[k % self.r][m]
-
-    def get_b(self, k: int, l: int) -> DualClass:
-        m = l - k
-        if not (0 <= m < self.r):
-            raise IndexError(f"b({k},{l}) undefined")
-        return self.b[k % self.r][m]
-
     @property
     def shape(self) -> tuple[tuple[int, ...], ...]:
         """The contents: the rectification shape of each row-0 class."""

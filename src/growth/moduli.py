@@ -17,7 +17,6 @@ from growth.jsonout import JsonText, write_array
 from growth.partitions import (
     Frame, _lr_multi, _set, _shapes_between, _Value, complement, normalize,
 )
-from growth.tableaux import DualClass
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +108,10 @@ def _crossing_path(top: int, row: int, col: int):
 
 def _cross_chain(g: CylGrowthDiagram, wall: Wall):
     """The chain that crossing the wall regrows g from, along
-    _crossing_path(a, b+1, a+r): the reflection of g's column a along row
-    b+1, then the glide images (complements) of g's row a up column a+r."""
-    a, b, r = wall.a, wall.b, g.r
-    return (tuple(g.get(a + b + 1 - j, a) for j in range(b + 1, a + r + 1))
-            + tuple(complement(g.get(a, i), g.frame)
-                    for i in range(b, a - 1, -1)))
+    _crossing_path(a, b+1, a+r): g's own column a, from the diagonal up r
+    rows, which by the glide symmetry is the 180-degree rotation of row a."""
+    a, r, rows = wall.a, g.r, g.rows
+    return tuple(rows[i % r][a - i] for i in range(a, a - r - 1, -1))
 
 
 def _path_chain(g: CylGrowthDiagram, wall: Wall):
@@ -130,7 +127,8 @@ def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
     on the complementary triangle.
 
     A diagram is fixed by its chain along a path, so the crossed diagram
-    is regrown from its chain between the triangles, :func:`_cross_chain`."""
+    is regrown from its chain between the triangles, which is g's own
+    column a, whatever b is (:func:`_cross_chain`)."""
     r = g.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
@@ -140,14 +138,11 @@ def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
 
 def _cross_classes(d: Decgd, wall: Wall):
     """The classes that crossing the wall regrows d from, along the
-    crossing path: the reflected column classes of column a along row b+1,
-    then the glide images of the row a classes up column a+r (the classes
-    of their complemented, reversed representatives)."""
-    a, b, r = wall.a, wall.b, d.r
-    glide = [tuple(complement(p, d.frame) for p in reversed(
-        d.get_a(a, k - 1).representative)) for k in range(b + 1, a, -1)]
-    return (tuple(d.get_b(a + b + 1 - l, a) for l in range(b + 1, a + r))
-            + tuple(map(DualClass.of, glide)))
+    crossing path: d's own column classes of column a, as in
+    :func:`_cross_chain` (b(k, a+r) is the class of a(a, k-1)'s
+    complemented, reversed representative)."""
+    a, r = wall.a, d.r
+    return tuple(d.b[k % r][a - k] for k in range(a, a - r, -1))
 
 
 def _path_classes(d: Decgd, wall: Wall):

@@ -540,13 +540,30 @@ def test_empty_condition(capsys, command, shape):
 @pytest.mark.parametrize("command", [
     "cover --d 2 --n 4 --shape 1;1;1;1 --format json",
     "enumerate --d 2 --n 4 --format json",
-    "verify --only conic"], ids=["cover", "enumerate", "verify"])
+    "verify --only conic",
+    "wallcross --input {fine} --wall 1,3 --twice --format json"],
+    ids=["cover", "enumerate", "verify", "wallcross"])
 def test_unwritable_out(tmp_path, capsys, command):
+    # the output is opened before any work, so nothing else is reported
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps(cgd_enumerate(Frame(2, 5))[0].to_json()))
     target = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, *command.split(), "--out", str(target))
+    code, out, err = run(capsys, *command.format(fine=fine).split(),
+                         "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1 and not target.parent.exists()
+
+
+def test_malformed_input_leaves_out(tmp_path, capsys):
+    # the input is read and the wall parsed before --out is opened
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    target = tmp_path / "x"
+    code, out, err = run(capsys, "wallcross", "--input", str(bad),
+                         "--wall", "1,3", "--out", str(target))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: malformed diagram") and not target.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -1,4 +1,5 @@
-"""Wall crossing against the triangle-seeded construction it replaced, and
+"""Wall crossing against the triangle-seeded construction it replaced, its
+regrow keys against the reflection-and-glide formulas they replaced, and
 its properties on random diagrams: an involution, the same node of the
 cover from either side of the chord, valid, and an involution on class
 diagrams too."""
@@ -8,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from growth.cylgrowth import _Completion, cgd_enumerate, cgd_from_path, \
     cgd_validate, row_path
-from growth.decgd import restrict_cgd
+from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.moduli import (
-    cross_cgd, cross_decgd, cross_facet, transport_cgd, walls,
+    Wall, _cross_chain, _cross_classes, cross_cgd, cross_decgd, cross_facet,
+    transport_cgd, walls,
 )
-from growth.partitions import Frame, covers
+from growth.partitions import Frame, complement, covers
+from growth.tableaux import DualClass
 from test_decgd import decgd_validate
 
 
@@ -32,12 +35,64 @@ def reference_cross_cgd(g, wall):
     return solver.solve()
 
 
+def presentations(r):
+    """Every presentation Wall(a, b, r) of every wall, wrapped ones (b > r)
+    included."""
+    return [Wall(a, a + length - 1, r) for a in range(1, r + 1)
+            for length in range(2, r - 1)]
+
+
 @pytest.mark.parametrize("frame", [Frame(2, 4), Frame(2, 5), Frame(2, 6),
                                    Frame(3, 5), Frame(3, 6)], ids=str)
 def test_matches_reference(frame):
+    # the regrow key drops b, so every presentation is checked up to r = 6
+    r = frame.size
     for g in cgd_enumerate(frame):
-        for w in walls(frame.size):
+        for w in presentations(r) if r <= 6 else walls(r):
             assert cross_cgd(g, w) == reference_cross_cgd(g, w)
+
+
+def reference_cross_chain(g, wall):
+    """The reflection of g's column a along row b+1, then the glide images
+    (complements) of g's row a up column a+r."""
+    a, b, r = wall.a, wall.b, g.r
+    return (tuple(g.get(a + b + 1 - j, a) for j in range(b + 1, a + r + 1))
+            + tuple(complement(g.get(a, i), g.frame)
+                    for i in range(b, a - 1, -1)))
+
+
+def reference_cross_classes(d, wall):
+    """The reflected column classes of column a along row b+1, then the
+    classes of the complemented, reversed representatives of the row a
+    classes up column a+r."""
+    a, b, r = wall.a, wall.b, d.r
+    glide = [tuple(complement(p, d.frame) for p in reversed(
+        d.a[a % r][k - 1 - a].representative)) for k in range(b + 1, a, -1)]
+    return (tuple(d.b[(a + b + 1 - l) % r][l - b - 1]
+                  for l in range(b + 1, a + r))
+            + tuple(map(DualClass.of, glide)))
+
+
+def test_cross_chain_is_column_a():
+    pairs = [(g, w) for frame in (Frame(2, 4), Frame(2, 5), Frame(2, 6),
+                                  Frame(3, 6))
+             for g in cgd_enumerate(frame) for w in presentations(frame.size)]
+    assert len(pairs) == 2926
+    for g, w in pairs:
+        assert _cross_chain(g, w) == reference_cross_chain(g, w)
+
+
+def test_cross_classes_is_column_a():
+    pairs = [(d, w) for frame, shape in [
+        (Frame(2, 5), ((2,), (1,), (1,), (1,), (1,))),
+        (Frame(2, 6), ((2,), (2,), (1,), (1,), (1,), (1,))),
+        (Frame(3, 6), ((2, 1), (1,), (2,), (1, 1), (2,))),
+        (Frame(3, 6), ((2,), (1,), (2,), (1,), (2,), (1,)))]
+        for d in decgd_enumerate(frame, shape)
+        for w in presentations(len(shape))]
+    assert len(pairs) == 246
+    for d, w in pairs:
+        assert _cross_classes(d, w) == reference_cross_classes(d, w)
 
 
 FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(2, 7), Frame(3, 5),

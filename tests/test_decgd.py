@@ -62,8 +62,8 @@ def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
     for k in range(r):
         for m in range(r - 1):
             l = k + m
-            got = shuffle_classes(d.get_a(k, l), d.get_b(k, l + 1))
-            want = (d.get_b(k, l), d.get_a(k - 1, l))
+            got = shuffle_classes(d.a[k][m], d.b[k][m + 1])
+            want = (d.b[k][m], d.a[k - 1][m + 1])
             if got != want:
                 problems.append(f"shuffle condition fails at ({k},{l})")
     return (not problems, problems)
