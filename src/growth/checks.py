@@ -24,8 +24,8 @@ from growth.moduli import (
     graph_components,
 )
 from growth.partitions import (
-    Frame, complement, contains, is_domino, lr_coefficient, normalize,
-    partitions_in, rectangle_syt_formula, syt_count,
+    Frame, added_box, complement, contains, is_domino, lr_coefficient,
+    normalize, partitions_in, rectangle_syt_formula, syt_count,
 )
 from growth.tableaux import (
     Chain, dual_classes, enumerate_chains, rectify, shuffle, shuffle_classes,
@@ -389,14 +389,8 @@ def check_properties():
             # domino rule on every two-step segment
             for i in range(r):
                 for j in range(i, i + r - 1):
-                    lam, mid, nu = (g.get(i, j), g.get(i, j + 1),
-                                    g.get(i, j + 2))
-                    first = [row for row in range(len(mid))
-                             if mid[row] > (lam[row] if row < len(lam)
-                                            else 0)][0]
-                    second = [row for row in range(len(nu))
-                              if nu[row] > (mid[row] if row < len(mid)
-                                            else 0)][0]
+                    first, _ = added_box(g.get(i, j), g.get(i, j + 1))
+                    second, _ = added_box(g.get(i, j + 1), g.get(i, j + 2))
                     # second box weakly north (same row means east) gives
                     # the row pair, strictly south gives the column pair
                     expected = (2,) if second <= first else (1, 1)

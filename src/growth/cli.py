@@ -4,9 +4,8 @@ graphs, and run the verification suites.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on conditions that do not fit the frame's box, on output that cannot be
 written, and on input files that are not valid diagrams.  The --out file
-is opened before any work starts.  JSON output is
-streamed in chunks and is byte for byte the text of
-json.dumps(..., indent=2, sort_keys=True) plus a newline.
+is opened before any work starts.  JSON output is streamed in chunks and
+is exactly the text of json.dumps(..., indent=2, sort_keys=True) + "\\n".
 Outputs are deterministic, and no environment variable changes them."""
 
 import argparse
@@ -16,7 +15,7 @@ import sys
 from contextlib import contextmanager
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
-from growth.jsonout import write_json
+from growth.jsonout import JsonText, write_array, write_json
 from growth.partitions import Frame, fits, normalize
 
 # growth.decgd and growth.moduli are imported in the handlers that use
@@ -30,20 +29,26 @@ class UsageError(Exception):
     pass
 
 
+def number(text: str) -> int:
+    """A number written in ASCII digits, spaces around it allowed; int()
+    alone also reads signs, underscores and the digits of other scripts."""
+    if not (text.strip().isascii() and text.strip().isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    return int(text)
+
+
 def parse_shape(text: str):
     """Parse "3,1;2;1;1" into a tuple of partitions: conditions separated
-    by semicolons, parts by commas."""
+    by semicolons, parts (numbers) by commas."""
     shape = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             raise UsageError(f"empty condition in shape {text!r}")
         try:
-            parts = [int(x) for x in chunk.split(",")]
+            parts = [number(x) for x in chunk.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse partition {chunk!r}")
-        if any(p < 0 for p in parts):
-            raise UsageError(f"negative part in {chunk!r}")
         try:
             shape.append(normalize(parts))
         except ValueError as exc:
@@ -54,7 +59,7 @@ def parse_shape(text: str):
 def parse_wall(text: str, r: int):
     from growth.moduli import Wall
     try:
-        a, b = (int(x) for x in text.split(","))
+        a, b = (number(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse wall {text!r}; expected 'a,b'")
     try:
@@ -114,12 +119,9 @@ def _output(args):
 
 
 def _diagram_text(obj) -> str:
-    def fmt_row(row):
-        return " ".join("." if not p else ",".join(str(x) for x in p)
-                        for p in row)
-
     rows = obj.rows if isinstance(obj, CylGrowthDiagram) else obj.gamma
-    return "\n".join(fmt_row(row) for row in rows)
+    return "\n".join(" ".join(",".join(map(str, p)) or "." for p in row)
+                     for row in rows)
 
 
 def cmd_enumerate(args) -> int:
@@ -132,7 +134,14 @@ def cmd_enumerate(args) -> int:
             from growth.decgd import decgd_enumerate
             diagrams = decgd_enumerate(frame, shape)
         if args.fmt == "json":
-            write_json([g.to_json() for g in diagrams], out)
+            text, sep = JsonText(), ",\n      "
+            # to_json() at depth 1: one head, then its rows' memoized texts
+            head = (f'{{\n    "frame": {text(dict(d=frame.d, n=frame.n), 2)},'
+                    f'\n    "r": {frame.size},\n    "rows": [\n      ')
+            write_array(out, (text(g.to_json(), 1) if shape else
+                              f"{head}{sep.join(text.entries(g.rows, 2))}"
+                              "\n    ]\n  }" for g in diagrams), 0)
+            out.write("\n")
         else:
             for i, g in enumerate(diagrams):
                 out.write(("\n" if i else "") + _diagram_text(g) + "\n")
@@ -233,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, frame=True, formats=("json", "text")):
         if frame:
-            p.add_argument("--d", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--d", type=number, required=True)
+            p.add_argument("--n", type=number, required=True)
         p.add_argument("--format", dest="fmt", default="text",
                        choices=formats)
         p.add_argument("--out")

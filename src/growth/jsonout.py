@@ -1,31 +1,24 @@
 """JSON output: the text of ``json.dumps(value, indent=2, sort_keys=True)``
-plus a newline, written to a text stream in chunks.
+plus a newline.  With ``indent`` set, ``json.dumps`` runs the pure-Python
+encoder; here the containers are laid out by hand instead (dicts with
+sorted string keys, lists and tuples as arrays).  An exact ``int`` is
+written by ``int.__repr__``, and every other scalar and every key goes
+through ``json.dumps``, so escaping and float ``repr`` are the same.
+:func:`write_array` writes an array one entry at a time, so a large
+document is never held whole in memory.
 
-With ``indent`` set, ``json.dumps`` always runs the pure-Python encoder and
-returns the whole document as one string.  Here the containers are laid
-out by hand (dicts with sorted string keys, lists and tuples as arrays).
-An exact ``int`` is written by ``int.__repr__``, as ``json.dumps`` writes
-it, and every other scalar and every key still goes through
-``json.dumps``, so string escaping and float ``repr`` are the same.
-
-Diagrams store partitions, facets, rows, chains and shapes as tuples of
-ints or tuples of such tuples, and share those tuple objects many times
-over: the rows of rotated diagrams, the partitions of a numbering, the
-representatives of a class.  :class:`JsonText` therefore memoizes the text
-of such a tuple by (id, depth), deciding once, on its first rendering: a
-tuple of ints, or a tuple of memoized tuples of ints, has a text that can
-never change.  A list, a deeper tuple, or a tuple holding anything else is
-rendered afresh every time; a deeper tuple, such as all the rows of one
-diagram, is seldom shared, and keeping its text would keep most of the
-output in memory.  The memo holds each tuple it keys, so no id is reused
-while it lives.  Keys are identities, not values, so equal values of other
-types, such as ``(1,)``, ``(True,)`` and ``(1.0,)``, never share a text."""
+Diagrams share their tuples many times over: the rows of rotated
+diagrams, the partitions of a numbering, the representatives of a class.
+:class:`JsonText` memoizes by id and depth the texts, which never change,
+of tuples of ints and of tuples of such memoized tuples, and joins
+memoized texts without a call.  It holds each tuple it memoizes, so no id
+is reused, and equal values of other types, such as ``(1,)``, ``(True,)``
+and ``(1.0,)``, never share a text.  Any other value, such as all the
+rows of one diagram, is rendered afresh and not kept: ``enumerate``
+writes a diagram as a head rendered once and its rows' memoized texts."""
 
 import json
-
-# A memo entry is (tuple, text, whether the tuple holds only ints); this
-# one stands for a value the memo does not hold.
-_MISS = (None, None, False)
+from collections import defaultdict
 
 
 class JsonText:
@@ -33,30 +26,31 @@ class JsonText:
     the memo of tuples and of object keys lives as long as the object."""
 
     def __init__(self):
-        self.memo = {}
+        self.memo = defaultdict(dict)  # depth -> {id: text} of tuples
+        self.flat = defaultdict(set)   # depth -> ids of tuples of ints
+        self.held = []                 # the memoized tuples, kept alive
         self.keys = {}
 
     def __call__(self, value, depth: int = 0) -> str:
-        memo = self.memo
-        hit = memo.get((id(value), depth))
-        if hit is not None:
-            return hit[1]
+        memo = self.memo[depth]
+        text = memo.get(id(value))
+        if text is not None:
+            return text
         if type(value) is int:
             return int.__repr__(value)
         if isinstance(value, (list, tuple)):
-            if not value:
-                text = "[]"
-            else:
-                inner = "\n" + "  " * (depth + 1)
-                text = "[" + inner + ("," + inner).join(
-                    [self(v, depth + 1) for v in value]) + \
-                    "\n" + "  " * depth + "]"
-            if type(value) is tuple:
-                if all(type(v) is int for v in value):
-                    memo[id(value), depth] = (value, text, True)
-                elif all(memo.get((id(v), depth + 1), _MISS)[2]
-                         for v in value):
-                    memo[id(value), depth] = (value, text, False)
+            ints = all(type(v) is int for v in value)
+            texts = ([int.__repr__(v) for v in value] if ints
+                     else self.entries(value, depth))
+            inner = "\n" + "  " * (depth + 1)
+            text = (f"[{inner}{(',' + inner).join(texts)}\n{'  ' * depth}]"
+                    if texts else "[]")
+            if type(value) is tuple and (ints or all(
+                    map(self.flat[depth + 1].__contains__, map(id, value)))):
+                memo[id(value)] = text
+                self.held.append(value)
+                if ints:
+                    self.flat[depth].add(id(value))
             return text
         if isinstance(value, dict):
             if not value:
@@ -66,6 +60,14 @@ class JsonText:
                 [f"{self.key(k)}: {self(value[k], depth + 1)}"
                  for k in sorted(value)]) + "\n" + "  " * depth + "}"
         return json.dumps(value)
+
+    def entries(self, value, depth: int) -> list:
+        """The texts at depth + 1 of the entries of a list or tuple at
+        depth; the memoized ones are found without a call."""
+        texts = [*map(self.memo[depth + 1].get, map(id, value))]
+        if None in texts:
+            texts = [t or self(v, depth + 1) for t, v in zip(texts, value)]
+        return texts
 
     def key(self, k) -> str:
         """The text of an object key, which must be a string; memoized by
@@ -91,10 +93,5 @@ def write_array(out, texts, depth: int) -> None:
 
 def write_json(value, out) -> None:
     """Write json.dumps(value, indent=2, sort_keys=True) + "\\n" to the
-    stream out; a top-level array is written one entry at a time."""
-    text = JsonText()
-    if isinstance(value, (list, tuple)):
-        write_array(out, (text(v, 1) for v in value), 0)
-    else:
-        out.write(text(value))
-    out.write("\n")
+    stream out, in one write."""
+    out.write(JsonText()(value) + "\n")

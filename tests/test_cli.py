@@ -402,7 +402,8 @@ def test_fuzz_wallcross_files(capsys, tmp_path, base, data, wall, twice,
                              "2;1,1;1;1"]),
        edits=st.lists(st.tuples(st.integers(0, 20),
                                 st.sampled_from(["", ";", ",", "0", "1",
-                                                 "2", "-", " ", "x"])),
+                                                 "2", "-", " ", "x", "_",
+                                                 "+", "\u0661"])),
                       max_size=3))
 def test_fuzz_shape_strings(capsys, command, frame, base, edits):
     # each edit replaces one character (or appends), "" deleting it
@@ -415,6 +416,45 @@ def test_fuzz_shape_strings(capsys, command, frame, base, edits):
     _check_exit(code, out, err)
     if code == 0:
         json.loads(out)
+
+
+# numbers that int() reads but the CLI refuses: an underscore, a sign,
+# and ARABIC-INDIC DIGIT ONE
+NOT_DIGITS = ["0_1", "+1", "\u0661"]
+NUMBER_CASES = [(field, text, x) for x in NOT_DIGITS for field, text in (
+    ("shape", f"{x};1;1;1"), ("shape", f"1;1,{x};1;1"), ("wall", f"{x},3"),
+    ("wall", f"1,{x}"), ("d", x), ("n", x))]
+
+
+@pytest.mark.parametrize("field,value,number", NUMBER_CASES,
+                         ids=[f"{f}={v!a}" for f, v, _ in NUMBER_CASES])
+def test_numbers_are_ascii_digits(capsys, tmp_path, field, value, number):
+    # exit 2 with one error line that shows the refused number
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(cgd_enumerate(Frame(2, 5))[0].to_json()))
+    options = {"d": "2", "n": "4", "shape": "1;1;1;1"}
+    if field == "wall":
+        argv = ["wallcross", "--input", str(path), "--wall", value]
+    else:
+        options[field] = value
+        argv = ["cover"] + [f"--{k}={v}" for k, v in options.items()]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and number in errors[0], err
+    if field not in ("d", "n"):
+        # the CLI's own refusals are its one stderr line
+        assert err == errors[0] + "\n"
+
+
+def test_numbers_keep_surrounding_spaces(capsys):
+    code, out, _ = run(capsys, "cover", "--d", " 2 ", "--n", "4 ",
+                       "--shape", " 1 ;1; 1,0 ;1")
+    assert code == 0 and out == "6 nodes, 6 edges, 1 components\n"
 
 
 # a valid vector for each subcommand, and for an unknown one, as

@@ -21,6 +21,7 @@ from test_moduli import graph_to_json
 REFERENCES = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
 BOX = (1,)
+F24 = Frame(2, 4)
 
 
 def dumps(value) -> str:
@@ -60,6 +61,83 @@ def test_reference_inputs(tmp_path, capsys, command):
     capsys.readouterr()
     assert target.read_text(encoding="utf-8") == \
         dumps(reference_data(command))
+
+
+ENUMERATE_FRAMES = [(2, n) for n in range(4, 9)] + [(3, n) for n in (5, 6, 7)]
+
+
+@pytest.mark.parametrize("d,n", ENUMERATE_FRAMES,
+                         ids=[f"{d}{n}" for d, n in ENUMERATE_FRAMES])
+def test_enumerate_writes_json_dumps(tmp_path, capsys, d, n):
+    # the per-diagram writer, on stdout and with --out, byte for byte
+    want = dumps([g.to_json() for g in cgd_enumerate(Frame(d, n))])
+    argv = ["enumerate", "--d", str(d), "--n", str(n), "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    target = tmp_path / "out.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == want.encode()
+
+
+CLASS_ENUMERATIONS = [("2", "4", "1;1;1"), ("2", "4", "1;1;1;1"),
+                      ("2", "5", "2;1;1;1;1"), ("2", "5", "1,1;2;1;1"),
+                      ("3", "6", "2;1;2;1;2;1")]
+
+
+@pytest.mark.parametrize("d,n,shape", CLASS_ENUMERATIONS,
+                         ids=[f"{d}{n}-{s}" for d, n, s in CLASS_ENUMERATIONS])
+def test_enumerate_class_diagrams(capsys, d, n, shape):
+    frame = Frame(int(d), int(n))
+    conditions = [tuple(map(int, lam.split(","))) for lam in shape.split(";")]
+    diagrams = (decgd_enumerate(frame, conditions)
+                if sum(map(sum, conditions)) == frame.size else [])
+    assert main(["enumerate", "--d", d, "--n", n, "--shape", shape,
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == dumps([g.to_json() for g in diagrams])
+    if not diagrams:
+        assert out == "[]\n"
+
+
+def test_enumerate_shared_and_unshared_rows(capsys, monkeypatch):
+    # diagrams that share some row objects and partition objects, and
+    # hold equal rows and partitions as distinct objects elsewhere
+    # (tuple() of a tuple is that tuple, so the copies go through lists)
+    first, second = cgd_enumerate(F24)
+    fresh = tuple(tuple(tuple([*p]) for p in row) for row in second.rows)
+    copied = tuple(tuple([*row]) for row in first.rows)
+    assert copied[1] == first.rows[1] and copied[1] is not first.rows[1]
+    assert fresh[2][2] == second.rows[2][2]
+    assert fresh[2][2] is not second.rows[2][2]
+    mixed = (first.rows[0], fresh[1], second.rows[2], copied[3])
+    diagrams = [first, CylGrowthDiagram(F24, 4, mixed), second,
+                CylGrowthDiagram(F24, 4, fresh), first,
+                CylGrowthDiagram(F24, 4, copied)]
+    monkeypatch.setattr("growth.cli.cgd_enumerate", lambda frame: diagrams)
+    assert main(["enumerate", "--d", "2", "--n", "4", "--format", "json"]) \
+        == 0
+    assert capsys.readouterr().out == dumps([g.to_json() for g in diagrams])
+
+
+def test_rows_rendered_once_without_a_call_per_partition(monkeypatch):
+    # once its partitions are memoized, a row is joined from their texts,
+    # and a row met again is one memo hit
+    rows = [row for g in cgd_enumerate(Frame(3, 6)) for row in g.rows]
+    text = JsonText()
+    for part in {id(p): p for row in rows for p in row}.values():
+        text(part, 4)
+    calls = []
+    render = JsonText.__call__
+
+    def counted(self, value, depth=0):
+        calls.append(value)
+        return render(self, value, depth)
+
+    monkeypatch.setattr(JsonText, "__call__", counted)
+    for row in rows:
+        assert text(row, 3) == at_depth(row, 3)
+    assert len(calls) == len(rows)
 
 
 def test_verify_records(capsys):
