@@ -151,9 +151,10 @@ def cmd_enumerate(args) -> int:
 
 def _load_diagram(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError,
+            json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read diagram from {path}: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"malformed diagram in {path}: not a JSON object")

@@ -16,8 +16,8 @@ built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 from functools import cache
 
 from growth.partitions import (
-    Frame, _set, _Value, complement, covers, intermediates, intersect,
-    normalize, partitions_in, union,
+    Frame, _set, _Value, complement, covers, intermediates, normalize,
+    partitions_in,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,
@@ -86,10 +86,12 @@ def _json_table(data: dict, key: str, height: int, width: int,
                  for i, row in enumerate(table))
 
 
-def _json_keys(data: dict, *keys: str) -> None:
-    """Refuse data unless its keys are exactly the given ones."""
+def _json_keys(data: dict, *keys: str, where: str = "") -> None:
+    """Refuse data unless its keys are exactly the given ones; where
+    prefixes the message with the object's field path."""
     if sorted(data) != sorted(keys):
-        raise ValueError(f"the keys are {sorted(data)}, not {sorted(keys)}")
+        raise ValueError(
+            f"{where}the keys are {sorted(data)}, not {sorted(keys)}")
 
 
 def _json_int(value, path: str) -> int:
@@ -124,6 +126,7 @@ def _json_frame(data: dict) -> Frame:
     frame = data["frame"]
     if not isinstance(frame, dict):
         raise ValueError(f"frame: {frame!r} is not an object")
+    _json_keys(frame, "d", "n", where="frame: ")
     return Frame(_json_int(frame["d"], "frame.d"),
                  _json_int(frame["n"], "frame.n"))
 
@@ -177,10 +180,8 @@ class _Numbering:
         self.squares = frozenset(squares)
         # the local rule on numbers, memoized; a miss runs the tuple kernel,
         # so its errors keep their text
-        self.meet, self.join, self.other = (
-            cache(lambda *nums, kernel=kernel: self.index[
-                kernel(*map(self.parts.__getitem__, nums))])
-            for kernel in (intersect, union, other_middle))
+        self.other = cache(lambda *nums: self.index[
+            other_middle(*map(self.parts.__getitem__, nums))])
         # the glide image (a + k, a + r) of each entry (a, a + k), as
         # positions in the rows of a diagram laid end to end; a diagram
         # with another r fails its row steps before these are read
@@ -201,9 +202,12 @@ class _Completion:
     them.  Every row starts as a copy of one template holding the four
     boundary offsets 0, 1, r - 1 and r.  Unit squares have corners
     bottom rows[a][k], right middle rows[a][k+1], left middle
-    rows[a-1][k+1] and top rows[a-1][k+2]; only forced deductions are
-    applied: a missing middle is always unique, a missing top/bottom only
-    when the middles differ.  The solved diagram holds tuples."""
+    rows[a-1][k+1] and top rows[a-1][k+2].  The one deduction is the
+    local rule: a square whose bottom, top and one middle are known gets
+    its other middle (:func:`other_middle`).  No bottom or top is ever
+    deduced: every solve is seeded along a path (:func:`cgd_from_path`),
+    and growth out of a path only meets squares whose bottom and top are
+    already known.  The solved diagram holds tuples."""
 
     def __init__(self, frame: Frame, r: int):
         self.frame = frame
@@ -278,32 +282,21 @@ class _Completion:
     def _square(self) -> bool:
         # one pass over the unit squares, in (a, k) order, each deduction
         # written in place before the next square is read
-        rows, table = self.rows, self.table
-        meet, join, other = table.meet, table.join, table.other
+        rows, other = self.rows, self.table.other
         filled = 0
         for a, below in enumerate(rows):
             above = rows[a - 1]
             for k in range(self.r - 1):
                 bottom, mid_r = below[k], below[k + 1]
                 mid_l, top = above[k + 1], above[k + 2]
+                if bottom is None or top is None \
+                        or (mid_r is None) == (mid_l is None):
+                    continue
                 try:
-                    if bottom is None:
-                        if mid_r is None or mid_l is None or top is None \
-                                or mid_r == mid_l:
-                            continue
-                        below[k] = meet(mid_r, mid_l)
-                    elif mid_r is None:
-                        if mid_l is None or top is None:
-                            continue
+                    if mid_r is None:
                         below[k + 1] = other(bottom, top, mid_l)
-                    elif mid_l is None:
-                        if top is None:
-                            continue
-                        above[k + 1] = other(bottom, top, mid_r)
-                    elif top is None and mid_r != mid_l:
-                        above[k + 2] = join(mid_r, mid_l)
                     else:
-                        continue
+                        above[k + 1] = other(bottom, top, mid_r)
                 except ValueError as exc:
                     raise ValueError(
                         f"local rule at row {a}, offset {k}: {exc}") from None

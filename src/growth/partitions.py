@@ -5,12 +5,12 @@ A partition is a tuple of weakly decreasing positive integers; trailing
 zeros are stripped, so () is the empty partition.  The box is a
 :class:`Frame` passed explicitly to every operation that needs it.
 
-The box kernels (containment, complement, adding a box, union,
-intersection, the middles of a two-box skew) are memoized: a frame holds
-few partitions, and these are called for the same pairs many times over.
-Their caches are keyed by value, so they take tuples of ``int`` only; a
-float or bool part would hash like an int and its cached result would be
-served for the int input.  Untrusted data is checked for this where it is
+The box kernels (containment, complement, adding a box, the middles of
+a two-box skew) are memoized: a frame holds few partitions, and these
+are called for the same pairs many times over.  Their caches are keyed
+by value, so they take tuples of ``int`` only; a float or bool part
+would hash like an int and its cached result would be served for the
+int input.  Untrusted data is checked for this where it is
 read (``from_json``).  The growth solver and diagram validation do not
 call them per entry: ``growth.cylgrowth`` numbers each frame's partitions
 once and builds its tables over those numbers from these kernels.  Tuples
@@ -197,21 +197,6 @@ def added_box(small: tuple[int, ...], big: tuple[int, ...]) -> tuple[int, int] |
         if big[row] == s + 1:
             return (row, s)
     return None
-
-
-@cache
-def union(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Rowwise maximum of two partitions."""
-    m = max(len(p), len(q))
-    return normalize(tuple(max(p[i] if i < len(p) else 0,
-                               q[i] if i < len(q) else 0) for i in range(m)))
-
-
-@cache
-def intersect(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Rowwise minimum of two partitions."""
-    m = min(len(p), len(q))
-    return normalize(tuple(min(p[i], q[i]) for i in range(m)))
 
 
 def intermediates(bottom: tuple[int, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -11,13 +11,12 @@ import pytest
 from growth.cylgrowth import _numbering
 from growth.partitions import (
     Frame, _intermediates, add_box, added_box, complement, contains,
-    intermediates, intersect, is_domino, partitions_in, union,
+    intermediates, is_domino, partitions_in,
 )
 from growth.tableaux import other_middle
 
 FRAMES = [Frame(3, 7), Frame(2, 6)]
-PAIR_KERNELS = [contains, added_box, union, intersect, _intermediates,
-                is_domino]
+PAIR_KERNELS = [contains, added_box, _intermediates, is_domino]
 
 
 def outcome(fn, *args):
@@ -104,20 +103,15 @@ def test_frame_table(frame):
 
 @pytest.mark.parametrize("frame", TABLE_FRAMES, ids=str)
 def test_frame_table_local_rule(frame):
-    # every pair for meet and join, every (bottom, top, middle) of a unit
-    # square for the other middle: these are all the inputs on which the
-    # kernels return, so the memos then hold nothing unchecked
+    # every (bottom, top, middle) of a unit square: these are all the
+    # inputs on which the kernel returns, so the memo then holds nothing
+    # unchecked
     table = _numbering(frame)
     parts = table.parts
-    for p, q in product(range(len(parts)), repeat=2):
-        assert parts[table.meet(p, q)] == intersect(parts[p], parts[q])
-        assert parts[table.join(p, q)] == union(parts[p], parts[q])
     keys = {(b, t, x) for b, x, _, t in table.squares}
     for b, t, x in keys:
         assert parts[table.other(b, t, x)] == \
             other_middle(parts[b], parts[t], parts[x])
-    assert table.meet.cache_info().currsize == len(parts) ** 2
-    assert table.join.cache_info().currsize == len(parts) ** 2
     assert table.other.cache_info().currsize == len(keys)
     # off a square the kernel's error comes through with its text
     with pytest.raises(ValueError) as new:

@@ -137,6 +137,29 @@ class TestWallcross:
                            "--wall", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 100000, b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf-8", "deep", "deep-balanced"])
+    def test_unreadable_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "wallcross", "--input", str(path),
+                             "--wall", "1,2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read diagram from {path}: ")
+        assert err.count("\n") == 1
+
+    def test_read_as_utf8(self, capsys, tmp_path):
+        # whatever the locale, the key is read as the character it encodes
+        data = golden_diagram("growth_example").to_json()
+        data["\u00e9"] = 1
+        path = tmp_path / "key.json"
+        path.write_bytes(json.dumps(data, ensure_ascii=False).encode())
+        code, _, err = run(capsys, "wallcross", "--input", str(path),
+                           "--wall", "1,2")
+        assert code == 2
+        assert "the keys are ['frame', 'r', 'rows', '\u00e9']" in err
+
 
 # Diagram fields that are not ints, each reported with its path:
 # (diagram kind, where, value, expected message).  Floats and bools
@@ -272,6 +295,24 @@ class TestWallcrossMalformed:
         assert "the keys are ['b', 'frame', 'r', 'rows', 'shape'], " \
             "not ['frame', 'r', 'rows']" in err
 
+    @pytest.mark.parametrize("kind", ["fine", "class"])
+    @pytest.mark.parametrize("extra", [True, False],
+                             ids=["extra-key", "missing-key"])
+    def test_frame_keys(self, capsys, tmp_path, kind, extra):
+        # the frame holds exactly d and n: an extra key would not survive
+        # to_json, and a missing one is named with the frame
+        d = (cgd_enumerate(F24)[0] if kind == "fine" else
+             decgd_enumerate(Frame(2, 5), [(2,)] + [(1,)] * 4)[0])
+        data = json.loads(json.dumps(d.to_json()))
+        if extra:
+            data["frame"]["x"] = 1
+        else:
+            del data["frame"]["n"]
+        err = self._run(capsys, tmp_path, data, "1,2")
+        keys = "['d', 'n', 'x']" if extra else "['d']"
+        assert err.count("\n") == 1
+        assert f"frame: the keys are {keys}, not ['d', 'n']" in err
+
     def test_not_an_object(self, capsys, tmp_path):
         err = self._run(capsys, tmp_path, [1, 2], "1,2")
         assert "not a JSON object" in err
@@ -319,16 +360,21 @@ def _at(data, path):
 
 
 def _mutate(data, draw):
-    """Apply one drawn mutation to data in place: drop a key, retype a
-    value, truncate or extend a table or one of its rows, swap the class
-    tables, reorder the shape, or insert an empty condition."""
+    """Apply one drawn mutation to data in place: drop a key, add an
+    unknown key to a nested object, retype a value, truncate or extend a
+    table or one of its rows, swap the class tables, reorder the shape, or
+    insert an empty condition."""
     paths = list(_json_paths(data))
     kind = draw(st.sampled_from(
-        ["drop", "retype", "table", "swap", "reorder", "empty"]))
+        ["drop", "add", "retype", "table", "swap", "reorder", "empty"]))
     if kind == "drop":
         path = draw(st.sampled_from(
             [p for p in paths if isinstance(p[-1], str)]))
         del _at(data, path[:-1])[path[-1]]
+    elif kind == "add":
+        nested = [p for p in paths if isinstance(_at(data, p), dict)]
+        if nested:
+            _at(data, draw(st.sampled_from(nested)))["x"] = 1
     elif kind == "retype":
         path = draw(st.sampled_from(paths))
         old = _at(data, path)

@@ -1,8 +1,11 @@
 """Differential tests of the growth solver and of diagram validation
 against a slow reference: the dict-keyed fixpoint solver and the
-accessor-based validator that the row-indexed ones replaced, kept here
-verbatim.  Both must give the same diagram, the same error text and the
-same list of problems on every input below."""
+accessor-based validator that the row-indexed ones replaced.  The
+reference solver applies the same local rule, a square's other middle
+and nothing else.  Both must give the same diagram, the same error text
+and the same list of problems on every input below."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,8 @@ from growth.cylgrowth import (
     cgd_validate, row_path,
 )
 from growth.partitions import (
-    Frame, added_box, complement, covers, down_covers, intersect, is_domino,
-    normalize, partitions_in, union,
+    Frame, added_box, complement, covers, down_covers, is_domino,
+    normalize, partitions_in,
 )
 from growth.tableaux import enumerate_chains, other_middle
 
@@ -94,14 +97,10 @@ class RefCompletion:
             return False
         bottom, mid_r, mid_l, top = vals
         idx = missing[0]
-        if idx == 0 and mid_r != mid_l:
-            self.known[keys[0]] = intersect(mid_r, mid_l)
-        elif idx == 1:
+        if idx == 1:
             self.known[keys[1]] = other_middle(bottom, top, mid_l)
         elif idx == 2:
             self.known[keys[2]] = other_middle(bottom, top, mid_r)
-        elif idx == 3 and mid_r != mid_l:
-            self.known[keys[3]] = union(mid_r, mid_l)
         else:
             return False
         return True
@@ -228,6 +227,16 @@ def test_cross_cgd(frame, monkeypatch):
 DIAGRAMS = {frame: cgd_enumerate(frame) for frame in FRAMES}
 
 
+def walk(i: int, ups) -> list[tuple[int, int]]:
+    """The path from (i, i) taking one step up (True) or right (False)
+    for each of ups; each step widens the window by one."""
+    point, path = (i, i), [(i, i)]
+    for up in ups:
+        point = (point[0] - 1, point[1]) if up else (point[0], point[1] + 1)
+        path.append(point)
+    return path
+
+
 @st.composite
 def paths(draw):
     """A frame, one of its diagrams, and a path through the band."""
@@ -235,12 +244,8 @@ def paths(draw):
     g = draw(st.sampled_from(DIAGRAMS[frame]))
     r = frame.size
     i = draw(st.integers(-r, 2 * r))
-    point, path = (i, i), [(i, i)]
-    # each step, up or right, widens the window by one
-    for up in draw(st.lists(st.booleans(), min_size=r, max_size=r)):
-        point = (point[0] - 1, point[1]) if up else (point[0], point[1] + 1)
-        path.append(point)
-    return frame, g, path
+    return frame, g, walk(i, draw(st.lists(st.booleans(), min_size=r,
+                                           max_size=r)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,6 +255,20 @@ def test_hypothesis_paths(case):
     seeds = [(i, j, g.get(i, j)) for i, j in path]
     outcome = assert_same_outcome(frame, seeds)
     assert outcome[:2] == ("ok", g)
+
+
+@pytest.mark.parametrize("frame", [Frame(2, 4), Frame(2, 5), Frame(3, 5),
+                                   Frame(2, 6), Frame(3, 6)], ids=str)
+def test_every_path_grows_its_diagram(frame):
+    # the local rule is all that growth out of a path needs: each of the
+    # 2^r right/up paths from (0, 0) grows the diagram it is read from
+    r = frame.size
+    diagrams = DIAGRAMS[frame]
+    for g in diagrams[::max(1, len(diagrams) // 12)]:
+        for ups in product((False, True), repeat=r):
+            path = walk(0, ups)
+            assert cgd_from_path(path, [g.get(i, j) for i, j in path],
+                                 frame) == g
 
 
 @settings(max_examples=150, deadline=None)
