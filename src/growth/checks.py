@@ -39,13 +39,9 @@ BOX = (1,)
 
 
 def check_figure_growth():
-    """The packaged growth figure is rebuilt exactly from its first-row
-    chain."""
-    data = load_golden("growth_example")
-    frame = Frame(data["frame"]["d"], data["frame"]["n"])
-    chain = tuple(normalize(p) for p in data["chain"])
-    path = [tuple(p) for p in data["path"]]
-    g = cgd_from_path(path, chain, frame)
+    """The packaged growth figure is rebuilt exactly from the chain along
+    its marked path."""
+    g = golden_diagram("growth_example")
     for i, j, expected in golden_figure_entries("growth_example"):
         if g.get(i, j) != expected:
             return False, f"entry ({i},{j}) is {g.get(i, j)}, not {expected}"

@@ -16,7 +16,7 @@ from math import gcd
 
 from growth.cylgrowth import cgd_enumerate
 from growth.partitions import (
-    Frame, _intermediates, _set, _Value, added_box, complement, contains,
+    Frame, _intermediates, _Value, added_box, complement, contains,
     index_set, is_domino, normalize,
 )
 
@@ -35,26 +35,12 @@ class Monomial(_Value):
 
     __slots__ = ("coeff", "tau_pow", "u_pow")
 
-    def __init__(self, coeff: Fraction, tau_pow: int, u_pow: int):
-        _set(self, "coeff", coeff)
-        _set(self, "tau_pow", tau_pow)
-        _set(self, "u_pow", u_pow)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.coeff * other.coeff,
-                        self.tau_pow + other.tau_pow,
-                        self.u_pow + other.u_pow)
-
 
 class EmptyReport(_Value):
     """The two conditions are incompatible: the complement of one does not
     contain the other, so there are no solutions."""
 
     __slots__ = ("lam", "mu")
-
-    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
-        _set(self, "lam", lam)
-        _set(self, "mu", mu)
 
 
 class DegenerateReport(_Value):
@@ -63,36 +49,20 @@ class DegenerateReport(_Value):
 
     __slots__ = ("lam", "mu")
 
-    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
-        _set(self, "lam", lam)
-        _set(self, "mu", mu)
-
 
 class ConicReport(_Value):
     """The generic case: two nonadjacent boxes between the conditions.
 
     The solutions are parametrized by the conic
-    a u^2 - b u - c tau u + d' tau = 0 with (a, b, c, d') =
+    a u^2 - b u - c tau u + d' tau = 0 with conic = (a, b, c, d') =
     (j-i-1, j-i, j-i, j-i+1), and only four Pluecker coordinates are
-    nonzero."""
+    nonzero.  The index sets of lam and of mu's complement are
+    s + {i, j} and s + {i+1, j+1}; pluecker holds the four (index set,
+    :class:`Monomial`) pairs, and labels the six boundary labels in
+    circular order."""
 
     __slots__ = ("frame", "lam", "mu", "s", "i", "j", "conic", "pluecker",
                  "labels")
-
-    def __init__(self, frame: Frame, lam: tuple[int, ...],
-                 mu: tuple[int, ...], s: tuple[int, ...], i: int, j: int,
-                 conic: tuple[int, int, int, int],
-                 pluecker: tuple[tuple[frozenset, Monomial], ...],
-                 labels: tuple[tuple[int, ...], ...]):
-        _set(self, "frame", frame)
-        _set(self, "lam", lam)
-        _set(self, "mu", mu)
-        _set(self, "s", s)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "conic", conic)
-        _set(self, "pluecker", pluecker)
-        _set(self, "labels", labels)
 
 
 def _split_indices(left, right):

@@ -16,7 +16,7 @@ built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 from functools import cache
 
 from growth.partitions import (
-    Frame, _set, _Value, complement, covers, intermediates, normalize,
+    Frame, _Value, complement, covers, intermediates, normalize,
     partitions_in,
 )
 from growth.tableaux import (
@@ -29,12 +29,6 @@ class CylGrowthDiagram(_Value):
     i in [0, r); rows[i][k] holds the entry at (i, i + k) for k in [0, r]."""
 
     __slots__ = ("frame", "r", "rows")
-
-    def __init__(self, frame: Frame, r: int,
-                 rows: tuple[tuple[tuple[int, ...], ...], ...]):
-        _set(self, "frame", frame)
-        _set(self, "r", r)
-        _set(self, "rows", rows)
 
     def get(self, i: int, j: int) -> tuple[int, ...]:
         """Entry at (i, j) for any integers with 0 <= j - i <= r."""
@@ -63,14 +57,21 @@ class CylGrowthDiagram(_Value):
         frame = _json_frame(data)
         r = _json_int(data["r"], "r")
         if r != frame.size:
-            raise ValueError(f"r = {r!r}, but a diagram of {frame} has "
-                             f"r = d(n-d) = {frame.size}")
+            raise ValueError(_clip(f"r = {r!r}, but a diagram of {frame} "
+                                   f"has r = d(n-d) = {frame.size}"))
         rows = _json_table(data, "rows", r, r + 1, _json_partition)
         g = CylGrowthDiagram(frame, r, rows)
         ok, problems = cgd_validate(g)
         if not ok:
             raise ValueError(problems[0])
         return g
+
+
+def _clip(text: str) -> str:
+    """text, cut to a prefix ending in '...' when it is long: an error
+    about a file echoes the file's values, and one line must still name
+    the field whatever the file holds."""
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _json_table(data: dict, key: str, height: int, width: int,
@@ -80,7 +81,8 @@ def _json_table(data: dict, key: str, height: int, width: int,
     table = data[key]
     if not isinstance(table, list) or len(table) != height or any(
             not isinstance(row, list) or len(row) != width for row in table):
-        raise ValueError(f"{key!r} must be {height} rows of {width} entries")
+        raise ValueError(
+            _clip(f"{key!r} must be {height} rows of {width} entries"))
     return tuple(tuple(read(entry, f"{key}[{i}][{j}]")
                        for j, entry in enumerate(row))
                  for i, row in enumerate(table))
@@ -90,21 +92,21 @@ def _json_keys(data: dict, *keys: str, where: str = "") -> None:
     """Refuse data unless its keys are exactly the given ones; where
     prefixes the message with the object's field path."""
     if sorted(data) != sorted(keys):
-        raise ValueError(
-            f"{where}the keys are {sorted(data)}, not {sorted(keys)}")
+        raise ValueError(f"{where}the keys are {_clip(repr(sorted(data)))}, "
+                         f"not {sorted(keys)}")
 
 
 def _json_int(value, path: str) -> int:
     """value if it is an int; a float or bool is refused, since the
     memoized partition kernels would take it for the int it hashes like."""
     if type(value) is not int:
-        raise ValueError(f"{path}: {value!r} is not an integer")
+        raise ValueError(f"{path}: {_clip(repr(value))} is not an integer")
     return value
 
 
 def _json_list(value, path: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{path}: {value!r} is not a list")
+        raise ValueError(f"{path}: {_clip(repr(value))} is not a list")
     return value
 
 
@@ -116,24 +118,27 @@ def _json_partition(value, path: str) -> tuple[int, ...]:
     try:
         lam = normalize(parts)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_clip(str(exc))}") from None
     if len(lam) != len(parts):
-        raise ValueError(f"{path}: {value!r} ends in a zero part")
+        raise ValueError(f"{path}: {_clip(repr(value))} ends in a zero part")
     return lam
 
 
 def _json_frame(data: dict) -> Frame:
     frame = data["frame"]
     if not isinstance(frame, dict):
-        raise ValueError(f"frame: {frame!r} is not an object")
+        raise ValueError(f"frame: {_clip(repr(frame))} is not an object")
     _json_keys(frame, "d", "n", where="frame: ")
-    return Frame(_json_int(frame["d"], "frame.d"),
-                 _json_int(frame["n"], "frame.n"))
+    d, n = _json_int(frame["d"], "frame.d"), _json_int(frame["n"], "frame.n")
+    try:
+        return Frame(d, n)
+    except ValueError as exc:
+        raise ValueError(f"frame: {_clip(str(exc))}") from None
 
 
-def row_path(r: int, i: int = 0) -> list[tuple[int, int]]:
-    """The path along row i: (i, i), (i, i+1), ..., (i, i+r)."""
-    return [(i, i + k) for k in range(r + 1)]
+def row_path(r: int) -> list[tuple[int, int]]:
+    """The path along row 0: (0, 0), (0, 1), ..., (0, r)."""
+    return [(0, k) for k in range(r + 1)]
 
 
 def validate_path(path, r: int) -> list[tuple[int, int]]:
@@ -198,27 +203,25 @@ class _Completion:
 
     The entries are stored as rows[a][k] for the entry at (a, a + k), with
     a = i mod r and k = j - i, each as its number in the frame's
-    :class:`_Numbering`; an unknown entry is None, and missing counts
-    them.  Every row starts as a copy of one template holding the four
-    boundary offsets 0, 1, r - 1 and r.  Unit squares have corners
-    bottom rows[a][k], right middle rows[a][k+1], left middle
-    rows[a-1][k+1] and top rows[a-1][k+2].  The one deduction is the
-    local rule: a square whose bottom, top and one middle are known gets
-    its other middle (:func:`other_middle`).  No bottom or top is ever
-    deduced: every solve is seeded along a path (:func:`cgd_from_path`),
-    and growth out of a path only meets squares whose bottom and top are
-    already known.  The solved diagram holds tuples."""
+    :class:`_Numbering`; an unknown entry is None.  Every row starts as a
+    copy of one template holding the four boundary offsets 0, 1, r - 1
+    and r.  Unit squares have corners bottom rows[a][k], right middle
+    rows[a][k+1], left middle rows[a-1][k+1] and top rows[a-1][k+2].  The
+    one deduction is the local rule: a square whose bottom, top and one
+    middle are known gets its other middle (:func:`other_middle`).  No
+    bottom or top is ever deduced: every solve is seeded along a path
+    (:func:`cgd_from_path`), and growth out of a path only meets squares
+    whose bottom and top are already known.  The solved diagram holds
+    tuples."""
 
     def __init__(self, frame: Frame, r: int):
         self.frame = frame
         self.r = r
         self.table = _numbering(frame)
         self.rows = [[None] * (r + 1)]
-        self.missing = r + 1
         for k, n in zip((0, 1, r - 1, r), self.table.anchors):
             self.set(0, k, self.table.parts[n])
         self.rows += [self.rows[0].copy() for _ in range(r - 1)]
-        self.missing *= r
 
     def set(self, a: int, k: int, value):
         # a negative offset would index a row from its end
@@ -234,7 +237,6 @@ class _Completion:
         old = row[k]
         if old is None:
             row[k] = n
-            self.missing -= 1
         elif old != n:
             raise ValueError(
                 f"inconsistent entry at row {a % self.r}, offset {k}: "
@@ -245,16 +247,17 @@ class _Completion:
 
     def solve(self) -> CylGrowthDiagram:
         progress = True
-        while progress and self.missing:
+        while progress and any(None in row for row in self.rows):
             progress = self._square()
             if self._glide():
                 progress = True
-        if self.missing:
+        unknown = sum(row.count(None) for row in self.rows)
+        if unknown:
             a, k = next((a, k) for a, row in enumerate(self.rows)
                         for k, value in enumerate(row) if value is None)
             raise ValueError(
                 f"growth recursion stalled; inconsistent seeds: "
-                f"{self.missing} entries unknown, the first at row {a}, "
+                f"{unknown} entries unknown, the first at row {a}, "
                 f"offset {k}")
         part = self.table.parts.__getitem__
         diagram = CylGrowthDiagram(self.frame, self.r, tuple(
@@ -268,22 +271,21 @@ class _Completion:
         # every diagram satisfies gamma(i, j) = gamma(j, i + r)^C, so a
         # known entry also determines its glide-reflect image
         r, rows, comp = self.r, self.rows, self.table.comp
-        filled = 0
+        filled = False
         for a, row in enumerate(rows):
             for k, value in enumerate(row):
                 if value is not None:
                     image = rows[(a + k) % r]
                     if image[r - k] is None:
                         image[r - k] = comp[value]
-                        filled += 1
-        self.missing -= filled
-        return filled > 0
+                        filled = True
+        return filled
 
     def _square(self) -> bool:
         # one pass over the unit squares, in (a, k) order, each deduction
         # written in place before the next square is read
         rows, other = self.rows, self.table.other
-        filled = 0
+        filled = False
         for a, below in enumerate(rows):
             above = rows[a - 1]
             for k in range(self.r - 1):
@@ -300,9 +302,8 @@ class _Completion:
                 except ValueError as exc:
                     raise ValueError(
                         f"local rule at row {a}, offset {k}: {exc}") from None
-                filled += 1
-        self.missing -= filled
-        return filled > 0
+                filled = True
+        return filled
 
 
 def cgd_from_path(path, chain, frame: Frame) -> CylGrowthDiagram:

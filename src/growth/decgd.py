@@ -13,10 +13,10 @@ the row-0 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and
 stored on residues of k."""
 
 from growth.cylgrowth import (
-    CylGrowthDiagram, cgd_from_path, _json_frame, _json_int, _json_keys,
-    _json_list, _json_partition, _json_table, row_path,
+    CylGrowthDiagram, cgd_from_path, _clip, _json_frame, _json_int,
+    _json_keys, _json_list, _json_partition, _json_table, row_path,
 )
-from growth.partitions import Frame, _set, _Value, normalize, shapes_between
+from growth.partitions import Frame, _shapes_between, _Value, normalize
 from growth.tableaux import DualClass, dual_classes, validate_chain
 
 
@@ -27,14 +27,6 @@ class Decgd(_Value):
     the entries and the contents are read off them."""
 
     __slots__ = ("frame", "r", "a", "b")
-
-    def __init__(self, frame: Frame, r: int,
-                 a: tuple[tuple[DualClass, ...], ...],
-                 b: tuple[tuple[DualClass, ...], ...]):
-        _set(self, "frame", frame)
-        _set(self, "r", r)
-        _set(self, "a", a)
-        _set(self, "b", b)
 
     @property
     def shape(self) -> tuple[tuple[int, ...], ...]:
@@ -79,8 +71,8 @@ class Decgd(_Value):
         r = _json_int(data["r"], "r")
         shape = data["shape"]
         if not isinstance(shape, list) or len(shape) != r:
-            raise ValueError(f"r = {r!r}, but the shape does not list "
-                             f"r conditions")
+            raise ValueError(f"r = {_clip(repr(r))}, but the shape does not "
+                             f"list r conditions")
         shape = check_shape(_json_partition(lam, f"shape[{i}]")
                             for i, lam in enumerate(shape))
         rows = _json_table(data, "rows", r, r + 1, _json_partition)
@@ -92,8 +84,8 @@ class Decgd(_Value):
         try:
             d = decgd_from_first_row(a[0], frame)
         except ValueError as exc:
-            raise ValueError(
-                f"the row-0 classes grow no diagram: {exc}") from None
+            raise ValueError("the row-0 classes grow no diagram: "
+                             + _clip(str(exc))) from None
         for name, table, grown in (("a", a, d.a), ("b", b, d.b)):
             for k, (row, want) in enumerate(zip(table, grown)):
                 for m, (cls, want_cls) in enumerate(zip(row, want)):
@@ -114,7 +106,7 @@ def _json_class(value, path: str) -> DualClass:
     try:
         cls = DualClass.of(validate_chain(chain))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_clip(str(exc))}") from None
     if list(cls.representative) != chain:
         raise ValueError(f"{path}: not the representative of its class")
     return cls
@@ -217,7 +209,7 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
             return
         mu = classes[-1].outer if classes else ()
         target = sum(sum(lam) for lam in shape[:m + 1])
-        for nu in sorted(shapes_between(mu, frame.rectangle(), target)):
+        for nu in sorted(_shapes_between(mu, frame.rectangle(), target)):
             for cls in dual_classes(nu, mu, shape[m]):
                 build(classes + [cls])
 

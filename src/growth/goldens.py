@@ -1,12 +1,13 @@
-"""Access to the packaged reference diagrams and conversion of the printed
-row layout (rows 1..7, row t spanning (t, t)..(t, t+r)) into
-:class:`~growth.cylgrowth.CylGrowthDiagram` values."""
+"""Access to the packaged reference diagrams.  A figure's diagram is
+grown from the chain the file prints along its printed path; the printed
+rows (rows 1..7, row t spanning (t, t)..(t, t+r)) are kept as the oracle
+that the checks compare every grown entry with."""
 
 import json
 from importlib import resources
 
 from growth.partitions import Frame, normalize
-from growth.cylgrowth import CylGrowthDiagram, cgd_validate
+from growth.cylgrowth import CylGrowthDiagram, cgd_from_path
 
 
 def load_golden(name: str) -> dict:
@@ -16,26 +17,11 @@ def load_golden(name: str) -> dict:
 
 
 def golden_diagram(name: str) -> CylGrowthDiagram:
-    """The reference diagram as a value, folded into the fundamental
-    domain rows 0..r-1 through the (i, j) -> (i+r, j+r) periodicity."""
+    """The reference diagram as a value: the unique diagram taking the
+    file's printed chain along its printed path."""
     data = load_golden(name)
     frame = Frame(data["frame"]["d"], data["frame"]["n"])
-    r = data["r"]
-    start = data["figure_start_row"]
-    by_residue: dict[int, tuple] = {}
-    for offset, row in enumerate(data["figure_rows"]):
-        chain = tuple(normalize(p) for p in row)
-        residue = (start + offset) % r
-        if residue in by_residue and by_residue[residue] != chain:
-            raise ValueError(f"reference rows conflict at residue {residue}")
-        by_residue[residue] = chain
-    if sorted(by_residue) != list(range(r)):
-        raise ValueError("reference file does not cover every row residue")
-    g = CylGrowthDiagram(frame, r, tuple(by_residue[a] for a in range(r)))
-    ok, problems = cgd_validate(g)
-    if not ok:
-        raise ValueError(f"reference diagram invalid: {problems[0]}")
-    return g
+    return cgd_from_path(data["path"], data["chain"], frame)
 
 
 def golden_figure_entries(name: str):

@@ -15,7 +15,7 @@ from growth.decgd import (
 )
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
-    Frame, _lr_multi, _set, _shapes_between, _Value, complement, normalize,
+    Frame, _lr_multi, _shapes_between, _Value, complement, normalize,
 )
 
 
@@ -59,9 +59,7 @@ class Wall(_Value):
                 f"got {length}")
         if not (1 <= a <= r):
             raise ValueError("interval start must lie in [1, r]")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "r", r)
+        _Value.__init__(self, a, b, r)
 
     def complementary(self) -> "Wall":
         """The same chord presented from the other side."""
@@ -216,17 +214,10 @@ def transport_decgd(d: Decgd, gmap) -> Decgd:
 # the monodromy graph
 
 class MonodromyGraph(_Value):
-    """The cover graph: nodes are (facet, diagram) pairs, edges are
-    (from_id, to_id, wall (a, b)) triples."""
+    """The cover graph over the conditions shape: nodes are (facet,
+    diagram) pairs, edges are (from_id, to_id, wall (a, b)) triples."""
 
     __slots__ = ("frame", "shape", "nodes", "edges")
-
-    def __init__(self, frame: Frame, shape: tuple[tuple[int, ...], ...],
-                 nodes: tuple, edges: tuple):
-        _set(self, "frame", frame)
-        _set(self, "shape", shape)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
 
 
 class _FiberTables:
@@ -396,13 +387,10 @@ def export(graph: MonodromyGraph, fmt: str, out) -> None:
 
 class LabeledTree(_Value):
     """A tree with leaves 1..r and internal vertices of degree >= 3,
-    given by its adjacency map.  Internal vertices are negative ints."""
+    given by its adjacency map.  Internal vertices are negative ints;
+    adj holds the sorted (vertex, sorted neighbours) pairs."""
 
     __slots__ = ("r", "adj")
-
-    def __init__(self, r: int, adj: tuple):
-        _set(self, "r", r)
-        _set(self, "adj", adj)  # sorted (vertex, sorted neighbours) pairs
 
     @property
     def internal_edges(self):

@@ -19,13 +19,15 @@ stay the public representation of a partition.
 The package's value classes (:class:`Frame` here, the diagrams, classes,
 walls, graphs, trees and conic reports elsewhere) derive from
 :class:`_Value`, defined here because every other module imports this one.
-It gives them what a frozen dataclass would: equality within one class,
-the hash of the field tuple, the dataclass repr, pickling and
-immutability.  They are not dataclasses, for start-up time: importing
-``dataclasses`` brings ``inspect``, ``ast`` and ``dis`` (about 10 of the
-35 ms of ``import growth.cli`` on CPython 3.11), and every dataclass
-compiles its generated methods with ``exec`` when it is created, on every
-run, about 1 ms each.  The base's methods are compiled once, with this
+It builds every value and gives them what a frozen dataclass would: a
+constructor taking the fields by position or by name, equality within one
+class, the hash of the field tuple, the dataclass repr, pickling and
+immutability.  Only :class:`Frame` and ``Wall`` check their arguments.
+They are not dataclasses, for start-up time: importing ``dataclasses``
+brings ``inspect``, ``ast`` and ``dis`` (about 10 of the 35 ms of
+``import growth.cli`` on CPython 3.11), and every dataclass compiles its
+generated methods with ``exec`` when it is created, on every run, about
+1 ms each.  The base's methods are compiled once, with this
 module, and not at all where its ``.pyc`` is cached.  A fresh checkout run
 with ``PYTHONDONTWRITEBYTECODE=1`` has no cache and compiles the package
 from source on every start.
@@ -40,11 +42,27 @@ _set = object.__setattr__
 
 class _Value:
     """Base of an immutable value class.  A subclass names its fields in
-    ``__slots__`` and assigns each in its own ``__init__`` through
-    ``_set(self, name, value)``; it compares, hashes, prints and pickles
-    by the tuple of its field values, in slot order."""
+    ``__slots__``; the constructor takes them in that order, by position
+    or by name, and raises TypeError on a missing, extra or unknown field,
+    as a frozen dataclass would.  A subclass that checks its arguments
+    does so in its own ``__init__`` and then calls this one.  A value
+    compares, hashes, prints and pickles by the tuple of its field values,
+    in slot order."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or sorted(kwargs) != sorted(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes the fields "
+                    f"{', '.join(names)}; got {len(args)} by position and "
+                    f"{sorted(kwargs)} by name")
+            args += tuple(kwargs[name] for name in rest)
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -84,8 +102,7 @@ class Frame(_Value):
     def __init__(self, d: int, n: int):
         if not (0 <= d <= n):
             raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-        _set(self, "d", d)
-        _set(self, "n", n)
+        _Value.__init__(self, d, n)
 
     @property
     def cols(self) -> int:
@@ -342,14 +359,9 @@ def _shapes_between(inner: tuple[int, ...], outer: tuple[int, ...],
     return tuple(out)
 
 
-def shapes_between(inner, outer, target_size: int):
-    """All partitions nu with inner <= nu <= outer and |nu| = target_size."""
-    return _shapes_between(normalize(inner), normalize(outer), target_size)
-
-
 def partitions_in(frame: Frame):
     """Every partition that fits in the frame's box, by size and then in
-    the order of :func:`shapes_between`."""
+    the order of :func:`_shapes_between`."""
     rect = frame.rectangle()
     return tuple(nu for s in range(frame.size + 1)
                  for nu in _shapes_between((), rect, s))

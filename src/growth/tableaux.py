@@ -18,7 +18,7 @@ per class.
 from functools import cache
 
 from growth.partitions import (
-    _intermediates, _set, _Value, added_box, contains, normalize,
+    _intermediates, _Value, added_box, contains, normalize,
 )
 
 Chain = tuple[tuple[int, ...], ...]
@@ -160,10 +160,6 @@ class DualClass(_Value):
     canonical representative and rectification shape."""
 
     __slots__ = ("representative", "rshape")
-
-    def __init__(self, representative: Chain, rshape: tuple[int, ...]):
-        _set(self, "representative", representative)
-        _set(self, "rshape", rshape)
 
     @staticmethod
     def of(t: Chain) -> "DualClass":

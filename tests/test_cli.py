@@ -203,6 +203,14 @@ FIELD_CASES = [
 ]
 
 
+def nested(depth: int) -> list:
+    """The empty list nested depth deep: [[...[]...]]."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 class TestWallcrossMalformed:
     """Diagram files that parse as JSON but are not diagrams: exit 2 with
     the first problem, never a traceback or a crossed diagram."""
@@ -316,6 +324,26 @@ class TestWallcrossMalformed:
     def test_not_an_object(self, capsys, tmp_path):
         err = self._run(capsys, tmp_path, [1, 2], "1,2")
         assert "not a JSON object" in err
+
+    @pytest.mark.parametrize("kind,where,value,want", [
+        pytest.param("fine", ("rows", 0, 0), ["x" * 1000000],
+                     "rows[0][0][0]: 'xxx", id="long-string"),
+        pytest.param("class", ("a", 0, 0), ["x" * 1000000],
+                     "a[0][0][0]: 'xxx", id="class-long-string"),
+        pytest.param("fine", ("rows", 0, 0), nested(900),
+                     "rows[0][0][0]: [[[", id="nested-900"),
+    ])
+    def test_long_value_clipped(self, capsys, tmp_path, kind, where, value,
+                                want):
+        # one short line names the field and echoes only the start of the
+        # value, however long or deep the value is
+        data = json.loads(json.dumps(
+            (cgd_enumerate(F24)[0] if kind == "fine" else
+             decgd_enumerate(F24, [(1,)] * 4)[0]).to_json()))
+        _at(data, where[:-1])[where[-1]] = value
+        err = self._run(capsys, tmp_path, data, "1,2")
+        assert err.count("\n") == 1 and len(err.encode()) < 300, err[:400]
+        assert want in err and "..." in err
 
     @pytest.mark.parametrize("kind,where,value,want", FIELD_CASES)
     def test_field_path(self, capsys, tmp_path, kind, where, value, want):

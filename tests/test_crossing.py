@@ -100,14 +100,20 @@ FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(2, 7), Frame(3, 5),
 
 
 @st.composite
-def crossings(draw):
-    """A diagram grown from a random row-0 chain of a frame, and a wall."""
+def diagrams(draw):
+    """A diagram grown from a random row-0 chain of a frame."""
     frame = draw(st.sampled_from(FRAMES))
     chain = [()]
     while chain[-1] != frame.rectangle():
         chain.append(draw(st.sampled_from(covers(chain[-1], frame))))
-    g = cgd_from_path(row_path(frame.size), chain, frame)
-    return g, draw(st.sampled_from(walls(frame.size)))
+    return cgd_from_path(row_path(frame.size), chain, frame)
+
+
+@st.composite
+def crossings(draw):
+    """A diagram of :func:`diagrams`, and a wall."""
+    g = draw(diagrams())
+    return g, draw(st.sampled_from(walls(g.r)))
 
 
 @settings(max_examples=80, deadline=None)

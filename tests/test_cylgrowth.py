@@ -3,6 +3,7 @@ enumeration counts, symmetries, and the promotion and d=2 matching
 bijection that growth.checks builds on them."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growth.checks import (
     cgd_of_matching, matching_of_cgd, noncrossing_matchings, promotion,
@@ -11,9 +12,11 @@ from growth.checks import (
 from growth.cylgrowth import (
     cgd_enumerate, cgd_from_path, cgd_validate, row_path, CylGrowthDiagram,
 )
+from growth.decgd import decgd_from_first_row, restrict_cgd
 from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.partitions import Frame, complement, is_domino, normalize, syt_count
-from growth.tableaux import enumerate_chains
+from growth.tableaux import enumerate_chains, other_middle
+from test_crossing import diagrams
 
 F24 = Frame(2, 4)
 F25 = Frame(2, 5)
@@ -68,7 +71,8 @@ class TestConstruction:
     def test_uniqueness_via_all_paths(self):
         # reading any path and rebuilding gives back the same diagram
         g = golden_diagram("growth_example")
-        paths = [row_path(6, i) for i in range(6)]
+        # the six row paths, (i, i) .. (i, i + 6)
+        paths = [[(i, i + k) for k in range(7)] for i in range(6)]
         paths.append([(4, 4), (3, 4), (3, 5), (3, 6), (2, 6), (2, 7), (2, 8)])
         paths.append([(2, 2), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)])
         for path in paths:
@@ -172,3 +176,31 @@ class TestMatchings:
     def test_d3_rejected(self):
         with pytest.raises(ValueError):
             matching_of_cgd(cgd_enumerate(Frame(3, 6))[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(diagrams(), st.data())
+def test_diagram_properties(g, data):
+    frame, r = g.frame, g.r
+    for i in range(r):
+        # the local rule maps each middle of a unit square to the other
+        for j in range(i, i + r - 1):
+            bottom, top = g.get(i, j), g.get(i - 1, j + 1)
+            right, left = g.get(i, j + 1), g.get(i - 1, j)
+            assert other_middle(bottom, top, right) == left
+            assert other_middle(bottom, top, left) == right
+        for k in range(r + 1):
+            assert g.get(i, i + k) == complement(g.get(i + k, i + r), frame)
+    # growing from row t's chain gives the rotation by t
+    for t in range(r):
+        assert cgd_from_path(row_path(r), g.row(t), frame).rows == \
+            g.rows[t:] + g.rows[:t]
+    if frame.d == 2:
+        assert cgd_of_matching(matching_of_cgd(g), frame) == g
+    # a composition of r into at least 3 blocks, by its cut points:
+    # lifting the restriction's row-0 classes and restricting again
+    # gives the restriction back
+    cuts = sorted(data.draw(st.sets(st.integers(1, r - 1), min_size=2)))
+    sizes = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [r]))
+    d = restrict_cgd(g, sizes)
+    assert decgd_from_first_row(d.a[0], frame) == d
