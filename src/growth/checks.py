@@ -2,11 +2,14 @@
 
 Each check returns (ok, detail).  run_checks executes a named suite and
 reports one line per check with its runtime.  Besides the checks, this
-module holds what only they use: the q-hook polynomial and its values at
-roots of unity, promotion as a function on rectangular tableaux, and the
-d=2 bijection between growth diagrams and noncrossing matchings."""
+module holds what only they use: the packaged reference diagrams, the
+q-hook polynomial and its values at roots of unity, promotion as a
+function on rectangular tableaux, and the d=2 bijection between growth
+diagrams and noncrossing matchings."""
 
+import json
 import time
+from importlib import resources
 from itertools import combinations, product
 from math import gcd
 
@@ -18,7 +21,6 @@ from growth.cylgrowth import (
     CylGrowthDiagram, cgd_enumerate, cgd_from_path, row_path,
 )
 from growth.decgd import decgd_enumerate
-from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
     Wall, all_trees, build_cover_graph, cross_cgd, facets, fiber_count,
     graph_components,
@@ -36,6 +38,32 @@ F24 = Frame(2, 4)
 F25 = Frame(2, 5)
 F26 = Frame(2, 6)
 BOX = (1,)
+
+
+def load_golden(name: str) -> dict:
+    """Load a packaged reference file: 'growth_example' or 'wall_example'."""
+    text = resources.files("growth.data").joinpath(f"{name}.json").read_text()
+    return json.loads(text)
+
+
+def golden_diagram(name: str) -> CylGrowthDiagram:
+    """The reference diagram as a value: the unique diagram taking the
+    file's printed chain along its printed path.  The printed rows (rows
+    1..7, row t spanning (t, t)..(t, t+r)) are the checks' oracle."""
+    data = load_golden(name)
+    frame = Frame(data["frame"]["d"], data["frame"]["n"])
+    return cgd_from_path(data["path"], data["chain"], frame)
+
+
+def golden_figure_entries(name: str):
+    """Iterate (i, j, partition) over every entry printed in the figure,
+    in the figure's own coordinates."""
+    data = load_golden(name)
+    start = data["figure_start_row"]
+    for offset, row in enumerate(data["figure_rows"]):
+        i = start + offset
+        for k, p in enumerate(row):
+            yield i, i + k, normalize(p)
 
 
 def check_figure_growth():

@@ -210,8 +210,8 @@ def cmd_cover(args) -> int:
 
 def cmd_verify(args) -> int:
     with _output(args) as out:
-        # imported here: the checks bring the conic and the goldens, which
-        # no other command needs
+        # imported here: the checks bring the conic and the packaged
+        # reference diagrams, which no other command needs
         from growth.checks import CHECKS, run_checks
         try:
             results = run_checks(args.only)

@@ -16,7 +16,7 @@ built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 from functools import cache
 
 from growth.partitions import (
-    Frame, _Value, complement, covers, intermediates, normalize,
+    Frame, _Value, complement, covers, fits, intermediates, normalize,
     partitions_in,
 )
 from growth.tableaux import (
@@ -59,7 +59,8 @@ class CylGrowthDiagram(_Value):
         if r != frame.size:
             raise ValueError(_clip(f"r = {r!r}, but a diagram of {frame} "
                                    f"has r = d(n-d) = {frame.size}"))
-        rows = _json_table(data, "rows", r, r + 1, _json_partition)
+        rows = _json_table(data, "rows", r, r + 1,
+                           lambda v, path: _json_partition(v, path, frame))
         g = CylGrowthDiagram(frame, r, rows)
         ok, problems = cgd_validate(g)
         if not ok:
@@ -110,9 +111,10 @@ def _json_list(value, path: str) -> list:
     return value
 
 
-def _json_partition(value, path: str) -> tuple[int, ...]:
+def _json_partition(value, path: str, frame=None) -> tuple[int, ...]:
     """A partition read from a list of ints, written as the diagrams
-    write it: weakly decreasing, no trailing zero."""
+    write it: weakly decreasing, no trailing zero, and inside the frame
+    when one is given."""
     parts = [_json_int(p, f"{path}[{i}]")
              for i, p in enumerate(_json_list(value, path))]
     try:
@@ -121,6 +123,8 @@ def _json_partition(value, path: str) -> tuple[int, ...]:
         raise ValueError(f"{path}: {_clip(str(exc))}") from None
     if len(lam) != len(parts):
         raise ValueError(f"{path}: {_clip(repr(value))} ends in a zero part")
+    if frame and not fits(lam, frame):
+        raise ValueError(f"{path}: {_clip(repr(lam))} does not fit in {frame}")
     return lam
 
 

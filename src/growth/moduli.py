@@ -1,13 +1,15 @@
 """Facet combinatorics of the real moduli of r marked stable rational
 curves, wall crossings on (class) growth diagrams, the monodromy graph of
-the covering, and tree labelings with fiber counts.
+the covering, and trees grown as edge lists, their labelings and fiber counts.
 
 A facet is a dihedral class of circular orders of [r], stored canonically:
 the representative starts at 1 and takes the lexicographically smaller
 direction.  A wall is the chord reversing a circular interval of marked
 positions; it is identified with the complementary interval."""
 
-from itertools import accumulate, permutations
+from collections import defaultdict
+from itertools import accumulate, permutations, product
+from math import prod
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import (
@@ -402,48 +404,33 @@ class LabeledTree(_Value):
         adj = tuple(sorted((v, tuple(sorted(ns))) for v, ns in adj_map.items()))
         return LabeledTree(r, adj)
 
+    @staticmethod
+    def from_edges(edges) -> "LabeledTree":
+        adj = defaultdict(list)
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return LabeledTree.from_adjacency(adj)
+
 
 def star_tree(r: int) -> LabeledTree:
-    adj = {-1: list(range(1, r + 1))}
-    for leaf in range(1, r + 1):
-        adj[leaf] = [-1]
-    return LabeledTree.from_adjacency(adj)
+    return LabeledTree.from_edges((-1, leaf) for leaf in range(1, r + 1))
 
 
 def all_trees(r: int):
-    """Every tree with leaves [r] and internal degrees >= 3, built by
-    attaching leaves one at a time."""
-    base = star_tree(3)
-    trees = [{v: list(ns) for v, ns in base.adj}]
+    """Every tree with leaves [r] and internal degrees >= 3, grown as edge
+    lists from the star on three leaves: each new leaf hangs from an
+    internal vertex or from a new internal vertex splitting an edge."""
+    trees = [[(-1, leaf) for leaf, _ in star_tree(3).adj if leaf > 0]]
     for leaf in range(4, r + 1):
         grown = []
-        for adj in trees:
-            internal = [v for v in adj if v < 0]
-            next_id = min(internal) - 1
-            # attach to an existing internal vertex
-            for v in internal:
-                new = {u: list(ns) for u, ns in adj.items()}
-                new[v].append(leaf)
-                new[leaf] = [v]
-                grown.append(new)
-            # or subdivide an edge with a new internal vertex
-            seen_edges = set()
-            for u in adj:
-                for v in adj[u]:
-                    e = (min(u, v), max(u, v))
-                    if e in seen_edges:
-                        continue
-                    seen_edges.add(e)
-                    new = {x: list(ns) for x, ns in adj.items()}
-                    new[u].remove(v)
-                    new[v].remove(u)
-                    new[next_id] = [u, v, leaf]
-                    new[u].append(next_id)
-                    new[v].append(next_id)
-                    new[leaf] = [next_id]
-                    grown.append(new)
+        for edges in trees:
+            w = leaf - 3 - len(edges)  # the internal vertices are -1 .. w + 1
+            grown += [edges + [(v, leaf)] for v in range(-1, w, -1)]
+            grown += [edges[:i] + edges[i + 1:] + [(u, w), (v, w), (w, leaf)]
+                      for i, (u, v) in enumerate(edges)]
         trees = grown
-    return [LabeledTree.from_adjacency(adj) for adj in trees]
+    return [LabeledTree.from_edges(edges) for edges in trees]
 
 
 def node_labelings(tree: LabeledTree, shape, frame: Frame):
@@ -473,43 +460,23 @@ def node_labelings(tree: LabeledTree, shape, frame: Frame):
         return sum(beyond(w, u) for u in adj[w] if u != v)
 
     choices = [_shapes_between((), rect, beyond(v, w)) for v, w in edges]
-    labels = {}
     labelings = []
-
-    def label(v, w):
-        if w > 0:
-            return shape[w - 1]
-        if v < w:
-            return labels[v, w]
-        return complement(labels[w, v], frame)
-
-    def build(idx):
-        if idx < len(edges):
-            for nu in choices[idx]:
-                labels[edges[idx]] = nu
-                build(idx + 1)
-            return
-        labeling = {(v, w): label(v, w) for v in internal for w in adj[v]}
+    for labels in product(*choices):
+        side = dict(zip(edges, labels))
+        labeling = {(v, w): shape[w - 1] if w > 0 else side[v, w] if v < w
+                    else complement(side[w, v], frame)
+                    for v in internal for w in adj[v]}
         # a labeling must admit a tableau at every internal vertex
         if all(_lr_multi((), tuple(labeling[v, w] for w in adj[v]), rect)
                for v in internal):
             labelings.append(labeling)
-
-    build(0)
     return labelings
 
 
 def fiber_count(tree: LabeledTree, shape, frame: Frame) -> int:
     """Sum over labelings of the product of per-vertex multi-factor
     Littlewood-Richardson coefficients; independent of the tree."""
-    adj = dict(tree.adj)
-    internal = [v for v, _ in tree.adj if v < 0]
     rect = frame.rectangle()
-    total = 0
-    for labeling in node_labelings(tree, shape, frame):
-        prod = 1
-        for v in internal:
-            prod *= _lr_multi(
-                (), tuple(labeling[v, w] for w in adj[v]), rect)
-        total += prod
-    return total
+    return sum(prod(_lr_multi((), tuple(labeling[v, w] for w in nbrs), rect)
+                    for v, nbrs in tree.adj if v < 0)
+               for labeling in node_labelings(tree, shape, frame))

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from growth.checks import golden_diagram, golden_figure_entries, load_golden
 from growth.cli import main, parse_shape
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
-from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import Wall, cross_cgd
 from growth.partitions import Frame
 from growth.tableaux import DualClass, dual_classes, enumerate_chains
@@ -178,6 +178,9 @@ FIELD_CASES = [
                  "rows[1][2]: 2 is not a list", id="not-a-list"),
     pytest.param("fine", ("rows", 0, 1), [1, 0],
                  "rows[0][1]: [1, 0] ends in a zero part", id="zero-part"),
+    pytest.param("fine", ("rows", 0, 2), [4],
+                 "rows[0][2]: (4,) does not fit in Frame(d=2, n=5)",
+                 id="out-of-frame"),
     pytest.param("fine", ("frame", "d"), 2.0,
                  "frame.d: 2.0 is not an integer", id="float-frame"),
     pytest.param("fine", ("frame", "n"), True,
@@ -332,6 +335,8 @@ class TestWallcrossMalformed:
                      "a[0][0][0]: 'xxx", id="class-long-string"),
         pytest.param("fine", ("rows", 0, 0), nested(900),
                      "rows[0][0][0]: [[[", id="nested-900"),
+        pytest.param("fine", ("rows", 0, 2), [1] * 100000,
+                     "rows[0][2]: (1, 1, 1", id="long-out-of-frame"),
     ])
     def test_long_value_clipped(self, capsys, tmp_path, kind, where, value,
                                 want):
@@ -831,7 +836,8 @@ class TestVerify:
         # the value classes are not dataclasses: importing dataclasses (and
         # inspect, ast and dis with it) would cost every command more than
         # many spend on their work.  The checks may bring inspect, through
-        # the goldens' importlib.resources on Python 3.12 and later.
+        # the importlib.resources that reads their packaged reference
+        # diagrams, on Python 3.12 and later.
         code = ("import sys, growth.cli, growth.moduli; "
                 "late = {'dataclasses', 'inspect'} & set(sys.modules); "
                 "import growth.checks; "

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growth.checks import (
-    cgd_of_matching, matching_of_cgd, noncrossing_matchings, promotion,
-    rotate_matching,
+    cgd_of_matching, golden_diagram, golden_figure_entries, load_golden,
+    matching_of_cgd, noncrossing_matchings, promotion, rotate_matching,
 )
 from growth.cylgrowth import (
     cgd_enumerate, cgd_from_path, cgd_validate, row_path, CylGrowthDiagram,
 )
 from growth.decgd import decgd_from_first_row, restrict_cgd
-from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.partitions import Frame, complement, is_domino, normalize, syt_count
 from growth.tableaux import enumerate_chains, other_middle
 from test_crossing import diagrams

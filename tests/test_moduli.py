@@ -8,18 +8,19 @@ import os
 import subprocess
 import sys
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from growth import moduli
+from growth.checks import golden_diagram, golden_figure_entries, load_golden
 from growth.cylgrowth import (
     CylGrowthDiagram, _Completion, cgd_enumerate, cgd_validate,
 )
 from growth.decgd import decgd_enumerate, restrict_cgd
-from growth.goldens import golden_diagram, golden_figure_entries, load_golden
 from growth.moduli import (
     LabeledTree, MonodromyGraph, Wall, _FiberTables, all_trees,
     build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
@@ -461,6 +462,66 @@ COVER_IDS = ["24-1^4", "25-1^6", "25-2;1^4", "26-2;2;2;1;1", "26-2;1;2;1;2",
              "35-11;1^4", "36-2;1;2;1;2;1", "26-2;2;1^4"]
 
 
+def chord(facet, wall):
+    """The marked points on the side of the wall's chord without marked
+    point 1."""
+    r = len(facet)
+    side = frozenset(facet[(x - 1) % r] for x in range(wall.a, wall.b + 1))
+    return side if 1 not in side else frozenset(range(1, r + 1)) - side
+
+
+def cross_chord(tables, facet, side):
+    """Cross the chord with this side from the facet, through the wall
+    that build_cover_graph gives it there; returns the new facet and the
+    table of fiber indices."""
+    (wall,) = [w for w in walls(len(facet)) if chord(facet, w) == side]
+    new_facet, gmap = cross_facet(facet, wall.complementary())
+    return new_facet, tables.move(facet, wall, new_facet, gmap)
+
+
+def check_moves_are_involutions(tables, r):
+    """Crossing a chord and crossing the same chord back from the new
+    facet returns every fiber index to itself."""
+    for facet in facets(r):
+        size = len(tables.fiber(facet))
+        for wall in walls(r):
+            new_facet, table = cross_chord(tables, facet, chord(facet, wall))
+            back_facet, back_table = cross_chord(tables, new_facet,
+                                                 chord(facet, wall))
+            assert back_facet == facet
+            assert [back_table[j] for j in table] == list(range(size))
+
+
+def codimension_two_loops(tables, r):
+    """Each facet G and pair of non-crossing chords S1, S2 of G (disjoint
+    or nested sides) is a corner of a codimension-2 cell, where four top
+    cells meet: crossing S1, S2, S1, S2 returns to G.  Over a covering it
+    returns every sheet to itself.  Returns the number of (facet, pair)
+    corners and of sheets that their loops move."""
+    corners = moved = 0
+    for facet in facets(r):
+        sides = [chord(facet, wall) for wall in walls(r)]
+        for pair in [(s, t) for s, t in combinations(sides, 2)
+                     if s.isdisjoint(t) or s < t or t < s]:
+            at, sheets = facet, range(len(tables.fiber(facet)))
+            for side in pair * 2:
+                at, table = cross_chord(tables, at, side)
+                sheets = [table[i] for i in sheets]
+            assert at == facet, (facet, pair)
+            corners += 1
+            moved += sum(i != j for i, j in enumerate(sheets))
+    return corners, moved
+
+
+def codimension_two_cells(r):
+    """The codimension-2 cells of the real moduli space: trees with two
+    internal edges and a dihedral order at each vertex, (deg v - 1)!/2 of
+    them at a vertex v."""
+    return sum(prod(factorial(len(nbrs) - 1) // 2
+                    for v, nbrs in tree.adj if v < 0)
+               for tree in all_trees(r) if len(tree.internal_edges) == 2)
+
+
 class TestCoverTables:
     @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
     def test_matches_reference(self, frame, shape):
@@ -471,31 +532,45 @@ class TestCoverTables:
 
     @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
     def test_moves_are_involutions(self, frame, shape):
-        # crossing a chord and crossing the same chord back from the new
-        # facet returns every fiber index to itself
+        tables = _FiberTables(frame, shape)
+        check_moves_are_involutions(tables, len(shape))
+        assert tables.moves
+
+    @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
+    def test_codimension_two_loops_are_trivial(self, frame, shape):
+        # the cactus relations: disjoint chords commute, and nested ones
+        # conjugate each other into the reflected chord
+        r = len(shape)
+        corners, moved = codimension_two_loops(_FiberTables(frame, shape), r)
+        assert moved == 0
+        assert corners == 4 * codimension_two_cells(r)
+
+    def test_codimension_two_cell_counts(self):
+        assert [codimension_two_cells(r) for r in (4, 5, 6)] == [0, 15, 315]
+
+    @pytest.mark.parametrize("frame,shape", [
+        (F25, (BOX,) * 6), (F26, ((2,), (2,), BOX, BOX, BOX, BOX)),
+        (F25, ((2,), BOX, BOX, BOX, BOX))],
+        ids=["25-1^6", "26-2;2;1^4", "25-2;1^4"])
+    def test_twisted_table_breaks_a_loop(self, frame, shape):
+        # one table and the table of its crossing back, conjugated by the
+        # transposition of fiber indices 0 and 1: both stay bijections and
+        # the crossing an involution, but the cover is no longer one
+        def swap(i):
+            return 1 - i if i < 2 else i
+
         tables = _FiberTables(frame, shape)
         r = len(shape)
-        everyone = frozenset(range(1, r + 1))
-
-        def chord(facet, wall):
-            side = frozenset(facet[(x - 1) % r]
-                             for x in range(wall.a, wall.b + 1))
-            return min(side, everyone - side, key=sorted)
-
-        for facet in facets(r):
-            size = len(tables.fiber(facet))
-            for wall in walls(r):
-                new_facet, gmap = cross_facet(facet, wall.complementary())
-                table = tables.move(facet, wall, new_facet, gmap)
-                (back_wall,) = [w for w in walls(r) if chord(new_facet, w)
-                                == chord(facet, wall)]
-                back_facet, back_gmap = cross_facet(
-                    new_facet, back_wall.complementary())
-                assert back_facet == facet
-                back_table = tables.move(new_facet, back_wall, back_facet,
-                                         back_gmap)
-                assert [back_table[j] for j in table] == list(range(size))
-        assert tables.moves
+        facet = facets(r)[0]
+        side = chord(facet, walls(r)[0])
+        new_facet, table = cross_chord(tables, facet, side)
+        _, back_table = cross_chord(tables, new_facet, side)
+        # the two are one table when the crossing back has the same key
+        for t in {id(table): table, id(back_table): back_table}.values():
+            t[:] = [swap(t[swap(i)]) for i in range(len(t))]
+            assert sorted(t) == list(range(len(t)))
+        check_moves_are_involutions(tables, r)
+        assert codimension_two_loops(tables, r)[1] > 0
 
     @staticmethod
     def spy(monkeypatch, owner, name):
