@@ -3,26 +3,33 @@ graphs, and run the verification suites.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on conditions that do not fit the frame's box, on output that cannot be
-written, and on input files that are not valid diagrams.  The --out file
-is opened before any work starts.  JSON output is streamed in chunks and
-is exactly the text of json.dumps(..., indent=2, sort_keys=True) + "\\n".
-Outputs are deterministic, and no environment variable changes them."""
+written, on input files that are not valid diagrams (read by
+growth.jsonin), and on a cover graph predicted to have more than
+MAX_COVER_EDGES edges.  The --out file is opened before any work starts.
+JSON output is streamed in chunks and is exactly the text of
+json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
+deterministic, and no environment variable changes them."""
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
+from math import factorial
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.jsonout import JsonText, write_array, write_json
-from growth.partitions import Frame, fits, normalize
+from growth.partitions import Frame, fits, lr_coefficient, normalize
 
-# growth.decgd and growth.moduli are imported in the handlers that use
-# them, so that enumerate without --shape starts without them
+# the handlers import growth.decgd, growth.moduli and growth.jsonin, so
+# that enumerate without --shape starts without them
 
 # the suites of growth.checks, which is imported only by verify
 SUITES = ("growth", "conic")
+
+# the most edges a cover graph may have: the r = 8 all-box (2,6) graph has
+# 352,800 and (3,7) 2;2;2;2;1;1;1;1 has 1,134,000, while nine boxes on
+# (3,6) would have 11,430,720
+MAX_COVER_EDGES = 2_000_000
 
 
 class UsageError(Exception):
@@ -149,30 +156,15 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _load_diagram(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, UnicodeDecodeError, RecursionError,
-            json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read diagram from {path}: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError(f"malformed diagram in {path}: not a JSON object")
-    try:
-        if "a" in data and "b" in data:
-            from growth.decgd import Decgd
-            return Decgd.from_json(data)
-        return CylGrowthDiagram.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed diagram in {path}: {exc}")
-
-
 def cmd_wallcross(args) -> int:
-    diagram = _load_diagram(args.path)
+    from growth.jsonin import read_diagram
+    try:
+        diagram = read_diagram(args.path)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     wall = parse_wall(args.wall, diagram.r)
     from growth.moduli import cross_cgd, cross_decgd
-    cross = (cross_cgd if isinstance(diagram, CylGrowthDiagram)
-             else cross_decgd)
+    cross = cross_cgd if isinstance(diagram, CylGrowthDiagram) else cross_decgd
     with _output(args) as out:
         try:
             crossed = cross(diagram, wall)
@@ -194,6 +186,16 @@ def cmd_wallcross(args) -> int:
 def cmd_cover(args) -> int:
     frame = _frame(args)
     shape = _shape(args, frame)
+    # the graph's size before any work: a fiber over each facet, and each
+    # node on one edge per wall, which joins two nodes
+    r = len(shape)
+    facets, walls = factorial(r - 1) // 2, r * (r - 3) // 2
+    nodes = facets * lr_coefficient(frame.rectangle(), shape)
+    edges = nodes * walls // 2
+    if edges > MAX_COVER_EDGES:
+        raise UsageError(f"the cover graph would have {nodes} nodes and "
+                         f"{edges} edges, over the bound of "
+                         f"{MAX_COVER_EDGES} edges")
     from growth.moduli import build_cover_graph, export, graph_components
     with _output(args) as out:
         graph = build_cover_graph(frame, shape)

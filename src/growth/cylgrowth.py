@@ -1,8 +1,8 @@
 """Cylindrical growth diagrams: construction from a path, validation,
 enumeration by promotion orbits (one solve per orbit, its rotations
-added), and reading and writing them as JSON.  Promotion as a function
-on tableaux and the d=2 noncrossing matching bijection check these
-diagrams, so they live in :mod:`growth.checks`.
+added), and their JSON data; files are read by :mod:`growth.jsonin`.
+Promotion as a function on tableaux and the d=2 noncrossing matching
+bijection check these diagrams, so they live in :mod:`growth.checks`.
 
 The index set is {(i, j) : i <= j <= i + r} with the glide symmetry
 (i, j) -> (i + r, j + r); an entry therefore depends only on
@@ -16,7 +16,7 @@ built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 from functools import cache
 
 from growth.partitions import (
-    Frame, _Value, complement, covers, fits, intermediates, normalize,
+    Frame, _Value, complement, covers, intermediates, normalize,
     partitions_in,
 )
 from growth.tableaux import (
@@ -48,96 +48,6 @@ class CylGrowthDiagram(_Value):
             "r": self.r,
             "rows": self.rows,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "CylGrowthDiagram":
-        """Read a diagram from untrusted data; raises ValueError naming
-        the first structural or semantic problem."""
-        _json_keys(data, "frame", "r", "rows")
-        frame = _json_frame(data)
-        r = _json_int(data["r"], "r")
-        if r != frame.size:
-            raise ValueError(_clip(f"r = {r!r}, but a diagram of {frame} "
-                                   f"has r = d(n-d) = {frame.size}"))
-        rows = _json_table(data, "rows", r, r + 1,
-                           lambda v, path: _json_partition(v, path, frame))
-        g = CylGrowthDiagram(frame, r, rows)
-        ok, problems = cgd_validate(g)
-        if not ok:
-            raise ValueError(problems[0])
-        return g
-
-
-def _clip(text: str) -> str:
-    """text, cut to a prefix ending in '...' when it is long: an error
-    about a file echoes the file's values, and one line must still name
-    the field whatever the file holds."""
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
-def _json_table(data: dict, key: str, height: int, width: int,
-                read) -> tuple:
-    """data[key], checked to be a list of height lists of width entries
-    each, with every entry converted by read(entry, field path)."""
-    table = data[key]
-    if not isinstance(table, list) or len(table) != height or any(
-            not isinstance(row, list) or len(row) != width for row in table):
-        raise ValueError(
-            _clip(f"{key!r} must be {height} rows of {width} entries"))
-    return tuple(tuple(read(entry, f"{key}[{i}][{j}]")
-                       for j, entry in enumerate(row))
-                 for i, row in enumerate(table))
-
-
-def _json_keys(data: dict, *keys: str, where: str = "") -> None:
-    """Refuse data unless its keys are exactly the given ones; where
-    prefixes the message with the object's field path."""
-    if sorted(data) != sorted(keys):
-        raise ValueError(f"{where}the keys are {_clip(repr(sorted(data)))}, "
-                         f"not {sorted(keys)}")
-
-
-def _json_int(value, path: str) -> int:
-    """value if it is an int; a float or bool is refused, since the
-    memoized partition kernels would take it for the int it hashes like."""
-    if type(value) is not int:
-        raise ValueError(f"{path}: {_clip(repr(value))} is not an integer")
-    return value
-
-
-def _json_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{path}: {_clip(repr(value))} is not a list")
-    return value
-
-
-def _json_partition(value, path: str, frame=None) -> tuple[int, ...]:
-    """A partition read from a list of ints, written as the diagrams
-    write it: weakly decreasing, no trailing zero, and inside the frame
-    when one is given."""
-    parts = [_json_int(p, f"{path}[{i}]")
-             for i, p in enumerate(_json_list(value, path))]
-    try:
-        lam = normalize(parts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {_clip(str(exc))}") from None
-    if len(lam) != len(parts):
-        raise ValueError(f"{path}: {_clip(repr(value))} ends in a zero part")
-    if frame and not fits(lam, frame):
-        raise ValueError(f"{path}: {_clip(repr(lam))} does not fit in {frame}")
-    return lam
-
-
-def _json_frame(data: dict) -> Frame:
-    frame = data["frame"]
-    if not isinstance(frame, dict):
-        raise ValueError(f"frame: {_clip(repr(frame))} is not an object")
-    _json_keys(frame, "d", "n", where="frame: ")
-    d, n = _json_int(frame["d"], "frame.d"), _json_int(frame["n"], "frame.n")
-    try:
-        return Frame(d, n)
-    except ValueError as exc:
-        raise ValueError(f"frame: {_clip(str(exc))}") from None
 
 
 def row_path(r: int) -> list[tuple[int, int]]:

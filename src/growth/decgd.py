@@ -1,8 +1,7 @@
 """Cylindrical growth diagrams of dual-equivalence classes: restriction
 from fine diagrams, first-row construction (lift the row-0 classes'
 representatives to a fine diagram and restrict it), enumeration, and
-reading from JSON.  A diagram is fixed by its row-0 classes, so a file is
-read as the diagram they grow and accepted only if it is that diagram.
+their JSON data; files are read by :mod:`growth.jsonin`.
 
 A diagram of r conditions stores only its classes: the class a(k, l) of
 the row step gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the
@@ -12,12 +11,9 @@ classes run between, and the contents are the rectification shapes of
 the row-0 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and
 stored on residues of k."""
 
-from growth.cylgrowth import (
-    CylGrowthDiagram, cgd_from_path, _clip, _json_frame, _json_int,
-    _json_keys, _json_list, _json_partition, _json_table, row_path,
-)
+from growth.cylgrowth import CylGrowthDiagram, cgd_from_path, row_path
 from growth.partitions import Frame, _shapes_between, _Value, normalize
-from growth.tableaux import DualClass, dual_classes, validate_chain
+from growth.tableaux import DualClass, dual_classes
 
 
 class Decgd(_Value):
@@ -57,59 +53,6 @@ class Decgd(_Value):
             "b": tuple(tuple(cls.representative for cls in row)
                        for row in self.b),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Decgd":
-        """Read a diagram from untrusted data; raises ValueError naming
-        the first structural or semantic problem.  The shape gets the
-        checks of :func:`check_shape` and must be the contents of the
-        row-0 classes; every class must be the one that the row-0 classes
-        grow, by :func:`decgd_from_first_row`; and the rows must be the
-        entries of the classes."""
-        _json_keys(data, "frame", "r", "shape", "rows", "a", "b")
-        frame = _json_frame(data)
-        r = _json_int(data["r"], "r")
-        shape = data["shape"]
-        if not isinstance(shape, list) or len(shape) != r:
-            raise ValueError(f"r = {_clip(repr(r))}, but the shape does not "
-                             f"list r conditions")
-        shape = check_shape(_json_partition(lam, f"shape[{i}]")
-                            for i, lam in enumerate(shape))
-        rows = _json_table(data, "rows", r, r + 1, _json_partition)
-        a = _json_table(data, "a", r, r, _json_class)
-        b = _json_table(data, "b", r, r, _json_class)
-        for k, (lam, cls) in enumerate(zip(shape, a[0])):
-            if lam != cls.rshape:
-                raise ValueError(f"first-row class {k} has the wrong content")
-        try:
-            d = decgd_from_first_row(a[0], frame)
-        except ValueError as exc:
-            raise ValueError("the row-0 classes grow no diagram: "
-                             + _clip(str(exc))) from None
-        for name, table, grown in (("a", a, d.a), ("b", b, d.b)):
-            for k, (row, want) in enumerate(zip(table, grown)):
-                for m, (cls, want_cls) in enumerate(zip(row, want)):
-                    if cls != want_cls:
-                        raise ValueError(
-                            f"{name}({k},{k + m}) is not the class that "
-                            f"the row-0 classes grow")
-        if rows != d.gamma:
-            raise ValueError("the rows are not the entries of the classes")
-        return d
-
-
-def _json_class(value, path: str) -> DualClass:
-    """The class of a tableau read from a list of partitions, which must
-    be the class's representative, as the diagrams write it."""
-    chain = [_json_partition(p, f"{path}[{i}]")
-             for i, p in enumerate(_json_list(value, path))]
-    try:
-        cls = DualClass.of(validate_chain(chain))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {_clip(str(exc))}") from None
-    if list(cls.representative) != chain:
-        raise ValueError(f"{path}: not the representative of its class")
-    return cls
 
 
 def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:

@@ -10,11 +10,11 @@ a two-box skew) are memoized: a frame holds few partitions, and these
 are called for the same pairs many times over.  Their caches are keyed
 by value, so they take tuples of ``int`` only; a float or bool part
 would hash like an int and its cached result would be served for the
-int input.  Untrusted data is checked for this where it is
-read (``from_json``).  The growth solver and diagram validation do not
-call them per entry: ``growth.cylgrowth`` numbers each frame's partitions
-once and builds its tables over those numbers from these kernels.  Tuples
-stay the public representation of a partition.
+int input.  Diagram files are checked for this in ``growth.jsonin``.
+The growth solver and diagram validation do not call them per entry:
+``growth.cylgrowth`` numbers each frame's partitions once and builds its
+tables over those numbers from these kernels.  Tuples stay the public
+representation of a partition.
 
 The package's value classes (:class:`Frame` here, the diagrams, classes,
 walls, graphs, trees and conic reports elsewhere) derive from

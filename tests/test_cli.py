@@ -3,19 +3,22 @@ cover graphs, the verification suites, and exit codes."""
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.checks import golden_diagram, golden_figure_entries, load_golden
-from growth.cli import main, parse_shape
-from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
-from growth.decgd import Decgd, decgd_enumerate
+from growth.cli import MAX_COVER_EDGES, main, parse_shape
+from growth.cylgrowth import cgd_enumerate
+from growth.decgd import decgd_enumerate
+from growth.jsonin import read_cgd, read_decgd
 from growth.moduli import Wall, cross_cgd
 from growth.partitions import Frame
 from growth.tableaux import DualClass, dual_classes, enumerate_chains
@@ -103,7 +106,7 @@ class TestWallcross:
         code, out, _ = run(capsys, "wallcross", "--input", path,
                            "--wall", wall, "--format", "json")
         assert code == 0
-        crossed = CylGrowthDiagram.from_json(json.loads(out))
+        crossed = read_cgd(json.loads(out))
         a, b = data["wall"]
         assert crossed == cross_cgd(top, Wall(a, b, data["r"]))
         for i, j, expected in golden_figure_entries("wall_example"):
@@ -148,6 +151,19 @@ class TestWallcross:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read diagram from {path}: ")
         assert err.count("\n") == 1
+
+    def test_long_integer(self, capsys, tmp_path):
+        # json refuses with a plain ValueError an integer longer than int()
+        # converts (4300 digits by default since CPython 3.11): one line,
+        # never a traceback
+        text = json.dumps(cgd_enumerate(F24)[0].to_json())
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"r": 4', '"r": ' + "9" * 5000))
+        code, out, err = run(capsys, "wallcross", "--input", str(path),
+                             "--wall", "1,2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 400, err[:500]
 
     def test_read_as_utf8(self, capsys, tmp_path):
         # whatever the locale, the key is read as the character it encodes
@@ -467,9 +483,9 @@ def test_fuzz_wallcross_files(capsys, tmp_path, base, data, wall, twice,
         "--format", fmt, *(["--twice"] if twice else []))
     _check_exit(code, out, err, twice)
     if code != 2:
-        kind = (Decgd if "a" in mutated and "b" in mutated
-                else CylGrowthDiagram)
-        parsed = kind.from_json(mutated)
+        kind = (read_decgd if "a" in mutated and "b" in mutated
+                else read_cgd)
+        parsed = kind(mutated)
         assert json.dumps(parsed.to_json(), sort_keys=True) == \
             json.dumps(mutated, sort_keys=True)
 
@@ -621,6 +637,28 @@ class TestCover:
                              "--shape", "2;1;1")
         assert code == 0
         assert "0 nodes, 0 edges" in out and "d(n-d) = 6" in err
+
+    @pytest.mark.parametrize("d,n,boxes", [(3, 6, 9), (2, 30, 56)],
+                             ids=["36-1^9", "2-30-1^56"])
+    def test_work_bound(self, capsys, tmp_path, d, n, boxes):
+        # (r-1)!/2 facets, a fiber of the rectangle's tableaux over each
+        # (hook-length formula for d = 3, Catalan for d = 2), r(r-3)/2
+        # walls per node: refused before --out is opened, and at once
+        fiber = 42 if d == 3 else math.comb(2 * (n - 2), n - 2) // (n - 1)
+        nodes = math.factorial(boxes - 1) // 2 * fiber
+        edges = nodes * boxes * (boxes - 3) // 4
+        assert edges > MAX_COVER_EDGES
+        target = tmp_path / "cover.json"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cover", "--d", str(d), "--n", str(n),
+                             "--shape", ";".join(["1"] * boxes),
+                             "--format", "json", "--out", str(target))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err == (f"error: the cover graph would have {nodes} nodes "
+                       f"and {edges} edges, over the bound of "
+                       f"{MAX_COVER_EDGES} edges\n")
+        assert not target.exists()
 
 
 # conditions wider or taller than the d x (n-d) box, and parts that are
@@ -837,11 +875,13 @@ class TestVerify:
         # inspect, ast and dis with it) would cost every command more than
         # many spend on their work.  The checks may bring inspect, through
         # the importlib.resources that reads their packaged reference
-        # diagrams, on Python 3.12 and later.
+        # diagrams, on Python 3.12 and later.  The diagram file reader is
+        # wallcross's alone, so no other command compiles it.
         code = ("import sys, growth.cli, growth.moduli; "
-                "late = {'dataclasses', 'inspect'} & set(sys.modules); "
+                "late = {'dataclasses', 'inspect', 'growth.jsonin'} "
+                "& set(sys.modules); "
                 "import growth.checks; "
-                "late |= {'dataclasses'} & set(sys.modules); "
+                "late |= {'dataclasses', 'growth.jsonin'} & set(sys.modules); "
                 "sys.exit(f'imported: {sorted(late)}' if late else 0)")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
                                                / "src")}

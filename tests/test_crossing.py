@@ -1,12 +1,16 @@
 """Wall crossing against the triangle-seeded construction it replaced, its
-regrow keys against the reflection-and-glide formulas they replaced, and
-its properties on random diagrams: an involution, the same node of the
-cover from either side of the chord, valid, and an involution on class
-diagrams too."""
+regrow keys against the reflection-and-glide formulas they replaced, its
+action on rows against the partial Schützenberger involution, and its
+properties on random diagrams: an involution, the same node of the cover
+from either side of the chord, valid, and an involution on class diagrams
+too."""
+
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growth import moduli
 from growth.cylgrowth import _Completion, cgd_enumerate, cgd_from_path, \
     cgd_validate, row_path
 from growth.decgd import decgd_enumerate, restrict_cgd
@@ -15,7 +19,7 @@ from growth.moduli import (
     transport_cgd, walls,
 )
 from growth.partitions import Frame, complement, covers
-from growth.tableaux import DualClass
+from growth.tableaux import DualClass, enumerate_chains, rectify, shuffle
 from test_decgd import decgd_validate
 
 
@@ -93,6 +97,66 @@ def test_cross_classes_is_column_a():
     assert len(pairs) == 246
     for d, w in pairs:
         assert _cross_classes(d, w) == reference_cross_classes(d, w)
+
+
+@cache
+def evacuation(c):
+    """The evacuation of a straight tableau c: the evacuation of the first
+    chain of shuffle(c[:2], c[1:]), which slides c's other boxes into its
+    first one, followed by c's own shape."""
+    if len(c) == 1:
+        return c
+    return evacuation(shuffle(c[:2], c[1:])[0]) + (c[-1],)
+
+
+@cache
+def xi(t):
+    """The partial Schützenberger involution of a skew tableau t: the one
+    tableau of t's skew shape that is dual equivalent to t and rectifies
+    to the evacuation of t's rectification."""
+    cls, target = DualClass.of(t), evacuation(rectify(t))
+    (found,) = [c for c in enumerate_chains(t[-1], t[0])
+                if DualClass.of(c) == cls and rectify(c) == target]
+    return found
+
+
+def xi_mismatches(frames):
+    """(rows checked, rows that differ) over every diagram of the frames
+    and every wall (a, b): row i of the crossed diagram, for i in
+    a..b+1, must be row i of the diagram with its segment over columns
+    b+1..a+r, chain indices b+1-i..a+r-i, replaced by xi of that segment
+    (Henriques and Kamnitzer)."""
+    rows = wrong = 0
+    for frame in frames:
+        r = frame.size
+        for g in cgd_enumerate(frame):
+            for w in walls(r):
+                crossed = cross_cgd(g, w)
+                for i in range(w.a, w.b + 2):
+                    row, lo, hi = g.row(i), w.b + 1 - i, w.a + r - i
+                    want = row[:lo] + xi(row[lo:hi + 1]) + row[hi + 1:]
+                    rows += 1
+                    wrong += crossed.row(i) != want
+    return rows, wrong
+
+
+# the frames of the cover tests, and (2,7)
+XI_FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(3, 5),
+             Frame(3, 6), Frame(2, 7)]
+
+
+def test_walls_act_as_xi():
+    assert xi_mismatches(XI_FRAMES) == (14758, 0)
+
+
+def test_identity_crossing_is_not_xi(monkeypatch):
+    # regrown from the chain it already carries along the crossing path,
+    # every diagram crosses to itself, which is no xi
+    monkeypatch.setattr(moduli, "_cross_chain", moduli._path_chain)
+    g, w = cgd_enumerate(Frame(2, 5))[0], walls(6)[0]
+    assert cross_cgd(g, w) == g
+    rows, wrong = xi_mismatches(XI_FRAMES)
+    assert rows == 14758 and wrong > 0
 
 
 FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(2, 7), Frame(3, 5),

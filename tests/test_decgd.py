@@ -11,6 +11,7 @@ from growth.decgd import (
     Decgd, _concatenate, check_shape, decgd_enumerate, decgd_from_first_row,
     restrict_cgd,
 )
+from growth.jsonin import read_decgd
 from growth.partitions import Frame, lr_coefficient
 from growth.tableaux import (
     DualClass, dual_classes, enumerate_chains, shuffle_classes,
@@ -313,13 +314,13 @@ def test_check_shape():
 
 
 def test_json_round_trip():
-    # through JSON text: to_json holds the stored tuples, and from_json
+    # through JSON text: to_json holds the stored tuples, and read_decgd
     # takes JSON lists only
     for d in (decgd_enumerate(F24, [BOX] * 4)[0],
               *decgd_enumerate(F25, [(2,), BOX, BOX, BOX, BOX])):
-        assert Decgd.from_json(json.loads(json.dumps(d.to_json()))) == d
+        assert read_decgd(json.loads(json.dumps(d.to_json()))) == d
         with pytest.raises(ValueError):
-            Decgd.from_json(d.to_json())
+            read_decgd(d.to_json())
 
 
 def test_fibers_ordered_by_first_row():
@@ -365,7 +366,7 @@ def test_from_json_agrees_with_validate():
             for shape in shapes_of_total(frame, r):
                 for d in decgd_enumerate(frame, shape):
                     base = json.loads(json.dumps(d.to_json()))
-                    assert Decgd.from_json(base) == d
+                    assert read_decgd(base) == d
                     for name, sub in substitutions(d):
                         data = dict(base)
                         data[name] = json.loads(json.dumps(
@@ -374,7 +375,7 @@ def test_from_json_agrees_with_validate():
                         accepted = (decgd_validate(sub)[0]
                                     and sub.shape == d.shape)
                         try:
-                            got = Decgd.from_json(data)
+                            got = read_decgd(data)
                         except ValueError:
                             got = None
                         assert got == (sub if accepted else None), \

@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from growth.cli import main
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
-from growth.decgd import Decgd, decgd_enumerate
+from growth.decgd import decgd_enumerate
+from growth.jsonin import read_cgd, read_decgd
 from growth.jsonout import JsonText, write_json
 from growth.moduli import build_cover_graph
 from growth.partitions import Frame
@@ -257,11 +258,11 @@ ROUND_TRIPS = [(Frame(2, 4), None), (Frame(2, 5), None),
                          ids=["24", "25", "24-1^4", "25-2;1^4", "25-11;2;1;1"])
 def test_json_round_trip(frame, shape):
     if shape is None:
-        diagrams, cls = cgd_enumerate(frame), CylGrowthDiagram
+        diagrams, read = cgd_enumerate(frame), read_cgd
     else:
-        diagrams, cls = decgd_enumerate(frame, shape), Decgd
+        diagrams, read = decgd_enumerate(frame, shape), read_decgd
     assert diagrams
     for diagram in diagrams:
         data = diagram.to_json()
-        assert cls.from_json(json.loads(json.dumps(data))) == diagram
-        assert cls.from_json(json.loads(written(data))) == diagram
+        assert read(json.loads(json.dumps(data))) == diagram
+        assert read(json.loads(written(data))) == diagram

@@ -21,6 +21,7 @@ from growth.cylgrowth import (
     CylGrowthDiagram, _Completion, cgd_enumerate, cgd_validate,
 )
 from growth.decgd import decgd_enumerate, restrict_cgd
+from growth.jsonin import read_cgd
 from growth.moduli import (
     LabeledTree, MonodromyGraph, Wall, _FiberTables, all_trees,
     build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
@@ -726,7 +727,7 @@ class TestExport:
         assert len(data["nodes"]) == 6
         assert len(data["edges"]) == 6
         assert all(set(e) == {"from", "to", "wall"} for e in data["edges"])
-        assert [CylGrowthDiagram.from_json(node["diagram"])
+        assert [read_cgd(node["diagram"])
                 for node in data["nodes"]] == [g for _, g in graph.nodes]
 
     @pytest.mark.parametrize("frame,shape", COVER_CASES, ids=COVER_IDS)
