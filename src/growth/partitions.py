@@ -5,16 +5,21 @@ A partition is a tuple of weakly decreasing positive integers; trailing
 zeros are stripped, so () is the empty partition.  The box is a
 :class:`Frame` passed explicitly to every operation that needs it.
 
-The box kernels (containment, complement, adding a box, the middles of
-a two-box skew) are memoized: a frame holds few partitions, and these
-are called for the same pairs many times over.  Their caches are keyed
-by value, so they take tuples of ``int`` only; a float or bool part
-would hash like an int and its cached result would be served for the
-int input.  Diagram files are checked for this in ``growth.jsonin``.
-The growth solver and diagram validation do not call them per entry:
-``growth.cylgrowth`` numbers each frame's partitions once and builds its
-tables over those numbers from these kernels.  Tuples stay the public
-representation of a partition.
+:func:`_shapes_between` is the one enumeration of the partitions between
+two shapes, by size: covers, the middles of a two-box skew, chain
+counts, Littlewood-Richardson sums and the partitions of a frame all
+read it.  It enters only shapes that can reach the size asked for.
+
+The box kernels (containment, complement, the middles of a two-box
+skew, the shapes between two partitions) are memoized: a frame holds few
+partitions, and these are called for the same pairs many times over.
+Their caches are keyed by value, so they take tuples of ``int`` only;
+a float or bool part would hash like an int and its cached result would
+be served for the int input.  Diagram files are checked for this in
+``growth.jsonin``.  The growth solver and diagram validation do not call
+them per entry: ``growth.cylgrowth`` numbers each frame's partitions once
+and builds its tables over those numbers from these kernels.  Tuples
+stay the public representation of a partition.
 
 The package's value classes (:class:`Frame` here, the diagrams, classes,
 walls, graphs, trees and conic reports elsewhere) derive from
@@ -173,34 +178,7 @@ def covers(lam: tuple[int, ...], frame: Frame) -> list[tuple[int, ...]]:
     ordered by ascending row of the added box."""
     if not fits(lam, frame):
         raise ValueError(f"{lam} does not fit in {frame}")
-    out = []
-    for row in range(frame.d):
-        cur = lam[row] if row < len(lam) else 0
-        above = (lam[row - 1] if row - 1 < len(lam) else 0) if row >= 1 else frame.cols
-        if cur < frame.cols and cur < above:
-            out.append(add_box(lam, row))
-    return out
-
-
-def down_covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All partitions obtained from lam by removing one corner box,
-    ordered by ascending row of the removed box."""
-    out = []
-    for row in range(len(lam)):
-        below = lam[row + 1] if row + 1 < len(lam) else 0
-        if lam[row] > below:
-            parts = list(lam)
-            parts[row] -= 1
-            out.append(normalize(parts))
-    return out
-
-
-@cache
-def add_box(lam: tuple[int, ...], row: int) -> tuple[int, ...]:
-    """Add one box in the given 0-based row; result must be a partition."""
-    parts = list(lam) + [0] * (row + 1 - len(lam))
-    parts[row] += 1
-    return normalize(parts)
+    return list(_shapes_between(lam, frame.rectangle(), sum(lam) + 1)[::-1])
 
 
 @cache
@@ -228,19 +206,7 @@ def _intermediates(bottom: tuple[int, ...],
     """:func:`intermediates` as a tuple, so the cached value is immutable."""
     if sum(top) != sum(bottom) + 2 or not contains(top, bottom):
         raise ValueError(f"{top}/{bottom} is not a two-box skew shape")
-    rows = []
-    for row in range(len(top)):
-        b = bottom[row] if row < len(bottom) else 0
-        rows.extend([row] * (top[row] - b))
-    out = []
-    for row in rows[:1] if rows[0] == rows[1] else rows:
-        above = (bottom[row - 1] if row - 1 < len(bottom) else 0) if row else None
-        if row and (bottom[row] if row < len(bottom) else 0) >= above:
-            continue  # adding here first would not be a partition
-        cand = add_box(bottom, row)
-        if contains(top, cand) and cand not in out:
-            out.append(cand)
-    return tuple(out)
+    return _shapes_between(bottom, top, sum(bottom) + 1)[::-1]
 
 
 @cache
@@ -254,8 +220,8 @@ def _chain_count(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
     """Number of saturated chains from inner to outer in Young's lattice."""
     if inner == outer:
         return 1
-    return sum(_chain_count(inner, mu) for mu in down_covers(outer)
-               if contains(mu, inner))
+    return sum(_chain_count(inner, mu)
+               for mu in _shapes_between(inner, outer, sum(outer) - 1))
 
 
 def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
@@ -342,20 +308,27 @@ def _lr_multi(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
 @cache
 def _shapes_between(inner: tuple[int, ...], outer: tuple[int, ...],
                     target_size: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions nu with inner <= nu <= outer and |nu| = target_size."""
+    """All partitions nu with inner <= nu <= outer and |nu| = target_size,
+    in lexicographic order.  The walk fills the rows of outer from the
+    top, carrying the boxes left to place, and enters only parts that
+    leave a completion: the rows below must still take what inner puts
+    in them, and each holds at most the part just placed."""
+    rows = len(outer)
+    inner = (inner + (0,) * rows)[:rows]
+    below = [sum(inner[row + 1:]) for row in range(rows)]
     out = []
 
-    def build2(row: int, prev: int, acc: list[int]):
-        if row == len(outer):
-            if sum(acc) == target_size:
+    def walk(row: int, prev: int, left: int, acc: list[int]):
+        if row == rows:
+            if not left:
                 out.append(normalize(acc))
             return
-        lo = inner[row] if row < len(inner) else 0
-        hi = min(outer[row], prev)
+        lo = max(inner[row], -(-left // (rows - row)))
+        hi = min(outer[row], prev, left - below[row])
         for v in range(lo, hi + 1):
-            build2(row + 1, v, acc + [v])
+            walk(row + 1, v, left - v, acc + [v])
 
-    build2(0, outer[0] if outer else 0, [])
+    walk(0, outer[0] if outer else 0, target_size, [])
     return tuple(out)
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from growth.cylgrowth import _numbering
 from growth.partitions import (
-    Frame, _intermediates, add_box, added_box, complement, contains,
-    intermediates, is_domino, partitions_in,
+    Frame, _intermediates, _shapes_between, added_box, complement,
+    contains, intermediates, is_domino, partitions_in,
 )
 from growth.tableaux import other_middle
 
@@ -42,10 +42,11 @@ def test_pair_kernel(fn, frame):
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=str)
-def test_complement_and_add_box(frame):
+def test_complement_and_shapes_between(frame):
     parts = partitions_in(frame)
     assert_matches_body(complement, ((lam, frame) for lam in parts))
-    assert_matches_body(add_box, product(parts, range(frame.d)))
+    assert_matches_body(_shapes_between,
+                        product(parts, parts, range(frame.size + 2)))
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=str)

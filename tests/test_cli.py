@@ -20,7 +20,7 @@ from growth.cylgrowth import cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
 from growth.moduli import Wall, cross_cgd
-from growth.partitions import Frame
+from growth.partitions import Frame, rectangle_syt_formula
 from growth.tableaux import DualClass, dual_classes, enumerate_chains
 from test_decgd import reference_restrict_cgd
 
@@ -638,26 +638,47 @@ class TestCover:
         assert code == 0
         assert "0 nodes, 0 edges" in out and "d(n-d) = 6" in err
 
+    @staticmethod
+    def refusal(d, n, boxes):
+        """The line that refuses the cover of boxes single boxes on (d,n):
+        (r-1)!/2 facets, a fiber of the rectangle's tableaux over each
+        (the hook-length formula), r(r-3)/2 walls per node."""
+        nodes = (math.factorial(boxes - 1) // 2
+                 * rectangle_syt_formula(Frame(d, n)))
+        edges = nodes * boxes * (boxes - 3) // 4
+        assert edges > MAX_COVER_EDGES
+        return (f"error: the cover graph would have {nodes} nodes and "
+                f"{edges} edges, over the bound of {MAX_COVER_EDGES} edges\n")
+
     @pytest.mark.parametrize("d,n,boxes", [(3, 6, 9), (2, 30, 56)],
                              ids=["36-1^9", "2-30-1^56"])
     def test_work_bound(self, capsys, tmp_path, d, n, boxes):
-        # (r-1)!/2 facets, a fiber of the rectangle's tableaux over each
-        # (hook-length formula for d = 3, Catalan for d = 2), r(r-3)/2
-        # walls per node: refused before --out is opened, and at once
-        fiber = 42 if d == 3 else math.comb(2 * (n - 2), n - 2) // (n - 1)
-        nodes = math.factorial(boxes - 1) // 2 * fiber
-        edges = nodes * boxes * (boxes - 3) // 4
-        assert edges > MAX_COVER_EDGES
+        # refused before --out is opened, and at once
         target = tmp_path / "cover.json"
         start = time.perf_counter()
         code, out, err = run(capsys, "cover", "--d", str(d), "--n", str(n),
                              "--shape", ";".join(["1"] * boxes),
                              "--format", "json", "--out", str(target))
         assert time.perf_counter() - start < 1
-        assert code == 2 and out == "" and err.count("\n") == 1
-        assert err == (f"error: the cover graph would have {nodes} nodes "
-                       f"and {edges} edges, over the bound of "
-                       f"{MAX_COVER_EDGES} edges\n")
+        assert code == 2 and out == ""
+        assert err == self.refusal(d, n, boxes)
+        assert not target.exists()
+
+    def test_work_bound_in_a_fresh_process(self, tmp_path):
+        # the fiber of 72 single boxes on (6,18) is counted over the
+        # 18,564 partitions of the 6 x 12 box, with no cache filled by an
+        # earlier test; it takes tens of seconds unless the walk between
+        # two shapes skips those that cannot reach the size asked for
+        target = tmp_path / "cover.json"
+        start = time.perf_counter()
+        proc = _spawn("cover", "--d", "6", "--n", "18",
+                      "--shape", ";".join(["1"] * 72),
+                      "--format", "json", "--out", str(target),
+                      stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert time.perf_counter() - start < 15
+        assert (proc.returncode, out) == (2, b"")
+        assert err.decode() == self.refusal(6, 18, 72)
         assert not target.exists()
 
 

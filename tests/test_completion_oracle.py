@@ -16,7 +16,7 @@ from growth.cylgrowth import (
     cgd_validate, row_path,
 )
 from growth.partitions import (
-    Frame, added_box, complement, covers, down_covers, is_domino,
+    Frame, _shapes_between, added_box, complement, covers, is_domino,
     normalize, partitions_in,
 )
 from growth.tableaux import enumerate_chains, other_middle
@@ -227,6 +227,14 @@ def test_cross_cgd(frame, monkeypatch):
 DIAGRAMS = {frame: cgd_enumerate(frame) for frame in FRAMES}
 
 
+def neighbours(value, frame: Frame) -> list[tuple[int, ...]]:
+    """The partitions of the frame one box above value, in ascending row
+    of the added box, then those one box below, in ascending row of the
+    removed box."""
+    return covers(value, frame) + list(
+        _shapes_between((), value, sum(value) - 1))
+
+
 def walk(i: int, ups) -> list[tuple[int, int]]:
     """The path from (i, i) taking one step up (True) or right (False)
     for each of ups; each step widens the window by one."""
@@ -286,7 +294,7 @@ def test_hypothesis_seed_sets(frame, data):
         value = g.rows[a][k]
         if data.draw(st.integers(0, 5)) == 0:
             value = data.draw(st.sampled_from(
-                covers(value, frame) + down_covers(value) + [value]))
+                neighbours(value, frame) + [value]))
         shift = data.draw(st.integers(-1, 1)) * r
         seeds.append((a + shift, a + shift + k, value))
     assert_same_outcome(frame, seeds)
@@ -361,7 +369,7 @@ def test_validate_neighbouring_entry(frame, g):
     for a in range(g.r):
         for k in range(g.r + 1):
             value = g.rows[a][k]
-            for other in covers(value, frame) + down_covers(value):
+            for other in neighbours(value, frame):
                 bad = corrupted(g, a, k, other)
                 ok, problems = cgd_validate(bad)
                 assert not ok

@@ -3,16 +3,20 @@ regrow keys against the reflection-and-glide formulas they replaced, its
 action on rows against the partial Schützenberger involution, and its
 properties on random diagrams: an involution, the same node of the cover
 from either side of the chord, valid, and an involution on class diagrams
-too."""
+too.  A class crossing is the restriction of the fine crossing of a lift,
+so the walls act on class diagrams as xi too."""
 
 from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from growth import moduli
-from growth.cylgrowth import _Completion, cgd_enumerate, cgd_from_path, \
-    cgd_validate, row_path
+from growth.cylgrowth import (
+    CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
+    cgd_validate, row_path,
+)
 from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.moduli import (
     Wall, _cross_chain, _cross_classes, cross_cgd, cross_decgd, cross_facet,
@@ -20,7 +24,8 @@ from growth.moduli import (
 )
 from growth.partitions import Frame, complement, covers
 from growth.tableaux import DualClass, enumerate_chains, rectify, shuffle
-from test_decgd import decgd_validate
+from test_decgd import decgd_validate, lift_decgd
+from test_moduli import COVER_CASES
 
 
 def reference_cross_cgd(g, wall):
@@ -157,6 +162,32 @@ def test_identity_crossing_is_not_xi(monkeypatch):
     assert cross_cgd(g, w) == g
     rows, wrong = xi_mismatches(XI_FRAMES)
     assert rows == 14758 and wrong > 0
+
+
+def test_class_crossing_restricts_the_fine_crossing():
+    # coarse wall (a, b) of a class diagram d is the fine wall over blocks
+    # a+1..b+1 of a lift of d; the crossing reverses the sizes of the
+    # other blocks, so the crossed fine diagram, rotated to put the fine
+    # start of block a of the crossed sizes at a, restricts to the
+    # crossed class diagram
+    pairs = 0
+    for frame, shape in COVER_CASES:
+        if all(part == (1,) for part in shape):
+            continue
+        r = frame.size
+        for d in decgd_enumerate(frame, shape):
+            fine = lift_decgd(d)
+            for w in walls(d.r):
+                c = cross_decgd(d, w)
+                at = list(accumulate(d.sizes * 2, initial=0))
+                at2 = list(accumulate(c.sizes * 2, initial=0))
+                rows = cross_cgd(fine, Wall(at[w.a], at[w.b + 1] - 1, r)).rows
+                shift = (at[w.a] - at2[w.a]) % r
+                turned = CylGrowthDiagram(frame, r,
+                                          rows[shift:] + rows[:shift])
+                assert restrict_cgd(turned, c.sizes) == c, (d, w)
+                pairs += 1
+    assert pairs == 178
 
 
 FRAMES = [Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(2, 7), Frame(3, 5),

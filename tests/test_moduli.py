@@ -493,14 +493,16 @@ def check_moves_are_involutions(tables, r):
             assert [back_table[j] for j in table] == list(range(size))
 
 
-def codimension_two_loops(tables, r):
+def codimension_two_loops(tables, orders):
     """Each facet G and pair of non-crossing chords S1, S2 of G (disjoint
     or nested sides) is a corner of a codimension-2 cell, where four top
     cells meet: crossing S1, S2, S1, S2 returns to G.  Over a covering it
     returns every sheet to itself.  Returns the number of (facet, pair)
-    corners and of sheets that their loops move."""
+    corners, over the given facets, and of sheets that their loops
+    move."""
     corners = moved = 0
-    for facet in facets(r):
+    for facet in orders:
+        r = len(facet)
         sides = [chord(facet, wall) for wall in walls(r)]
         for pair in [(s, t) for s, t in combinations(sides, 2)
                      if s.isdisjoint(t) or s < t or t < s]:
@@ -542,9 +544,18 @@ class TestCoverTables:
         # the cactus relations: disjoint chords commute, and nested ones
         # conjugate each other into the reflected chord
         r = len(shape)
-        corners, moved = codimension_two_loops(_FiberTables(frame, shape), r)
+        corners, moved = codimension_two_loops(_FiberTables(frame, shape),
+                                               facets(r))
         assert moved == 0
         assert corners == 4 * codimension_two_cells(r)
+
+    def test_codimension_two_loops_at_r8(self):
+        # a slice of the r = 8 cover: the corners at the first 20 of its
+        # 2520 facets, each over a fiber of Catalan(4) = 14 diagrams, 120
+        # corners per facet
+        corners, moved = codimension_two_loops(
+            _FiberTables(F26, (BOX,) * 8), facets(8)[:20])
+        assert (corners, moved) == (2400, 0)
 
     def test_codimension_two_cell_counts(self):
         assert [codimension_two_cells(r) for r in (4, 5, 6)] == [0, 15, 315]
@@ -571,7 +582,7 @@ class TestCoverTables:
             t[:] = [swap(t[swap(i)]) for i in range(len(t))]
             assert sorted(t) == list(range(len(t)))
         check_moves_are_involutions(tables, r)
-        assert codimension_two_loops(tables, r)[1] > 0
+        assert codimension_two_loops(tables, facets(r))[1] > 0
 
     @staticmethod
     def spy(monkeypatch, owner, name):

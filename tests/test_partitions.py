@@ -1,14 +1,18 @@
 """Tests for the partition layer: complement, index sets, covers, chain
-counts, and brute-force Littlewood-Richardson coefficients."""
+counts, and brute-force Littlewood-Richardson coefficients; and the one
+enumeration of the shapes between two partitions against the box walks
+it replaced."""
 
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from growth.partitions import (
-    Frame, complement, contains, covers, index_set, intermediates,
-    is_domino, lr_coefficient, normalize, rectangle_syt_formula, syt_count,
+    Frame, _shapes_between, complement, contains, covers, index_set,
+    intermediates, is_domino, lr_coefficient, normalize, partitions_in,
+    rectangle_syt_formula, syt_count,
 )
 
 
@@ -138,6 +142,137 @@ class TestSytCount:
             syt_count((1, 1), (2,))
 
 
+# The box walks that covers, intermediates and the chain count ran
+# before all three read _shapes_between, and that function's walk before
+# it was pruned by size: references for the differential tests below.
+
+def ref_add_box(lam, row):
+    parts = list(lam) + [0] * (row + 1 - len(lam))
+    parts[row] += 1
+    return normalize(parts)
+
+
+def ref_covers(lam, frame):
+    if not (len(lam) <= frame.d and (not lam or lam[0] <= frame.cols)):
+        raise ValueError(f"{lam} does not fit in {frame}")
+    out = []
+    for row in range(frame.d):
+        cur = lam[row] if row < len(lam) else 0
+        above = (lam[row - 1] if row - 1 < len(lam) else 0) if row >= 1 \
+            else frame.cols
+        if cur < frame.cols and cur < above:
+            out.append(ref_add_box(lam, row))
+    return out
+
+
+def ref_down_covers(lam):
+    out = []
+    for row in range(len(lam)):
+        below = lam[row + 1] if row + 1 < len(lam) else 0
+        if lam[row] > below:
+            parts = list(lam)
+            parts[row] -= 1
+            out.append(normalize(parts))
+    return out
+
+
+def ref_intermediates(bottom, top):
+    if sum(top) != sum(bottom) + 2 or not contains(top, bottom):
+        raise ValueError(f"{top}/{bottom} is not a two-box skew shape")
+    rows = []
+    for row in range(len(top)):
+        b = bottom[row] if row < len(bottom) else 0
+        rows.extend([row] * (top[row] - b))
+    out = []
+    for row in rows[:1] if rows[0] == rows[1] else rows:
+        above = (bottom[row - 1] if row - 1 < len(bottom) else 0) \
+            if row else None
+        if row and (bottom[row] if row < len(bottom) else 0) >= above:
+            continue
+        cand = ref_add_box(bottom, row)
+        if contains(top, cand) and cand not in out:
+            out.append(cand)
+    return out
+
+
+def ref_walk(inner, outer):
+    """The unpruned walk: every partition between inner and outer, of any
+    size, in its order.  It kept those of the target size."""
+    out = []
+
+    def build2(row, prev, acc):
+        if row == len(outer):
+            out.append(normalize(acc))
+            return
+        lo = inner[row] if row < len(inner) else 0
+        hi = min(outer[row], prev)
+        for v in range(lo, hi + 1):
+            build2(row + 1, v, acc + [v])
+
+    build2(0, outer[0] if outer else 0, [])
+    return out
+
+
+@cache
+def ref_chain_count(inner, outer):
+    if inner == outer:
+        return 1
+    return sum(ref_chain_count(inner, mu) for mu in ref_down_covers(outer)
+               if contains(mu, inner))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+DIFF_FRAMES = [Frame(d, n) for d in range(5) for n in range(d, d + 7)]
+
+
+@pytest.mark.parametrize("frame", DIFF_FRAMES, ids=str)
+class TestOneEnumeration:
+    def test_shapes_between(self, frame):
+        # every inner <= outer of the frame and every size from 0 to one
+        # past the rectangle: the same shapes in the same order, and the
+        # down covers of outer above inner, in ascending row of the
+        # removed box, are the shapes one box smaller
+        parts = partitions_in(frame)
+        for inner, outer in product(parts, repeat=2):
+            if not contains(outer, inner):
+                continue
+            by_size = [[] for _ in range(frame.size + 2)]
+            for nu in ref_walk(inner, outer):
+                by_size[sum(nu)].append(nu)
+            for size, want in enumerate(by_size):
+                assert _shapes_between.__wrapped__(inner, outer, size) == \
+                    tuple(want), (inner, outer, size)
+            assert _shapes_between.__wrapped__(
+                inner, outer, sum(outer) - 1) == tuple(
+                    mu for mu in ref_down_covers(outer)
+                    if contains(mu, inner))
+
+    def test_covers_intermediates_and_chain_counts(self, frame):
+        parts = partitions_in(frame)
+        for lam in parts:
+            assert covers(lam, frame) == ref_covers(lam, frame)
+        for bottom, top in product(parts, repeat=2):
+            assert outcome(intermediates, bottom, top) == \
+                outcome(ref_intermediates, bottom, top), (bottom, top)
+            if contains(top, bottom):
+                assert syt_count(top, bottom) == \
+                    ref_chain_count(bottom, top), (bottom, top)
+            else:
+                with pytest.raises(ValueError):
+                    syt_count(top, bottom)
+
+    def test_covers_outside_the_frame(self, frame):
+        for lam in [(frame.cols + 1,), (1,) * (frame.d + 1)]:
+            assert outcome(covers, lam, frame) == outcome(ref_covers, lam,
+                                                          frame)
+
+
 class TestLR:
     def test_examples(self):
         box = (1,)
@@ -187,6 +322,14 @@ class TestLR:
     def test_single_factor(self):
         assert lr_coefficient((2, 1), [(2, 1)]) == 1
         assert lr_coefficient((2, 1), [(3,)]) == 0
+
+    def test_rectangle_of_single_boxes(self):
+        # the walk between two shapes enters only shapes that leave a
+        # completion of the target size, so 50 factors over the 5 x 10
+        # box take a fraction of a second
+        frame = Frame(5, 15)
+        assert lr_coefficient(frame.rectangle(), [(1,)] * 50) == \
+            rectangle_syt_formula(frame)
 
     def test_against_chain_count_for_boxes(self):
         # all-box products count standard tableaux
