@@ -14,8 +14,8 @@ from itertools import combinations, product
 from math import gcd
 
 from growth.conic import (
-    consistency_with_growth, flag6_example, four_point_solve, sturm_count,
-    sturm_sequence,
+    _poly_mul, _pseudo_divide, consistency_with_growth, flag6_example,
+    four_point_solve, sturm_count, sturm_sequence,
 )
 from growth.cylgrowth import (
     CylGrowthDiagram, cgd_enumerate, cgd_from_path, row_path,
@@ -96,17 +96,12 @@ def q_hook(frame: Frame) -> list[int]:
     [N]_q! / prod [h(c)]_q of the d x (n-d) rectangle, N = d(n-d)."""
     poly = [1]
     for k in range(1, frame.size + 1):
-        # times [k]_q = 1 + q + ... + q^(k-1)
-        poly = [sum(poly[max(0, e - k + 1):e + 1])
-                for e in range(len(poly) + k - 1)]
+        poly = _poly_mul(poly, [1] * k)
     for i in range(frame.d):
         for j in range(frame.cols):
             h = (frame.d - i) + (frame.cols - j) - 1
-            # exact division by [h]_q, lowest degree first
-            quotient = []
-            for e in range(len(poly) - h + 1):
-                quotient.append(poly[e] - sum(quotient[max(0, e - h + 1):]))
-            poly = quotient
+            # exact division by [h]_q, whose leading coefficient is 1
+            poly = _pseudo_divide(poly, [1] * h)[0]
     return poly
 
 

@@ -5,7 +5,7 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on conditions that do not fit the frame's box, on output that cannot be
 written, on input files that are not valid diagrams (read by
 growth.jsonin), and on a cover graph predicted to have more than
-MAX_COVER_EDGES edges.  The --out file is opened before any work starts.
+moduli.MAX_COVER_EDGES edges.  The --out file is opened before any work starts.
 JSON output is streamed in chunks and is exactly the text of
 json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
@@ -14,23 +14,16 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from math import factorial
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.jsonout import JsonText, write_array, write_json
-from growth.partitions import Frame, fits, lr_coefficient, normalize
+from growth.partitions import Frame, fits, normalize
 
 # the handlers import growth.decgd, growth.moduli and growth.jsonin, so
 # that enumerate without --shape starts without them
 
 # the suites of growth.checks, which is imported only by verify
 SUITES = ("growth", "conic")
-
-# the most edges a cover graph may have: the r = 8 all-box (2,6) graph has
-# 352,800 and (3,7) 2;2;2;2;1;1;1;1 has 1,134,000, while nine boxes on
-# (3,6) would have 11,430,720
-MAX_COVER_EDGES = 2_000_000
-
 
 class UsageError(Exception):
     pass
@@ -186,17 +179,12 @@ def cmd_wallcross(args) -> int:
 def cmd_cover(args) -> int:
     frame = _frame(args)
     shape = _shape(args, frame)
-    # the graph's size before any work: a fiber over each facet, and each
-    # node on one edge per wall, which joins two nodes
-    r = len(shape)
-    facets, walls = factorial(r - 1) // 2, r * (r - 3) // 2
-    nodes = facets * lr_coefficient(frame.rectangle(), shape)
-    edges = nodes * walls // 2
-    if edges > MAX_COVER_EDGES:
-        raise UsageError(f"the cover graph would have {nodes} nodes and "
-                         f"{edges} edges, over the bound of "
-                         f"{MAX_COVER_EDGES} edges")
-    from growth.moduli import build_cover_graph, export, graph_components
+    from growth.moduli import (build_cover_graph, cover_size, export,
+                               graph_components)
+    try:
+        cover_size(frame, shape)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     with _output(args) as out:
         graph = build_cover_graph(frame, shape)
         summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "

@@ -16,8 +16,8 @@ built once per frame from the tuple kernels of :mod:`growth.partitions`."""
 from functools import cache
 
 from growth.partitions import (
-    Frame, _Value, complement, covers, intermediates, normalize,
-    partitions_in,
+    Frame, _shapes_between, _Value, complement, covers, intermediates,
+    normalize, partitions_in,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,
@@ -89,9 +89,9 @@ class _Numbering:
         self.steps = frozenset((num(p), num(q)) for p in self.parts
                                for q in covers(p, frame))
         squares = []
+        rect = frame.rectangle()
         for bottom in self.parts:
-            for top in {t for m in covers(bottom, frame)
-                        for t in covers(m, frame)}:
+            for top in _shapes_between(bottom, rect, sum(bottom) + 2):
                 mids = [num(m) for m in intermediates(bottom, top)]
                 # equal middles only under a domino
                 squares += [(num(bottom), x, y, num(top)) for x in mids

@@ -152,7 +152,7 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
             return
         mu = classes[-1].outer if classes else ()
         target = sum(sum(lam) for lam in shape[:m + 1])
-        for nu in sorted(_shapes_between(mu, frame.rectangle(), target)):
+        for nu in _shapes_between(mu, frame.rectangle(), target):
             for cls in dual_classes(nu, mu, shape[m]):
                 build(classes + [cls])
 

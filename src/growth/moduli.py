@@ -9,7 +9,7 @@ positions; it is identified with the complementary interval."""
 
 from collections import defaultdict
 from itertools import accumulate, permutations, product
-from math import prod
+from math import factorial, prod
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import (
@@ -17,7 +17,8 @@ from growth.decgd import (
 )
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
-    Frame, _lr_multi, _shapes_between, _Value, complement, normalize,
+    Frame, _lr_multi, _shapes_between, _Value, complement, lr_coefficient,
+    normalize,
 )
 
 
@@ -222,6 +223,27 @@ class MonodromyGraph(_Value):
     __slots__ = ("frame", "shape", "nodes", "edges")
 
 
+# the most edges a cover graph may have: the r = 8 all-box (2,6) graph has
+# 352,800 and (3,7) 2;2;2;2;1;1;1;1 has 1,134,000, while nine boxes on
+# (3,6) would have 11,430,720
+MAX_COVER_EDGES = 2_000_000
+
+
+def cover_size(frame: Frame, shape) -> tuple[int, int]:
+    """The (nodes, edges) of the cover graph of a checked shape, before any
+    work: a fiber over each facet, and each node on one edge per wall,
+    which joins two nodes.  Raises ValueError over MAX_COVER_EDGES."""
+    r = len(shape)
+    facet_count, wall_count = factorial(r - 1) // 2, r * (r - 3) // 2
+    nodes = facet_count * lr_coefficient(frame.rectangle(), shape)
+    edges = nodes * wall_count // 2
+    if edges > MAX_COVER_EDGES:
+        raise ValueError(f"the cover graph would have {nodes} nodes and "
+                         f"{edges} edges, over the bound of "
+                         f"{MAX_COVER_EDGES} edges")
+    return nodes, edges
+
+
 class _FiberTables:
     """The fibers of a cover as tables, and wall crossing as maps between
     fiber indices.
@@ -298,8 +320,10 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
 
     Crossing a wall is an involution, so each edge is taken once, from the
     facet with the smaller offset (crossing never returns to the same
-    facet), and labelled with that facet's wall.  Edges are sorted."""
+    facet), and labelled with that facet's wall.  Edges are sorted.
+    Raises ValueError for a graph over the bound of :func:`cover_size`."""
     shape = check_shape(shape)
+    cover_size(frame, shape)
     r = len(shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return MonodromyGraph(frame, shape, (), ())

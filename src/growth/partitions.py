@@ -7,8 +7,9 @@ zeros are stripped, so () is the empty partition.  The box is a
 
 :func:`_shapes_between` is the one enumeration of the partitions between
 two shapes, by size: covers, the middles of a two-box skew, chain
-counts, Littlewood-Richardson sums and the partitions of a frame all
-read it.  It enters only shapes that can reach the size asked for.
+counts, Littlewood-Richardson sums, the partitions of a frame, standard
+tableaux and the growth solver's unit squares all read it.  It is total,
+and enters only shapes that can reach the size asked for.
 
 The box kernels (containment, complement, the middles of a two-box
 skew, the shapes between two partitions) are memoized: a frame holds few
@@ -313,6 +314,8 @@ def _shapes_between(inner: tuple[int, ...], outer: tuple[int, ...],
     top, carrying the boxes left to place, and enters only parts that
     leave a completion: the rows below must still take what inner puts
     in them, and each holds at most the part just placed."""
+    if not contains(outer, inner):
+        return ()
     rows = len(outer)
     inner = (inner + (0,) * rows)[:rows]
     below = [sum(inner[row + 1:]) for row in range(rows)]

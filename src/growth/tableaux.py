@@ -4,9 +4,10 @@ Two tableaux are dual equivalent exactly when their classes
 :meth:`DualClass.of` are equal: the canonical representative keeps its
 tableau's shape, so equal classes have equal shapes.
 
-A tableau is a tuple of partitions, each adding one box to the previous;
-entry k of the tableau is the box added at step k.  All jeu de taquin is
-done through the local rule on unit squares of a growth rectangle.
+A tableau is a tuple of partitions, each adding one box to the previous
+(a chain walked by ``growth.partitions._shapes_between``); entry k is the
+box added at step k.  All jeu de taquin is done through the local rule
+on unit squares of a growth rectangle.
 
 Only :func:`validate_chain` and the public :func:`shuffle` check their
 chains.  Rectification, canonical forms and class shuffles take chains
@@ -18,7 +19,7 @@ per class.
 from functools import cache
 
 from growth.partitions import (
-    _intermediates, _Value, added_box, contains, normalize,
+    _intermediates, _shapes_between, _Value, added_box, normalize,
 )
 
 Chain = tuple[tuple[int, ...], ...]
@@ -124,35 +125,25 @@ def canonical_rep(t: Chain) -> Chain:
 
 def enumerate_chains(outer, inner) -> list[Chain]:
     """All standard tableaux of shape outer/inner, as chains, in
-    lexicographic order of the chain.  A step adds one box: a new row of
-    length 1 below the current shape, if outer has that row, or a box at
-    the end of a row i that is shorter than outer's row i and than the
-    row above it.  The steps are tried from the lowest row up, which
-    builds the chains in order, so the sort that guarantees it is one
-    pass."""
+    lexicographic order of the chain; none unless outer contains inner.
+    Each step walks :func:`_shapes_between`, which lists the shapes one
+    box larger in that order."""
     outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner):
-        return []
     out = []
-    acc = [inner]
+    acc = []
 
-    def build(cur, left):
-        if not left:
-            out.append(tuple(acc))
-            return
-        if len(cur) < len(outer):
-            acc.append(cur + (1,))
-            build(acc[-1], left - 1)
+    def build(shapes, size):
+        for nu in shapes:
+            acc.append(nu)
+            if nu == outer:
+                out.append(tuple(acc))
+            else:
+                build(_shapes_between(nu, outer, size + 1), size + 1)
             acc.pop()
-        for i in range(len(cur) - 1, -1, -1):
-            c = cur[i]
-            if c < outer[i] and (i == 0 or c < cur[i - 1]):
-                acc.append(cur[:i] + (c + 1,) + cur[i + 1:])
-                build(acc[-1], left - 1)
-                acc.pop()
 
-    build(inner, sum(outer) - sum(inner))
-    return sorted(out)
+    # inner alone, or nothing unless outer contains it
+    build(_shapes_between(inner, outer, sum(inner)), sum(inner))
+    return out
 
 
 class DualClass(_Value):
@@ -182,19 +173,17 @@ def _class_of(rep: Chain) -> DualClass:
 
 
 def dual_classes(outer, inner, target_rshape=None) -> list[DualClass]:
-    """All dual-equivalence classes of tableaux of shape outer/inner,
+    """All dual-equivalence classes of tableaux of shape outer/inner, in
+    the order their first tableaux have in :func:`enumerate_chains`,
     optionally filtered by rectification shape.  Empty on size mismatch."""
     outer, inner = normalize(outer), normalize(inner)
     if target_rshape is not None:
         target_rshape = normalize(target_rshape)
         if sum(outer) - sum(inner) != sum(target_rshape):
             return []
-    seen = []
-    for t in enumerate_chains(outer, inner):
-        cls = DualClass.of(t)
-        if cls not in seen and (target_rshape is None or cls.rshape == target_rshape):
-            seen.append(cls)
-    return seen
+    classes = dict.fromkeys(map(DualClass.of, enumerate_chains(outer, inner)))
+    return [cls for cls in classes
+            if target_rshape is None or cls.rshape == target_rshape]
 
 
 def shuffle_classes(a: DualClass, b: DualClass) -> tuple[DualClass, DualClass]:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.checks import golden_diagram, golden_figure_entries, load_golden
-from growth.cli import MAX_COVER_EDGES, main, parse_shape
+from growth.cli import main, parse_shape
 from growth.cylgrowth import cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
-from growth.moduli import Wall, cross_cgd
+from growth.moduli import MAX_COVER_EDGES, Wall, cross_cgd
 from growth.partitions import Frame, rectangle_syt_formula
 from growth.tableaux import DualClass, dual_classes, enumerate_chains
 from test_decgd import reference_restrict_cgd

@@ -23,13 +23,14 @@ from growth.cylgrowth import (
 from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.jsonin import read_cgd
 from growth.moduli import (
-    LabeledTree, MonodromyGraph, Wall, _FiberTables, all_trees,
-    build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
-    export, facets, fiber_count, graph_components, node_labelings, star_tree,
-    transport_cgd, transport_decgd, walls,
+    MAX_COVER_EDGES, LabeledTree, MonodromyGraph, Wall, _FiberTables,
+    all_trees, build_cover_graph, canonical_order, cross_cgd, cross_decgd,
+    cross_facet, export, facets, fiber_count, graph_components,
+    node_labelings, star_tree, transport_cgd, transport_decgd, walls,
 )
 from growth.partitions import (
-    Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
+    Frame, complement, lr_coefficient, normalize, partitions_in,
+    rectangle_syt_formula, syt_count,
 )
 from test_decgd import decgd_validate, lift_decgd
 
@@ -397,6 +398,18 @@ class TestCoverGraph:
     def test_size_mismatch_empty_graph(self):
         graph = build_cover_graph(F24, [BOX] * 3)
         assert graph.nodes == () and graph.edges == ()
+
+    def test_work_bound(self):
+        # refused in-process before the 55!/2 facets are listed: a fiber
+        # of the rectangle's tableaux over each, 56 * 53 / 2 walls per node
+        frame = Frame(2, 30)
+        nodes = factorial(55) // 2 * rectangle_syt_formula(frame)
+        edges = nodes * (56 * 53 // 2) // 2
+        with pytest.raises(ValueError) as info:
+            build_cover_graph(frame, [BOX] * 56)
+        assert str(info.value) == (
+            f"the cover graph would have {nodes} nodes and {edges} edges, "
+            f"over the bound of {MAX_COVER_EDGES} edges")
 
     def test_two_two_four_boxes(self):
         shape = ((2,), (2,), BOX, BOX, BOX, BOX)

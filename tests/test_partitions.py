@@ -237,10 +237,14 @@ class TestOneEnumeration:
         # every inner <= outer of the frame and every size from 0 to one
         # past the rectangle: the same shapes in the same order, and the
         # down covers of outer above inner, in ascending row of the
-        # removed box, are the shapes one box smaller
+        # removed box, are the shapes one box smaller; a pair that is not
+        # nested has no shapes at any size
         parts = partitions_in(frame)
         for inner, outer in product(parts, repeat=2):
             if not contains(outer, inner):
+                for size in range(frame.size + 2):
+                    assert _shapes_between.__wrapped__(
+                        inner, outer, size) == (), (inner, outer, size)
                 continue
             by_size = [[] for _ in range(frame.size + 2)]
             for nu in ref_walk(inner, outer):

@@ -66,6 +66,23 @@ def reference_chains(outer, inner):
     return sorted(out)
 
 
+def reference_dual_classes(outer, inner, target_rshape=None):
+    """dual_classes by the earlier list scan: a class is kept when it is
+    not yet in the list and has the target shape."""
+    outer, inner = normalize(outer), normalize(inner)
+    if target_rshape is not None:
+        target_rshape = normalize(target_rshape)
+        if sum(outer) - sum(inner) != sum(target_rshape):
+            return []
+    seen = []
+    for t in enumerate_chains(outer, inner):
+        cls = DualClass.of(t)
+        if cls not in seen and (target_rshape is None
+                                or cls.rshape == target_rshape):
+            seen.append(cls)
+    return seen
+
+
 class TestEnumerateChains:
     # (4,8) holds 465,210 chains over all its pairs, which the reference
     # takes seconds to build, so there only skews of at most 8 boxes
@@ -233,6 +250,19 @@ class TestDualEquivalence:
 
     def test_size_mismatch_empty(self):
         assert dual_classes((2, 2), (1,), (1,)) == []
+
+    @pytest.mark.parametrize("frame", [Frame(2, 6), Frame(3, 6)], ids=str)
+    def test_matches_list_scan(self, frame):
+        # every skew of the box, with no target and with each partition
+        # of the box as the target: the same classes in the same order
+        parts = partitions_in(frame)
+        for outer in parts:
+            for inner in parts:
+                if contains(outer, inner):
+                    for target in (None,) + parts:
+                        assert dual_classes(outer, inner, target) == \
+                            reference_dual_classes(outer, inner, target), \
+                            (outer, inner, target)
 
     def test_brute_force_oracle(self):
         # Two tableaux are dual equivalent iff shuffling past every
