@@ -41,6 +41,11 @@ class CylGrowthDiagram(_Value):
         """The chain along row i, from (i, i) to (i, i + r)."""
         return self.rows[i % self.r]
 
+    def along(self, path) -> Chain:
+        """The entries at the points of a path of up and right steps."""
+        _check_steps(path)
+        return tuple(self.get(i, j) for i, j in path)
+
     def to_json(self) -> dict:
         """The diagram as JSON data, with the stored tuples as arrays."""
         return {
@@ -63,12 +68,17 @@ def validate_path(path, r: int) -> list[tuple[int, int]]:
         raise ValueError(f"path must have {r + 1} points, got {len(path)}")
     if path[0][0] != path[0][1]:
         raise ValueError("path must start on the diagonal")
-    for (i1, j1), (i2, j2) in zip(path, path[1:]):
-        if (i2, j2) not in ((i1 - 1, j1), (i1, j1 + 1)):
-            raise ValueError(f"bad step ({i1},{j1}) -> ({i2},{j2})")
+    _check_steps(path)
     if path[-1][1] - path[-1][0] != r:
         raise ValueError("path must end at the opposite boundary")
     return path
+
+
+def _check_steps(path) -> None:
+    """Raise unless every step of the path is up or right."""
+    for (i1, j1), (i2, j2) in zip(path, path[1:]):
+        if (i2, j2) not in ((i1 - 1, j1), (i1, j1 + 1)):
+            raise ValueError(f"bad step ({i1},{j1}) -> ({i2},{j2})")
 
 
 class _Numbering:

@@ -11,7 +11,11 @@ classes run between, and the contents are the rectification shapes of
 the row-0 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and
 stored on residues of k."""
 
-from growth.cylgrowth import CylGrowthDiagram, cgd_from_path, row_path
+from itertools import accumulate
+
+from growth.cylgrowth import (
+    CylGrowthDiagram, _check_steps, cgd_from_path, row_path,
+)
 from growth.partitions import Frame, _shapes_between, _Value, normalize
 from growth.tableaux import DualClass, dual_classes
 
@@ -40,6 +44,17 @@ class Decgd(_Value):
     def sizes(self) -> tuple[int, ...]:
         return tuple(sum(lam) for lam in self.shape)
 
+    def along(self, path) -> tuple[DualClass, ...]:
+        """The class of each step of a path of up and right steps: a(k, l)
+        for a right step out of (k, l), b(k, l) for an up step."""
+        _check_steps(path)
+        r = self.r
+        for k, l in path[:-1]:
+            if not 0 <= l - k < r:
+                raise IndexError(f"the step out of ({k},{l}) leaves the band")
+        return tuple((self.a if l2 > l else self.b)[k % r][l - k]
+                     for (k, l), (_, l2) in zip(path, path[1:]))
+
     def to_json(self) -> dict:
         """The diagram as JSON data, with its tuples as arrays and each
         class as its representative chain."""
@@ -62,10 +77,9 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
 
     Block boundary x of the coarse diagram sits at fine index at[x + 1],
     for x from -1 to 2r.  Row k of the coarse diagram lies in fine row
-    at[k + 1] < d(n-d), so its row classes are slices of that stored row.
-    The column class at (k, l) runs up fine column at[l + 1] from row
-    at[k + 1] to row at[k], reading entry (i, j) from fine.rows at
-    (i mod d(n-d), j - i)."""
+    at[k + 1] < d(n-d), so its row classes are slices of that row.  The
+    column class at (k, l) is read along fine column at[l + 1], up from
+    row at[k + 1] to row at[k]."""
     sizes = tuple(int(s) for s in sizes)
     if any(s <= 0 for s in sizes):
         raise ValueError("sizes must be positive")
@@ -74,24 +88,19 @@ def restrict_cgd(fine: CylGrowthDiagram, sizes) -> Decgd:
         raise ValueError(
             f"sizes {sizes} must sum to d(n-d) = {total}")
     r = len(sizes)
-    prefix = [0]
-    for s in sizes:
-        prefix.append(prefix[-1] + s)
-    at = [prefix[r - 1] - total] + prefix + [total + p for p in prefix[1:]]
-    rows = fine.rows
+    at = list(accumulate(sizes[-1:] + sizes * 2, initial=-sizes[-1]))
     of = DualClass.of
     a_rows = []
     b_rows = []
     for k in range(r):
         start = at[k + 1]
         below = at[k]
-        row = rows[start]
+        row = fine.row(start)
         cuts = [x - start for x in at[k + 1:k + r + 2]]
         a_rows.append(tuple(of(row[lo:hi + 1])
                             for lo, hi in zip(cuts, cuts[1:])))
         b_rows.append(tuple(
-            of(tuple(rows[i % total][col - i]
-                     for i in range(start, below - 1, -1)))
+            of(fine.along([(i, col) for i in range(start, below - 1, -1)]))
             for col in at[k + 1:k + r + 1]))
     return Decgd(fine.frame, r, tuple(a_rows), tuple(b_rows))
 
@@ -106,14 +115,20 @@ def _concatenate(reps) -> tuple:
     return tuple(chain)
 
 
+def _lift(path, classes, sizes, frame: Frame) -> Decgd:
+    """The diagram of blocks of the given sizes that takes the classes
+    along a fine path: the fine diagram grown along the path from their
+    representatives, concatenated, restricted."""
+    chain = _concatenate([cls.representative for cls in classes])
+    return restrict_cgd(cgd_from_path(path, chain, frame), sizes)
+
+
 def decgd_from_first_row(classes, frame: Frame) -> Decgd:
     """The unique diagram whose row 0 has the given classes: lift along
     row 0 and restrict.  The classes must meet end to end and run from the
     empty shape to the rectangle."""
-    fine = cgd_from_path(
-        row_path(frame.size),
-        _concatenate([cls.representative for cls in classes]), frame)
-    return restrict_cgd(fine, tuple(sum(c.rshape) for c in classes))
+    return _lift(row_path(frame.size), classes,
+                 tuple(sum(c.rshape) for c in classes), frame)
 
 
 def check_shape(shape, written=None) -> tuple[tuple[int, ...], ...]:
@@ -139,8 +154,7 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
     :func:`check_shape`."""
     shape = check_shape(shape)
     r = len(shape)
-    total = frame.size
-    if sum(sum(lam) for lam in shape) != total:
+    if sum(sum(lam) for lam in shape) != frame.size:
         # no diagram can exist unless the sizes sum to d(n-d)
         return []
     results = []

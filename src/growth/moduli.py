@@ -5,16 +5,15 @@ the covering, and trees grown as edge lists, their labelings and fiber counts.
 A facet is a dihedral class of circular orders of [r], stored canonically:
 the representative starts at 1 and takes the lexicographically smaller
 direction.  A wall is the chord reversing a circular interval of marked
-positions; it is identified with the complementary interval."""
+positions; it is identified with the complementary interval.  Diagrams are
+read along paths (``along``); only the dihedral transport indexes storage."""
 
 from collections import defaultdict
 from itertools import accumulate, permutations, product
 from math import factorial, prod
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
-from growth.decgd import (
-    Decgd, _concatenate, check_shape, decgd_enumerate, restrict_cgd,
-)
+from growth.decgd import Decgd, _lift, check_shape, decgd_enumerate
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
     Frame, _lr_multi, _shapes_between, _Value, complement, lr_coefficient,
@@ -41,9 +40,14 @@ def canonical_order(order):
 def facets(r: int):
     """All facets of the moduli space: canonical circular orders of [r],
     in lexicographic order.  The canonical representative of a class
-    starts at 1 and has a smaller second entry than last entry."""
+    starts at 1 and has a smaller second entry than last entry.  An r
+    with more than MAX_COVER_EDGES facets is refused before any is listed."""
     if r < 3:
         raise ValueError("need at least 3 marked points")
+    if factorial(r - 1) // 2 > MAX_COVER_EDGES:
+        raise ValueError(f"{r} marked points have {factorial(r - 1) // 2} "
+                         f"facets, over the bound of {MAX_COVER_EDGES} "
+                         f"edges of a cover graph")
     return [(1,) + tail for tail in permutations(range(2, r + 1))
             if tail[0] < tail[-1]]
 
@@ -88,6 +92,8 @@ def cross_facet(order, wall: Wall):
     crossed positions to canonical ones."""
     order = tuple(order)
     r = len(order)
+    if wall.r != r:
+        raise ValueError("wall and order have different numbers of points")
     a, b = wall.a - 1, wall.b  # the span is order[a:b], wrapped past r
     if b <= r:
         raw = order[:a] + order[a:b][::-1] + order[b:]
@@ -107,19 +113,13 @@ def _crossing_path(top: int, row: int, col: int):
             + [(i, col) for i in range(row - 1, top - 1, -1)])
 
 
-def _cross_chain(g: CylGrowthDiagram, wall: Wall):
-    """The chain that crossing the wall regrows g from, along
-    _crossing_path(a, b+1, a+r): g's own column a, from the diagonal up r
-    rows, which by the glide symmetry is the 180-degree rotation of row a."""
-    a, r, rows = wall.a, g.r, g.rows
-    return tuple(rows[i % r][a - i] for i in range(a, a - r - 1, -1))
-
-
-def _path_chain(g: CylGrowthDiagram, wall: Wall):
-    """The chain that g takes along _crossing_path(a, b+1, a+r)."""
-    a, b, r, rows = wall.a, wall.b, wall.r, g.rows
-    return rows[(b + 1) % r][:a + r - b] + tuple(
-        rows[i % r][a + r - i] for i in range(b, a - 1, -1))
+def _key_paths(wall: Wall):
+    """The two paths of a crossing: column a, from the diagonal up r rows,
+    which the crossed diagram is regrown from, and the crossing path
+    _crossing_path(a, b+1, a+r), which it is regrown along.  By the glide
+    symmetry, column a is the 180-degree rotation of row a."""
+    a, r = wall.a, wall.r
+    return _crossing_path(a - r, a, a), _crossing_path(a, wall.b + 1, a + r)
 
 
 def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
@@ -128,30 +128,12 @@ def cross_cgd(g: CylGrowthDiagram, wall: Wall) -> CylGrowthDiagram:
     on the complementary triangle.
 
     A diagram is fixed by its chain along a path, so the crossed diagram
-    is regrown from its chain between the triangles, which is g's own
-    column a, whatever b is (:func:`_cross_chain`)."""
-    r = g.r
-    if wall.r != r:
+    takes along the crossing path the chain g takes up its column a,
+    whatever b is (:func:`_key_paths`)."""
+    if wall.r != g.r:
         raise ValueError("wall and diagram have different periods")
-    return cgd_from_path(_crossing_path(wall.a, wall.b + 1, wall.a + r),
-                         _cross_chain(g, wall), g.frame)
-
-
-def _cross_classes(d: Decgd, wall: Wall):
-    """The classes that crossing the wall regrows d from, along the
-    crossing path: d's own column classes of column a, as in
-    :func:`_cross_chain` (b(k, a+r) is the class of a(a, k-1)'s
-    complemented, reversed representative)."""
-    a, r = wall.a, d.r
-    return tuple(d.b[k % r][a - k] for k in range(a, a - r, -1))
-
-
-def _path_classes(d: Decgd, wall: Wall):
-    """The classes that d takes along the crossing path: row classes
-    along row b+1, then column classes up column a+r."""
-    a, b, r = wall.a, wall.b, wall.r
-    return d.a[(b + 1) % r][:a + r - b - 1] + tuple(
-        d.b[k % r][a + r - k] for k in range(b + 1, a, -1))
+    column, path = _key_paths(wall)
+    return cgd_from_path(path, g.along(column), g.frame)
 
 
 def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
@@ -160,9 +142,9 @@ def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
     The crossed diagram agrees with d on the triangle over the wall and is
     the short-diagonal reflection of d on the complementary triangle, for
     classes as well as entries (reflection exchanges row and column
-    classes).  As in :func:`cross_cgd`, it is regrown from the path
-    between the triangles in fine coordinates: the representatives of
-    :func:`_cross_classes` make a fine chain, extended and restricted."""
+    classes).  As in :func:`cross_cgd`, it takes along the crossing path
+    the classes d takes up its column a: a fine diagram is grown from them
+    along the crossing path in fine coordinates, and restricted."""
     r = d.r
     if wall.r != r:
         raise ValueError("wall and diagram have different periods")
@@ -171,11 +153,10 @@ def cross_decgd(d: Decgd, wall: Wall) -> Decgd:
     sizes = list(d.sizes)
     for m in range(b + 2, a + r + 1):
         sizes[(m - 1) % r] = d.sizes[(a + b + 1 - m) % r]
-    reps = [cls.representative for cls in _cross_classes(d, wall)]
     at = list(accumulate(sizes * 2, initial=0))  # fine index of coarse m
-    path = _crossing_path(at[a], at[b + 1], at[a + r])
-    fine = cgd_from_path(path, _concatenate(reps), d.frame)
-    return restrict_cgd(fine, sizes)
+    column, _ = _key_paths(wall)
+    return _lift(_crossing_path(at[a], at[b + 1], at[a + r]),
+                 d.along(column), sizes, d.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +236,15 @@ class _FiberTables:
     once, each diagram solved and validated; the cover builds no other.
     A diagram is fixed by what it carries along the crossing path, so
     crossing g lands on the target that, moved back by the inverse
-    transporter, carries g's regrow key (:func:`_cross_chain`,
-    :func:`_cross_classes`) there.  A table is built once per contents,
-    wall and transporter."""
+    transporter, carries along that path what g carries up its column a
+    (:func:`_key_paths`), read by ``along`` for either kind of diagram.
+    A table is built once per contents, wall and transporter."""
 
     def __init__(self, frame: Frame, shape):
         self.frame = frame
         self.shape = shape
         self.all_box = all(lam == (1,) for lam in shape)
-        self.crossing = ((_cross_chain, _path_chain, transport_cgd)
-                         if self.all_box else
-                         (_cross_classes, _path_classes, transport_decgd))
+        self.transport = transport_cgd if self.all_box else transport_decgd
         self.fibers = {}  # contents -> diagrams
         self.moves = {}   # (contents, wall, gmap) -> target fiber indices
 
@@ -291,13 +270,12 @@ class _FiberTables:
         and the wall, unless the crossings are the target fiber, once each."""
         key = self.contents(facet)
         if (key, wall, gmap) not in self.moves:
-            regrow_key, path_key, transport = self.crossing
             back = ("rot", -gmap[1] % len(facet)) if gmap[0] == "rot" else gmap
+            column, path = _key_paths(wall)
             targets = self.fiber(new_facet)
-            found = {path_key(transport(h, back), wall): j
+            found = {self.transport(h, back).along(path): j
                      for j, h in enumerate(targets)}
-            table = [found.get(regrow_key(g, wall), -1)
-                     for g in self.fiber(facet)]
+            table = [found.get(g.along(column), -1) for g in self.fiber(facet)]
             if sorted(table) != list(range(len(targets))):
                 raise ValueError(
                     f"crossing wall ({wall.a}, {wall.b}) from facet {facet} "
@@ -323,26 +301,22 @@ def build_cover_graph(frame: Frame, shape) -> MonodromyGraph:
     facet), and labelled with that facet's wall.  Edges are sorted.
     Raises ValueError for a graph over the bound of :func:`cover_size`."""
     shape = check_shape(shape)
-    cover_size(frame, shape)
-    r = len(shape)
-    if sum(sum(lam) for lam in shape) != frame.size:
+    if not cover_size(frame, shape)[0]:
         return MonodromyGraph(frame, shape, (), ())
+    r = len(shape)
     tables = _FiberTables(frame, shape)
-    facet_list = facets(r)
-    wall_list = walls(r)
     offset = {}
     nodes = []
-    for facet in facet_list:
+    for facet in facets(r):
         offset[facet] = len(nodes)
         nodes.extend((facet, g) for g in tables.fiber(facet))
     # the crossed diagram keeps the wall blocks in place and reflects the
     # complementary blocks, so its raw presentation is the order with the
     # complementary span reversed; both spans give the same facet
     crossings = [(wall, wall.complementary(), (wall.a, wall.b))
-                 for wall in wall_list]
+                 for wall in walls(r)]
     edges = []
-    for facet in facet_list:
-        start = offset[facet]
+    for facet, start in offset.items():
         for wall, span, label in crossings:
             new_facet, gmap = cross_facet(facet, span)
             target = offset[new_facet]

@@ -269,7 +269,8 @@ def test_hypothesis_paths(case):
                                    Frame(2, 6), Frame(3, 6)], ids=str)
 def test_every_path_grows_its_diagram(frame):
     # the local rule is all that growth out of a path needs: each of the
-    # 2^r right/up paths from (0, 0) grows the diagram it is read from
+    # 2^r right/up paths from (0, 0) grows the diagram it is read from,
+    # entry by entry or along the path
     r = frame.size
     diagrams = DIAGRAMS[frame]
     for g in diagrams[::max(1, len(diagrams) // 12)]:
@@ -277,6 +278,7 @@ def test_every_path_grows_its_diagram(frame):
             path = walk(0, ups)
             assert cgd_from_path(path, [g.get(i, j) for i, j in path],
                                  frame) == g
+            assert cgd_from_path(path, g.along(path), frame) == g
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,8 +19,8 @@ from growth.cylgrowth import (
 )
 from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.moduli import (
-    Wall, _cross_chain, _cross_classes, cross_cgd, cross_decgd, cross_facet,
-    transport_cgd, walls,
+    Wall, _key_paths, cross_cgd, cross_decgd, cross_facet, transport_cgd,
+    walls,
 )
 from growth.partitions import Frame, complement, covers
 from growth.tableaux import DualClass, enumerate_chains, rectify, shuffle
@@ -88,7 +88,8 @@ def test_cross_chain_is_column_a():
              for g in cgd_enumerate(frame) for w in presentations(frame.size)]
     assert len(pairs) == 2926
     for g, w in pairs:
-        assert _cross_chain(g, w) == reference_cross_chain(g, w)
+        column, _ = _key_paths(w)
+        assert g.along(column) == reference_cross_chain(g, w)
 
 
 def test_cross_classes_is_column_a():
@@ -101,7 +102,24 @@ def test_cross_classes_is_column_a():
         for w in presentations(len(shape))]
     assert len(pairs) == 246
     for d, w in pairs:
-        assert _cross_classes(d, w) == reference_cross_classes(d, w)
+        column, _ = _key_paths(w)
+        assert d.along(column) == reference_cross_classes(d, w)
+
+
+def test_crossed_diagram_carries_column_a_along_the_crossing_path():
+    # on every presentation of every wall, wrapped ones included
+    pairs = 0
+    for frame, shape in COVER_CASES:
+        if all(part == (1,) for part in shape):
+            sources, cross = cgd_enumerate(frame), cross_cgd
+        else:
+            sources, cross = decgd_enumerate(frame, shape), cross_decgd
+        for g in sources:
+            for w in presentations(len(shape)):
+                column, path = _key_paths(w)
+                assert cross(g, w).along(path) == g.along(column), (g, w)
+                pairs += 1
+    assert pairs == 454
 
 
 @cache
@@ -157,7 +175,9 @@ def test_walls_act_as_xi():
 def test_identity_crossing_is_not_xi(monkeypatch):
     # regrown from the chain it already carries along the crossing path,
     # every diagram crosses to itself, which is no xi
-    monkeypatch.setattr(moduli, "_cross_chain", moduli._path_chain)
+    key_paths = moduli._key_paths
+    monkeypatch.setattr(moduli, "_key_paths",
+                        lambda wall: (key_paths(wall)[1],) * 2)
     g, w = cgd_enumerate(Frame(2, 5))[0], walls(6)[0]
     assert cross_cgd(g, w) == g
     rows, wrong = xi_mismatches(XI_FRAMES)

@@ -60,6 +60,21 @@ class TestFigureReproduction:
 
 
 class TestConstruction:
+    def test_along_reads_entries(self):
+        g = golden_diagram("growth_example")
+        path = [(1, 1), (1, 2), (0, 2), (-1, 2)]
+        assert g.along(path) == tuple(g.get(i, j) for i, j in path)
+
+    @pytest.mark.parametrize("path,error", [
+        ([(0, 5), (0, 6), (0, 7)], IndexError),  # past offset r = 6
+        ([(1, 0), (0, 0)], IndexError),           # below the diagonal
+        ([(0, 0), (0, 2)], ValueError),           # two boxes at once
+        ([(0, 1), (1, 1)], ValueError),           # a step down
+    ])
+    def test_along_refuses_a_bad_path(self, path, error):
+        with pytest.raises(error):
+            golden_diagram("growth_example").along(path)
+
     def test_row_chain_round_trip(self):
         chain = ((), (1,), (2,), (2, 1), (2, 2))
         g = cgd_from_path(row_path(4), chain, F24)

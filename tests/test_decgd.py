@@ -184,6 +184,26 @@ def test_restrict_matches_reference(frame, sizes_list):
                         assert DualClass.of(cls.representative) is cls
 
 
+class TestAlong:
+    D = decgd_enumerate(F25, ((2,), BOX, BOX, BOX, BOX))[0]
+
+    def test_classes_of_the_steps(self):
+        # a right step out of (k, l) reads a(k, l), an up step b(k, l)
+        d = self.D
+        path = [(1, 1), (1, 2), (0, 2), (-1, 2), (-1, 3)]
+        assert d.along(path) == (d.a[1][0], d.b[1][1], d.b[0][2], d.a[4][3])
+
+    @pytest.mark.parametrize("path,error", [
+        ([(0, 4), (0, 5), (0, 6)], IndexError),  # past offset r = 5
+        ([(1, 0), (1, 1)], IndexError),          # below the diagonal
+        ([(0, 0), (0, 2)], ValueError),          # two steps at once
+        ([(0, 1), (1, 1)], ValueError),          # a step down
+    ])
+    def test_refuses_a_bad_path(self, path, error):
+        with pytest.raises(error):
+            self.D.along(path)
+
+
 class TestLift:
     def test_round_trip_with_actual_subchains(self):
         for g in cgd_enumerate(F24):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import cache
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -101,6 +102,14 @@ class TestFacets:
     def test_counts(self, r, count):
         assert len(facets(r)) == count
 
+    def test_refuses_r_past_the_bound(self):
+        # 15!/2 facets: refused before any is listed
+        with pytest.raises(ValueError) as info:
+            facets(16)
+        assert str(info.value) == (
+            f"16 marked points have {factorial(15) // 2} facets, over the "
+            f"bound of {MAX_COVER_EDGES} edges of a cover graph")
+
     def test_canonical_form(self):
         for order in facets(5):
             assert order[0] == 1
@@ -150,6 +159,10 @@ class TestCrossFacet:
     def test_r4_example(self):
         w = Wall(2, 3, 4)
         assert cross_facet((1, 2, 3, 4), w)[0] == (1, 3, 2, 4)
+
+    def test_refuses_a_wall_of_another_r(self):
+        with pytest.raises(ValueError, match="different numbers of points"):
+            cross_facet((1, 2, 3, 4), Wall(3, 5, 6))
 
     def test_involution(self):
         # reversing the same positions twice restores the raw order
@@ -327,6 +340,14 @@ class TestTransport:
 
 
 class TestCoverGraph:
+    def test_empty_fiber_lists_no_facet(self):
+        # h_10 e_2 fits no 2-row box, so no diagram lies over any of the
+        # 9!/2 facets; the cover is empty before any facet is listed
+        start = time.perf_counter()
+        graph = build_cover_graph(Frame(2, 12), [(10,), (1, 1)] + [BOX] * 8)
+        assert time.perf_counter() - start < 2
+        assert graph.nodes == graph.edges == ()
+
     def test_r4_six_cycle(self):
         graph = build_cover_graph(F24, [BOX] * 4)
         assert len(graph.nodes) == 6
