@@ -26,8 +26,8 @@ from growth.moduli import (
     graph_components,
 )
 from growth.partitions import (
-    Frame, added_box, complement, contains, is_domino, lr_coefficient,
-    normalize, partitions_in, rectangle_syt_formula, syt_count,
+    Frame, added_box, complement, contains, fiber_size, hook_lengths,
+    is_domino, lr_coefficient, normalize, partitions_in, syt_count,
 )
 from growth.tableaux import (
     Chain, dual_classes, enumerate_chains, rectify, shuffle, shuffle_classes,
@@ -97,11 +97,9 @@ def q_hook(frame: Frame) -> list[int]:
     poly = [1]
     for k in range(1, frame.size + 1):
         poly = _poly_mul(poly, [1] * k)
-    for i in range(frame.d):
-        for j in range(frame.cols):
-            h = (frame.d - i) + (frame.cols - j) - 1
-            # exact division by [h]_q, whose leading coefficient is 1
-            poly = _pseudo_divide(poly, [1] * h)[0]
+    for h in hook_lengths(frame.rectangle()):
+        # exact division by [h]_q, whose leading coefficient is 1
+        poly = _pseudo_divide(poly, [1] * h)[0]
     return poly
 
 
@@ -237,7 +235,7 @@ def check_counts():
     for frame, expected in [(F24, 2), (F25, 5), (Frame(3, 6), 42)]:
         diagrams = cgd_enumerate(frame)
         got = len(diagrams)
-        hook = rectangle_syt_formula(frame)
+        hook = fiber_size(frame, [BOX] * frame.size)
         chain = syt_count(frame.rectangle())
         if not got == hook == chain == expected:
             return False, (f"{frame}: enumerated {got}, hook {hook}, "

@@ -83,10 +83,10 @@ def _shape(args, frame: Frame):
         shape = check_shape(parse_shape(args.shape), args.shape)
     except ValueError as exc:
         raise UsageError(str(exc))
-    for lam in shape:
+    for m, lam in enumerate(shape, 1):
         if not fits(lam, frame):
             raise UsageError(
-                f"condition {','.join(map(str, lam))} does not fit the "
+                f"condition {m} of {args.shape!r} does not fit the "
                 f"{frame.d} x {frame.cols} box of d = {frame.d}, "
                 f"n = {frame.n}")
     if sum(sum(lam) for lam in shape) != frame.size:
@@ -119,9 +119,8 @@ def _output(args):
 
 
 def _diagram_text(obj) -> str:
-    rows = obj.rows if isinstance(obj, CylGrowthDiagram) else obj.gamma
     return "\n".join(" ".join(",".join(map(str, p)) or "." for p in row)
-                     for row in rows)
+                     for row in obj.rows)
 
 
 def cmd_enumerate(args) -> int:

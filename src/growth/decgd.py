@@ -4,12 +4,13 @@ representatives to a fine diagram and restrict it), enumeration, and
 their JSON data; files are read by :mod:`growth.jsonin`.
 
 A diagram of r conditions stores only its classes: the class a(k, l) of
-the row step gamma(k, l) -> gamma(k, l+1) and the class b(k, l) of the
-column step gamma(k, l) -> gamma(k-1, l), both for 0 <= l - k < r.  The
-coarse entries gamma(k, l) for 0 <= l - k <= r are the shapes the row
-classes run between, and the contents are the rectification shapes of
-the row-0 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and
-stored on residues of k."""
+the row step from the entry at (k, l) to the one at (k, l+1) and the class
+b(k, l) of the column step from (k, l) to (k-1, l), both for
+0 <= l - k < r.  The coarse entries at (k, l) for 0 <= l - k <= r, its
+``rows`` as for a fine diagram, are the shapes the row classes run
+between, and the contents are the rectification shapes of the row-0
+classes.  Everything is periodic under (k, l) -> (k+r, l+r) and stored on
+residues of k."""
 
 from itertools import accumulate
 
@@ -34,8 +35,8 @@ class Decgd(_Value):
         return tuple(cls.rshape for cls in self.a[0])
 
     @property
-    def gamma(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """gamma[k][m], the entry at (k, k+m) for m in [0, r]: the inner
+    def rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """rows[k][m], the entry at (k, k+m) for m in [0, r]: the inner
         shape of each class of row k, then the outer shape of the last."""
         return tuple(tuple(cls.inner for cls in row) + (row[-1].outer,)
                      for row in self.a)
@@ -62,7 +63,7 @@ class Decgd(_Value):
             "frame": {"d": self.frame.d, "n": self.frame.n},
             "r": self.r,
             "shape": self.shape,
-            "rows": self.gamma,
+            "rows": self.rows,
             "a": tuple(tuple(cls.representative for cls in row)
                        for row in self.a),
             "b": tuple(tuple(cls.representative for cls in row)

@@ -71,7 +71,7 @@ def read_decgd(data: dict) -> Decgd:
             if table[k][m] != grown[k][m]:
                 raise ValueError(f"{name}({k},{k + m}) is not the class "
                                  f"that the row-0 classes grow")
-    if rows != d.gamma:
+    if rows != d.rows:
         raise ValueError("the rows are not the entries of the classes")
     return d
 

@@ -1,6 +1,7 @@
 """Facet combinatorics of the real moduli of r marked stable rational
 curves, wall crossings on (class) growth diagrams, the monodromy graph of
-the covering, and trees grown as edge lists, their labelings and fiber counts.
+the covering, and trees as their edge tuples, their labelings and fiber
+counts.
 
 A facet is a dihedral class of circular orders of [r], stored canonically:
 the representative starts at 1 and takes the lexicographically smaller
@@ -16,8 +17,7 @@ from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import Decgd, _lift, check_shape, decgd_enumerate
 from growth.jsonout import JsonText, write_array
 from growth.partitions import (
-    Frame, _lr_multi, _shapes_between, _Value, complement, lr_coefficient,
-    normalize,
+    Frame, _shapes_between, _Value, complement, fiber_size, normalize,
 )
 
 
@@ -216,7 +216,7 @@ def cover_size(frame: Frame, shape) -> tuple[int, int]:
     which joins two nodes.  Raises ValueError over MAX_COVER_EDGES."""
     r = len(shape)
     facet_count, wall_count = factorial(r - 1) // 2, r * (r - 3) // 2
-    nodes = facet_count * lr_coefficient(frame.rectangle(), shape)
+    nodes = facet_count * fiber_size(frame, shape)
     edges = nodes * wall_count // 2
     if edges > MAX_COVER_EDGES:
         raise ValueError(f"the cover graph would have {nodes} nodes and "
@@ -385,53 +385,35 @@ def export(graph: MonodromyGraph, fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 # trees, node labelings, fiber counts
 
-class LabeledTree(_Value):
-    """A tree with leaves 1..r and internal vertices of degree >= 3,
-    given by its adjacency map.  Internal vertices are negative ints;
-    adj holds the sorted (vertex, sorted neighbours) pairs."""
-
-    __slots__ = ("r", "adj")
-
-    @property
-    def internal_edges(self):
-        return [(v, w) for v, nbrs in self.adj for w in nbrs if v < w < 0]
-
-    @staticmethod
-    def from_adjacency(adj_map: dict) -> "LabeledTree":
-        r = sum(1 for v in adj_map if v > 0)
-        adj = tuple(sorted((v, tuple(sorted(ns))) for v, ns in adj_map.items()))
-        return LabeledTree(r, adj)
-
-    @staticmethod
-    def from_edges(edges) -> "LabeledTree":
-        adj = defaultdict(list)
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return LabeledTree.from_adjacency(adj)
-
-
-def star_tree(r: int) -> LabeledTree:
-    return LabeledTree.from_edges((-1, leaf) for leaf in range(1, r + 1))
+def _neighbours(tree) -> dict:
+    """The vertices of a tree given by its edges, in increasing order, each
+    with its neighbours in increasing order."""
+    adj = defaultdict(list)
+    for v, w in tree:
+        adj[v].append(w)
+        adj[w].append(v)
+    return {v: sorted(adj[v]) for v in sorted(adj)}
 
 
 def all_trees(r: int):
-    """Every tree with leaves [r] and internal degrees >= 3, grown as edge
-    lists from the star on three leaves: each new leaf hangs from an
-    internal vertex or from a new internal vertex splitting an edge."""
-    trees = [[(-1, leaf) for leaf, _ in star_tree(3).adj if leaf > 0]]
+    """Every tree with leaves [r] and internal vertices -1, -2, ... of
+    degree >= 3, as the sorted tuple of its edges (v, w), v < w.  The trees
+    are grown as edge lists from the star on three leaves: each new leaf
+    hangs from an internal vertex or from a new internal vertex splitting
+    an edge."""
+    trees = [[(-1, leaf) for leaf in (1, 2, 3)]]
     for leaf in range(4, r + 1):
         grown = []
         for edges in trees:
             w = leaf - 3 - len(edges)  # the internal vertices are -1 .. w + 1
             grown += [edges + [(v, leaf)] for v in range(-1, w, -1)]
-            grown += [edges[:i] + edges[i + 1:] + [(u, w), (v, w), (w, leaf)]
+            grown += [edges[:i] + edges[i + 1:] + [(w, u), (w, v), (w, leaf)]
                       for i, (u, v) in enumerate(edges)]
         trees = grown
-    return [LabeledTree.from_edges(edges) for edges in trees]
+    return [tuple(sorted(edges)) for edges in trees]
 
 
-def node_labelings(tree: LabeledTree, shape, frame: Frame):
+def node_labelings(tree, shape, frame: Frame):
     """All assignments of a partition to each (internal vertex, incident
     edge) pair such that leaf edges carry the leaf's condition, the two
     sides of an internal edge are complementary, every internal vertex has
@@ -442,13 +424,14 @@ def node_labelings(tree: LabeledTree, shape, frame: Frame):
     edge at vertex v carries the total size of the leaves beyond the edge,
     away from v.  So each internal edge tries only the partitions of that
     one size, in the order of :func:`partitions_in`, and the labelings
-    come out in the order of trying every partition on every edge."""
+    come out in the order of trying every partition on every edge, the
+    internal edges taken in increasing order."""
     shape = tuple(normalize(lam) for lam in shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return []
-    adj = dict(tree.adj)
-    internal = [v for v, _ in tree.adj if v < 0]
-    edges = tree.internal_edges
+    adj = _neighbours(tree)
+    internal = [v for v in adj if v < 0]
+    edges = [(v, w) for v, w in tree if w < 0]
     rect = frame.rectangle()
 
     def beyond(v, w):
@@ -465,16 +448,16 @@ def node_labelings(tree: LabeledTree, shape, frame: Frame):
                     else complement(side[w, v], frame)
                     for v in internal for w in adj[v]}
         # a labeling must admit a tableau at every internal vertex
-        if all(_lr_multi((), tuple(labeling[v, w] for w in adj[v]), rect)
+        if all(fiber_size(frame, [labeling[v, w] for w in adj[v]])
                for v in internal):
             labelings.append(labeling)
     return labelings
 
 
-def fiber_count(tree: LabeledTree, shape, frame: Frame) -> int:
-    """Sum over labelings of the product of per-vertex multi-factor
-    Littlewood-Richardson coefficients; independent of the tree."""
-    rect = frame.rectangle()
-    return sum(prod(_lr_multi((), tuple(labeling[v, w] for w in nbrs), rect)
-                    for v, nbrs in tree.adj if v < 0)
+def fiber_count(tree, shape, frame: Frame) -> int:
+    """Sum over labelings of the product of the vertex fibers, each a
+    :func:`fiber_size`; independent of the tree."""
+    adj = _neighbours(tree)
+    return sum(prod(fiber_size(frame, [labeling[v, w] for w in nbrs])
+                    for v, nbrs in adj.items() if v < 0)
                for labeling in node_labelings(tree, shape, frame))

@@ -1,5 +1,6 @@
 """Partitions in a d x (n-d) box: complementation, index sets,
-covers, and brute-force Littlewood-Richardson coefficients.
+covers, brute-force Littlewood-Richardson coefficients, and the one count
+of a fiber, by hook lengths where the conditions are single boxes.
 
 A partition is a tuple of weakly decreasing positive integers; trailing
 zeros are stripped, so () is the empty partition.  The box is a
@@ -23,7 +24,7 @@ and builds its tables over those numbers from these kernels.  Tuples
 stay the public representation of a partition.
 
 The package's value classes (:class:`Frame` here, the diagrams, classes,
-walls, graphs, trees and conic reports elsewhere) derive from
+walls, graphs and conic reports elsewhere) derive from
 :class:`_Value`, defined here because every other module imports this one.
 It builds every value and gives them what a frozen dataclass would: a
 constructor taking the fields by position or by name, equality within one
@@ -40,7 +41,7 @@ from source on every start.
 """
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -233,18 +234,6 @@ def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
     return _chain_count(normalize(inner), normalize(outer))
 
 
-def rectangle_syt_formula(frame: Frame) -> int:
-    """Closed-form count of standard tableaux of the full d x (n-d)
-    rectangle: r! / (d (d+1) ... (n-1) falling products per column)."""
-    r = frame.size
-    # hook length of box (i, j): (d - i) + (cols - j) - 1
-    denom = 1
-    for i in range(frame.d):
-        for j in range(frame.cols):
-            denom *= (frame.d - i) + (frame.cols - j) - 1
-    return factorial(r) // denom
-
-
 @cache
 def _lr2(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]) -> int:
     """Two-factor Littlewood-Richardson coefficient: count semistandard
@@ -353,3 +342,31 @@ def lr_coefficient(target: tuple[int, ...], factors) -> int:
     if sum(map(sum, factors)) != sum(target):
         return 0
     return _lr_multi((), factors, target)
+
+
+def hook_lengths(lam: tuple[int, ...]) -> list[int]:
+    """The hook length of each box of lam, row by row: the box, the boxes
+    right of it and the boxes below it."""
+    return [lam[i] - j + sum(1 for p in lam[i + 1:] if p > j)
+            for i in range(len(lam)) for j in range(lam[i])]
+
+
+def fiber_size(frame: Frame, shape) -> int:
+    """The fiber over a point of M_{0,r} of normalized conditions: their
+    Littlewood-Richardson coefficient on the rectangle, 0 when the sizes
+    do not sum to d(n-d).
+
+    The coefficient is symmetric in its factors, so the single boxes go
+    last: it is the sum over mu of the coefficient of mu in the other
+    conditions times the standard tableaux of rect/mu.  Turned by 180
+    degrees, rect/mu is the straight shape complement(mu), whose tableaux
+    the hook-length formula counts.  So no walk visits the shapes of the
+    box that only the single boxes reach."""
+    others = tuple(lam for lam in shape if lam != (1,))
+    size = sum(map(sum, others))
+    boxes = len(shape) - len(others)
+    if size + boxes != frame.size:
+        return 0
+    return sum(c * factorial(boxes) // prod(hook_lengths(complement(mu, frame)))
+               for mu in _shapes_between((), frame.rectangle(), size)
+               if (c := _lr_multi((), others, mu)))

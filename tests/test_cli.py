@@ -20,7 +20,7 @@ from growth.cylgrowth import cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
 from growth.moduli import MAX_COVER_EDGES, Wall, cross_cgd
-from growth.partitions import Frame, rectangle_syt_formula
+from growth.partitions import Frame
 from growth.tableaux import DualClass, dual_classes, enumerate_chains
 from test_decgd import reference_restrict_cgd
 
@@ -642,9 +642,13 @@ class TestCover:
     def refusal(d, n, boxes):
         """The line that refuses the cover of boxes single boxes on (d,n):
         (r-1)!/2 facets, a fiber of the rectangle's tableaux over each
-        (the hook-length formula), r(r-3)/2 walls per node."""
+        (the hook-length formula: box (i, j) of the d x (n-d) rectangle
+        has hook length (d - i) + (n - d - j) - 1), r(r-3)/2 walls per
+        node."""
+        hooks = math.prod(d - i + n - d - j - 1
+                          for i in range(d) for j in range(n - d))
         nodes = (math.factorial(boxes - 1) // 2
-                 * rectangle_syt_formula(Frame(d, n)))
+                 * (math.factorial(boxes) // hooks))
         edges = nodes * boxes * (boxes - 3) // 4
         assert edges > MAX_COVER_EDGES
         return (f"error: the cover graph would have {nodes} nodes and "
@@ -664,22 +668,32 @@ class TestCover:
         assert err == self.refusal(d, n, boxes)
         assert not target.exists()
 
-    def test_work_bound_in_a_fresh_process(self, tmp_path):
-        # the fiber of 72 single boxes on (6,18) is counted over the
-        # 18,564 partitions of the 6 x 12 box, with no cache filled by an
-        # earlier test; it takes tens of seconds unless the walk between
-        # two shapes skips those that cannot reach the size asked for
+    def refused_in_a_fresh_process(self, tmp_path, d, n, boxes):
+        """Run the cover of boxes single boxes on (d,n) in a new process,
+        with no cache filled by an earlier test, and check its refusal;
+        returns the seconds it took."""
         target = tmp_path / "cover.json"
         start = time.perf_counter()
-        proc = _spawn("cover", "--d", "6", "--n", "18",
-                      "--shape", ";".join(["1"] * 72),
+        proc = _spawn("cover", "--d", str(d), "--n", str(n),
+                      "--shape", ";".join(["1"] * boxes),
                       "--format", "json", "--out", str(target),
                       stdout=subprocess.PIPE)
         out, err = proc.communicate(timeout=120)
-        assert time.perf_counter() - start < 15
+        seconds = time.perf_counter() - start
         assert (proc.returncode, out) == (2, b"")
-        assert err.decode() == self.refusal(6, 18, 72)
+        assert err.decode() == self.refusal(d, n, boxes)
         assert not target.exists()
+        return seconds
+
+    def test_work_bound_in_a_fresh_process(self, tmp_path):
+        # the fiber of single boxes is one hook-length product, so no walk
+        # visits the 18,564 partitions of the 6 x 12 box
+        assert self.refused_in_a_fresh_process(tmp_path, 6, 18, 72) < 15
+
+    def test_work_bound_on_98_boxes_in_a_fresh_process(self, tmp_path):
+        # the 7 x 14 box holds 116,280 partitions; a fiber counted over
+        # them took tens of seconds and hundreds of megabytes
+        assert self.refused_in_a_fresh_process(tmp_path, 7, 21, 98) < 5
 
 
 # conditions wider or taller than the d x (n-d) box, and parts that are
@@ -697,6 +711,16 @@ def test_condition_outside_the_frame(capsys, command, d, n, shape):
                          "--shape", shape, "--format", "json")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cover", "enumerate"])
+def test_condition_outside_the_frame_is_named(capsys, command):
+    # by its 1-based index in the shape as written, as an empty one is
+    code, out, err = run(capsys, command, "--d", "2", "--n", "4",
+                         "--shape", "1;1;1;3")
+    assert (code, out) == (2, "")
+    assert err == ("error: condition 4 of '1;1;1;3' does not fit the "
+                   "2 x 2 box of d = 2, n = 4\n")
 
 
 # a condition of no boxes, first or last, as 0 or 0,0

@@ -45,17 +45,17 @@ def decgd_validate(d: Decgd) -> tuple[bool, list[str]]:
     condition on every unit cell."""
     problems = []
     r = d.r
-    gamma = d.gamma
+    rows = d.rows
     for k in range(r):
-        if gamma[k][0] != ():
+        if rows[k][0] != ():
             problems.append(f"row {k}: diagonal entry not empty")
-        if gamma[k][r] != d.frame.rectangle():
+        if rows[k][r] != d.frame.rectangle():
             problems.append(f"row {k}: offset {r} is not the rectangle")
         for m in range(r):
-            if d.a[k][m].outer != gamma[k][m + 1]:
+            if d.a[k][m].outer != rows[k][m + 1]:
                 problems.append(f"a({k},{k + m}) has the wrong shape")
             b = d.b[k][m]
-            if b.inner != gamma[k][m] or b.outer != gamma[k - 1][m + 1]:
+            if b.inner != rows[k][m] or b.outer != rows[k - 1][m + 1]:
                 problems.append(f"b({k},{k + m}) has the wrong shape")
     if problems:
         # the shuffle condition is defined only on consecutive classes
@@ -94,7 +94,7 @@ class TestRestrict:
         for g in cgd_enumerate(F24):
             d = restrict_cgd(g, (1, 1, 1, 1))
             assert d.shape == (BOX,) * 4
-            assert d.gamma == g.rows
+            assert d.rows == g.rows
             ok, problems = decgd_validate(d)
             assert ok, problems
 
@@ -132,7 +132,7 @@ def reference_restrict_cgd(fine, sizes):
     def iota(m):
         return (m // r) * total + prefix[m % r]
 
-    gamma = tuple(
+    rows = tuple(
         tuple(fine.get(iota(k), iota(k + m)) for m in range(r + 1))
         for k in range(r))
     a_rows, b_rows = [], []
@@ -150,7 +150,7 @@ def reference_restrict_cgd(fine, sizes):
         b_rows.append(tuple(b_row))
     shape = tuple(a_rows[0][m].rshape for m in range(r))
     d = Decgd(fine.frame, r, tuple(a_rows), tuple(b_rows))
-    assert d.gamma == gamma and d.shape == shape
+    assert d.rows == rows and d.shape == shape
     return d
 
 
@@ -391,7 +391,7 @@ def test_from_json_agrees_with_validate():
                         data = dict(base)
                         data[name] = json.loads(json.dumps(
                             sub.to_json()[name]))
-                        assert sub.gamma == d.gamma
+                        assert sub.rows == d.rows
                         accepted = (decgd_validate(sub)[0]
                                     and sub.shape == d.shape)
                         try:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -24,14 +25,13 @@ from growth.cylgrowth import (
 from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.jsonin import read_cgd
 from growth.moduli import (
-    MAX_COVER_EDGES, LabeledTree, MonodromyGraph, Wall, _FiberTables,
-    all_trees, build_cover_graph, canonical_order, cross_cgd, cross_decgd,
-    cross_facet, export, facets, fiber_count, graph_components,
-    node_labelings, star_tree, transport_cgd, transport_decgd, walls,
+    MAX_COVER_EDGES, MonodromyGraph, Wall, _FiberTables, all_trees,
+    build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
+    export, facets, fiber_count, graph_components, node_labelings,
+    transport_cgd, transport_decgd, walls,
 )
 from growth.partitions import (
-    Frame, complement, lr_coefficient, normalize, partitions_in,
-    rectangle_syt_formula, syt_count,
+    Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
 )
 from test_decgd import decgd_validate, lift_decgd
 
@@ -234,7 +234,7 @@ class TestCrossDecgd:
             for w in walls(4):
                 crossed = cross_decgd(d, w)
                 fine = cross_cgd(lift_decgd(d), w)
-                assert crossed.gamma == fine.rows
+                assert crossed.rows == fine.rows
                 ok, problems = decgd_validate(crossed)
                 assert ok, problems
 
@@ -324,7 +324,7 @@ class TestTransport:
     def test_all_box_decgd_matches_cgd(self):
         for d in decgd_enumerate(F24, [BOX] * 4):
             for gmap in transporters(4):
-                assert transport_decgd(d, gmap).gamma == \
+                assert transport_decgd(d, gmap).rows == \
                     transport_cgd(lift_decgd(d), gmap).rows
 
     def test_dihedral_orders(self):
@@ -424,7 +424,7 @@ class TestCoverGraph:
         # refused in-process before the 55!/2 facets are listed: a fiber
         # of the rectangle's tableaux over each, 56 * 53 / 2 walls per node
         frame = Frame(2, 30)
-        nodes = factorial(55) // 2 * rectangle_syt_formula(frame)
+        nodes = factorial(55) // 2 * syt_count(frame.rectangle())
         edges = nodes * (56 * 53 // 2) // 2
         with pytest.raises(ValueError) as info:
             build_cover_graph(frame, [BOX] * 56)
@@ -554,9 +554,12 @@ def codimension_two_cells(r):
     """The codimension-2 cells of the real moduli space: trees with two
     internal edges and a dihedral order at each vertex, (deg v - 1)!/2 of
     them at a vertex v."""
-    return sum(prod(factorial(len(nbrs) - 1) // 2
-                    for v, nbrs in tree.adj if v < 0)
-               for tree in all_trees(r) if len(tree.internal_edges) == 2)
+    cells = 0
+    for tree in all_trees(r):
+        if sum(w < 0 for _, w in tree) == 2:
+            degree = Counter(v for edge in tree for v in edge if v < 0)
+            cells += prod(factorial(k - 1) // 2 for k in degree.values())
+    return cells
 
 
 class TestCoverTables:
@@ -806,24 +809,18 @@ class TestExport:
 
 class TestTrees:
     @staticmethod
-    def caterpillar_tree(r: int) -> LabeledTree:
+    def star_tree(r: int):
+        return tuple((-1, leaf) for leaf in range(1, r + 1))
+
+    @staticmethod
+    def caterpillar_tree(r: int):
         """Internal path -1 .. -(r-2); leaf 1 on the first internal vertex,
         leaf r on the last, leaf k+1 on vertex -k."""
         if r < 4:
-            return star_tree(r)
-        inner = [-k for k in range(1, r - 1)]
-        adj = {v: [] for v in inner}
-        for u, v in zip(inner, inner[1:]):
-            adj[u].append(v)
-            adj[v].append(u)
-        adj[1] = [inner[0]]
-        adj[inner[0]].append(1)
-        adj[r] = [inner[-1]]
-        adj[inner[-1]].append(r)
-        for k in range(1, r - 1):
-            adj[k + 1] = [-k]
-            adj[-k].append(k + 1)
-        return LabeledTree.from_adjacency(adj)
+            return TestTrees.star_tree(r)
+        path = [(-k - 1, -k) for k in range(1, r - 2)]
+        leaves = [(-1, 1), (2 - r, r)] + [(-k, k + 1) for k in range(1, r - 1)]
+        return tuple(sorted(path + leaves))
 
     def test_counts(self):
         assert len(all_trees(4)) == 4
@@ -831,7 +828,7 @@ class TestTrees:
 
     def test_star_and_caterpillar_present(self):
         trees4 = all_trees(4)
-        assert star_tree(4) in trees4
+        assert self.star_tree(4) in trees4
         # caterpillar on 4 leaves = one internal edge splitting {1,2}|{3,4}
         cat = self.caterpillar_tree(4)
         assert cat in trees4
@@ -855,7 +852,7 @@ class TestTrees:
         assert edge_labels == {(2,), (1, 1)}
 
     def test_overbudget_vertex_empty(self):
-        tree = star_tree(4)
+        tree = self.star_tree(4)
         assert node_labelings(tree, [(2, 2), BOX, BOX, (1, 1)], F24) == [] \
             or fiber_count(tree, [(2, 2), BOX, BOX, (1, 1)], F24) == 0
 
@@ -891,10 +888,14 @@ def reference_node_labelings(tree, shape, frame):
     shape = tuple(normalize(lam) for lam in shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         return []
-    adj = dict(tree.adj)
-    internal = [v for v, _ in tree.adj if v < 0]
+    adj = {}
+    for v, w in tree:
+        adj.setdefault(v, []).append(w)
+        adj.setdefault(w, []).append(v)
+    adj = {v: sorted(adj[v]) for v in sorted(adj)}
+    internal = [v for v in adj if v < 0]
     all_parts = partitions_in(frame)
-    internal_edges = tree.internal_edges
+    internal_edges = [(v, w) for v, w in tree if w < 0]
     labelings = []
 
     def vertex_ok(assign, v, complete):

@@ -3,6 +3,7 @@ counts, and brute-force Littlewood-Richardson coefficients; and the one
 enumeration of the shapes between two partitions against the box walks
 it replaced."""
 
+import random
 from functools import cache
 from itertools import permutations, product
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from growth.partitions import (
-    Frame, _shapes_between, complement, contains, covers, index_set,
-    intermediates, is_domino, lr_coefficient, normalize, partitions_in,
-    rectangle_syt_formula, syt_count,
+    Frame, _shapes_between, complement, contains, covers, fiber_size,
+    index_set, intermediates, is_domino, lr_coefficient, normalize,
+    partitions_in, syt_count,
 )
 
 
@@ -134,8 +135,10 @@ class TestSytCount:
             assert syt_count(lam, lam) == 1
 
     def test_rectangle_formula(self):
+        # the hook-length count of the all-box fiber against the chains
         for frame in (F24, F25, Frame(3, 6), Frame(2, 6)):
-            assert syt_count(frame.rectangle()) == rectangle_syt_formula(frame)
+            assert syt_count(frame.rectangle()) == \
+                fiber_size(frame, [(1,)] * frame.size)
 
     def test_non_contained(self):
         with pytest.raises(ValueError):
@@ -333,7 +336,7 @@ class TestLR:
         # box take a fraction of a second
         frame = Frame(5, 15)
         assert lr_coefficient(frame.rectangle(), [(1,)] * 50) == \
-            rectangle_syt_formula(frame)
+            fiber_size(frame, [(1,)] * 50)
 
     def test_against_chain_count_for_boxes(self):
         # all-box products count standard tableaux
@@ -341,6 +344,43 @@ class TestLR:
             for lam in all_partitions(frame):
                 k = sum(lam)
                 assert lr_coefficient(lam, [(1,)] * k) == syt_count(lam)
+
+
+def random_conditions(frame: Frame, rng: random.Random):
+    """Conditions of at most four boxes filling the frame's size, single
+    boxes among them, in a random order.  In some draws one condition is
+    a row or a column that does not fit the box, and in others there is
+    one box too many or too few."""
+    small = [lam for lam in partitions_in(Frame(4, 8)) if 0 < sum(lam) <= 4]
+    change = rng.randrange(8)
+    shape = {2: [(frame.cols + 1,)], 3: [(1,) * (frame.d + 1)]}.get(change, [])
+    left = frame.size - sum(map(sum, shape))
+    while left:
+        lam = rng.choice([(1,)] + [mu for mu in small if sum(mu) <= left])
+        shape.append(lam)
+        left -= sum(lam)
+    rng.shuffle(shape)
+    if change == 0:
+        shape.append((1,))
+    elif change == 1:
+        shape.pop()
+    return shape
+
+
+@pytest.mark.parametrize("frame", [F25, Frame(3, 7), Frame(4, 8),
+                                   Frame(3, 8)],
+                         ids=lambda frame: f"({frame.d},{frame.n})")
+def test_fiber_size_is_the_lr_coefficient(frame):
+    # the boxes-last sum against the all-factor chain sum, on shapes that
+    # fill the box, miss its size and hold a condition that does not fit
+    rng = random.Random(f"{frame.d},{frame.n}")
+    rect = frame.rectangle()
+    for _ in range(100):
+        shape = random_conditions(frame, rng)
+        assert fiber_size(frame, shape) == lr_coefficient(rect, shape), shape
+    mismatched = [(1,)] * (frame.size - 1)
+    assert fiber_size(frame, mismatched) == 0
+    assert fiber_size(frame, mismatched + [(2,)]) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=3))

@@ -13,9 +13,7 @@ from growth.conic import (
 )
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
-from growth.moduli import (
-    LabeledTree, MonodromyGraph, Wall, all_trees, build_cover_graph, walls,
-)
+from growth.moduli import MonodromyGraph, Wall, build_cover_graph, walls
 from growth.partitions import Frame, _Value, complement
 from growth.tableaux import DualClass
 
@@ -36,7 +34,6 @@ def _values():
         Wall: walls(6)[:2] + [walls(6)[-1].complementary()],
         MonodromyGraph: [build_cover_graph(F24, ((1,),) * 4),
                          build_cover_graph(F25, ((2,),) + ((1,),) * 4)],
-        LabeledTree: all_trees(5)[:3],
         Monomial: [m for _, m in conic[0].pluecker][:3],
         EmptyReport: [four_point_solve((4,), (1, 1), F26),
                       four_point_solve((5,), (2, 1), Frame(2, 7))],
