@@ -4,8 +4,10 @@ graphs, and run the verification suites.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on conditions that do not fit the frame's box, on output that cannot be
 written, on input files that are not valid diagrams (read by
-growth.jsonin), and on a cover graph predicted to have more than
-moduli.MAX_COVER_EDGES edges.  The --out file is opened before any work starts.
+growth.jsonin), on a cover graph predicted to have more than
+moduli.MAX_COVER_EDGES edges, and on an enumeration predicted to write
+more than MAX_ENUMERATE_ENTRIES entries.  The --out file is opened before
+any work starts.
 JSON output is streamed in chunks and is exactly the text of
 json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
@@ -17,13 +19,17 @@ from contextlib import contextmanager
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.jsonout import JsonText, write_array, write_json
-from growth.partitions import Frame, fits, normalize
+from growth.partitions import Frame, fiber_size, fits, normalize
 
 # the handlers import growth.decgd, growth.moduli and growth.jsonin, so
 # that enumerate without --shape starts without them
 
 # the suites of growth.checks, which is imported only by verify
 SUITES = ("growth", "conic")
+
+# the most entries an enumeration may write: (4,8) writes 24,024 diagrams
+# of 16 x 17 entries, 6,534,528 in all, and (4,9) would write 698,377,680
+MAX_ENUMERATE_ENTRIES = 10 ** 8
 
 class UsageError(Exception):
     pass
@@ -95,6 +101,26 @@ def _shape(args, frame: Frame):
     return shape
 
 
+def _enumeration_size(frame: Frame, shape) -> int:
+    """The number of diagrams that enumerate lists, found before any work:
+    the fiber of r = d(n-d) single boxes, or of the shape's r conditions,
+    each diagram with r x (r + 1) entries.  r is checked first, so that a
+    huge frame's rectangle is never built.  Raises UsageError past
+    MAX_ENUMERATE_ENTRIES entries."""
+    r = frame.size if shape is None else len(shape)
+    entries = r * (r + 1)
+    if entries > MAX_ENUMERATE_ENTRIES:
+        raise UsageError(f"each diagram would have {entries} entries, over "
+                         f"the bound of {MAX_ENUMERATE_ENTRIES} entries")
+    diagrams = fiber_size(frame, [(1,)] * r if shape is None else shape)
+    if diagrams * entries > MAX_ENUMERATE_ENTRIES:
+        raise UsageError(
+            f"the enumeration would write {diagrams} diagrams of {entries} "
+            f"entries, {diagrams * entries} in all, over the bound of "
+            f"{MAX_ENUMERATE_ENTRIES} entries")
+    return diagrams
+
+
 @contextmanager
 def _output(args):
     """stdout, or the --out file opened for writing (text, UTF-8, no
@@ -126,6 +152,7 @@ def _diagram_text(obj) -> str:
 def cmd_enumerate(args) -> int:
     frame = _frame(args)
     shape = None if args.shape is None else _shape(args, frame)
+    _enumeration_size(frame, shape)
     with _output(args) as out:
         if shape is None:
             diagrams = cgd_enumerate(frame)

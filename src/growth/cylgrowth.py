@@ -1,6 +1,8 @@
-"""Cylindrical growth diagrams: construction from a path, validation,
-enumeration by promotion orbits (one solve per orbit, its rotations
-added), and their JSON data; files are read by :mod:`growth.jsonin`.
+"""Cylindrical growth diagrams: construction from the chain along a
+right/up path (every chain from the empty shape to the rectangle fixes
+one diagram), validation, enumeration by promotion orbits (one solve per
+orbit, its rotations added), and their JSON data; files are read by
+:mod:`growth.jsonin`.
 Promotion as a function on tableaux and the d=2 noncrossing matching
 bijection check these diagrams, so they live in :mod:`growth.checks`.
 
@@ -17,7 +19,7 @@ from functools import cache
 
 from growth.partitions import (
     Frame, _shapes_between, _Value, complement, covers, intermediates,
-    normalize, partitions_in,
+    partitions_in,
 )
 from growth.tableaux import (
     Chain, enumerate_chains, other_middle, validate_chain,
@@ -123,51 +125,32 @@ _numbering = cache(_Numbering)
 
 
 class _Completion:
-    """Fixpoint solver filling the fundamental domain from seeds.
+    """Fixpoint solver growing the fundamental domain from a checked path
+    and its chain (:func:`cgd_from_path`, :func:`cgd_enumerate`).
 
     The entries are stored as rows[a][k] for the entry at (a, a + k), with
     a = i mod r and k = j - i, each as its number in the frame's
-    :class:`_Numbering`; an unknown entry is None.  Every row starts as a
-    copy of one template holding the four boundary offsets 0, 1, r - 1
-    and r.  Unit squares have corners bottom rows[a][k], right middle
-    rows[a][k+1], left middle rows[a-1][k+1] and top rows[a-1][k+2].  The
-    one deduction is the local rule: a square whose bottom, top and one
-    middle are known gets its other middle (:func:`other_middle`).  No
-    bottom or top is ever deduced: every solve is seeded along a path
-    (:func:`cgd_from_path`), and growth out of a path only meets squares
-    whose bottom and top are already known.  The solved diagram holds
-    tuples."""
+    :class:`_Numbering`; an unknown entry is None.  Every row starts with
+    the four boundary offsets 0, 1, r - 1 and r, which a valid chain holds
+    too, and the chain is written at the path's points, one per offset.
+    Unit squares have corners bottom rows[a][k], right middle rows[a][k+1],
+    left middle rows[a-1][k+1] and top rows[a-1][k+2].  The one deduction
+    is the local rule: a square whose bottom, top and one middle are known
+    gets its other middle (:func:`other_middle`).  Growth out of a path
+    only meets squares whose bottom and top are known, and from a valid
+    chain it only deduces entries of the one diagram that chain fixes.
+    The solved diagram holds tuples."""
 
-    def __init__(self, frame: Frame, r: int):
+    def __init__(self, frame: Frame, path, chain):
         self.frame = frame
-        self.r = r
+        self.r = r = frame.size
         self.table = _numbering(frame)
-        self.rows = [[None] * (r + 1)]
+        template = [None] * (r + 1)
         for k, n in zip((0, 1, r - 1, r), self.table.anchors):
-            self.set(0, k, self.table.parts[n])
-        self.rows += [self.rows[0].copy() for _ in range(r - 1)]
-
-    def set(self, a: int, k: int, value):
-        # a negative offset would index a row from its end
-        if not 0 <= k <= self.r:
-            raise ValueError(f"offset {k} is outside the diagram band")
-        parts, index = self.table.parts, self.table.index
-        n = index.get(value)
-        if n is None:
-            value = normalize(value)
-            complement(value, self.frame)  # raises outside the frame
-            n = index[value]
-        row = self.rows[a % self.r]
-        old = row[k]
-        if old is None:
-            row[k] = n
-        elif old != n:
-            raise ValueError(
-                f"inconsistent entry at row {a % self.r}, offset {k}: "
-                f"{parts[old]} vs {parts[n]}")
-
-    def seed_point(self, i: int, j: int, value):
-        self.set(i % self.r, j - i, value)
+            template[k] = n
+        self.rows = [template.copy() for _ in range(r)]
+        for (i, j), value in zip(path, chain):
+            self.rows[i % r][j - i] = self.table.index[value]
 
     def solve(self) -> CylGrowthDiagram:
         progress = True
@@ -175,14 +158,6 @@ class _Completion:
             progress = self._square()
             if self._glide():
                 progress = True
-        unknown = sum(row.count(None) for row in self.rows)
-        if unknown:
-            a, k = next((a, k) for a, row in enumerate(self.rows)
-                        for k, value in enumerate(row) if value is None)
-            raise ValueError(
-                f"growth recursion stalled; inconsistent seeds: "
-                f"{unknown} entries unknown, the first at row {a}, "
-                f"offset {k}")
         part = self.table.parts.__getitem__
         diagram = CylGrowthDiagram(self.frame, self.r, tuple(
             tuple(map(part, row)) for row in self.rows))
@@ -218,14 +193,10 @@ class _Completion:
                 if bottom is None or top is None \
                         or (mid_r is None) == (mid_l is None):
                     continue
-                try:
-                    if mid_r is None:
-                        below[k + 1] = other(bottom, top, mid_l)
-                    else:
-                        above[k + 1] = other(bottom, top, mid_r)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"local rule at row {a}, offset {k}: {exc}") from None
+                if mid_r is None:
+                    below[k + 1] = other(bottom, top, mid_l)
+                else:
+                    above[k + 1] = other(bottom, top, mid_r)
                 filled = True
         return filled
 
@@ -241,15 +212,7 @@ def cgd_from_path(path, chain, frame: Frame) -> CylGrowthDiagram:
         raise ValueError(f"chain must have {r + 1} shapes, got {len(chain)}")
     if chain[0] != () or chain[-1] != frame.rectangle():
         raise ValueError("chain must run from the empty shape to the rectangle")
-    return _grow(path, chain, frame)
-
-
-def _grow(path, chain, frame: Frame) -> CylGrowthDiagram:
-    """:func:`cgd_from_path` on a path and a chain already checked."""
-    solver = _Completion(frame, frame.size)
-    for (i, j), value in zip(path, chain):
-        solver.seed_point(i, j, value)
-    return solver.solve()
+    return _Completion(frame, path, chain).solve()
 
 
 def cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
@@ -329,7 +292,7 @@ def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
     for chain in chains:
         if chain in found:
             continue
-        rows = _grow(path, chain, frame).rows
+        rows = _Completion(frame, path, chain).solve().rows
         # an orbit shorter than r closes when row t is row 0 again
         for t in range(r):
             if rows[t] in found:

@@ -362,6 +362,13 @@ def fiber_size(frame: Frame, shape) -> int:
     degrees, rect/mu is the straight shape complement(mu), whose tableaux
     the hook-length formula counts.  So no walk visits the shapes of the
     box that only the single boxes reach."""
+    return _fiber_size(frame, tuple(shape))
+
+
+@cache
+def _fiber_size(frame: Frame, shape: tuple[tuple[int, ...], ...]) -> int:
+    """:func:`fiber_size` on a tuple of conditions, memoized: the tree sums
+    ask for the fiber of each vertex labeling twice."""
     others = tuple(lam for lam in shape if lam != (1,))
     size = sum(map(sum, others))
     boxes = len(shape) - len(others)

@@ -4,14 +4,14 @@ uncached body (``fn.__wrapped__``) returns, or raises the same error.
 The numbered tables of a frame, which the growth solver and diagram
 validation read, must agree with the tuple kernels they are built from."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from growth.cylgrowth import _numbering
 from growth.partitions import (
-    Frame, _intermediates, _shapes_between, added_box, complement,
-    contains, intermediates, is_domino, partitions_in,
+    Frame, _fiber_size, _intermediates, _shapes_between, added_box,
+    complement, contains, intermediates, is_domino, partitions_in,
 )
 from growth.tableaux import other_middle
 
@@ -47,6 +47,15 @@ def test_complement_and_shapes_between(frame):
     assert_matches_body(complement, ((lam, frame) for lam in parts))
     assert_matches_body(_shapes_between,
                         product(parts, parts, range(frame.size + 2)))
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=str)
+def test_fiber_size(frame):
+    # three conditions, as at a vertex of a boundary tree; most of them
+    # miss the frame's size
+    assert_matches_body(_fiber_size, (
+        (frame, shape) for shape in
+        combinations_with_replacement(partitions_in(frame), 3)))
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=str)

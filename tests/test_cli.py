@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.checks import golden_diagram, golden_figure_entries, load_golden
-from growth.cli import main, parse_shape
+from growth.cli import (
+    MAX_ENUMERATE_ENTRIES, _enumeration_size, main, parse_shape,
+)
 from growth.cylgrowth import cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
@@ -90,6 +93,54 @@ class TestEnumerate:
         _, out2, _ = run(capsys, "enumerate", "--d", "2", "--n", "4",
                          "--format", "json")
         assert out1 == out2
+
+    def test_sizes_inside_the_bound(self):
+        # the hook-length counts of the 4 x 4 and 3 x 6 rectangles, and a
+        # class-diagram fiber, are predicted without enumerating, and all
+        # three are inside the bound
+        assert _enumeration_size(Frame(4, 8), None) == 24024
+        assert _enumeration_size(Frame(3, 9), None) == 87516
+        assert _enumeration_size(Frame(3, 7), ((2,),) * 6) == \
+            len(decgd_enumerate(Frame(3, 7), ((2,),) * 6))
+
+    @staticmethod
+    def refusal(d, n):
+        """The line that refuses the fine diagrams of (d,n): r(r+1)
+        entries each, and, when that alone is within the bound, the
+        hook-length count of the rectangle's tableaux (Catalan numbers
+        for d = 2)."""
+        r = d * (n - d)
+        entries = r * (r + 1)
+        if entries > MAX_ENUMERATE_ENTRIES:
+            return (f"error: each diagram would have {entries} entries, over "
+                    f"the bound of {MAX_ENUMERATE_ENTRIES} entries\n")
+        hooks = math.prod(d - i + n - d - j - 1
+                          for i in range(d) for j in range(n - d))
+        diagrams = math.factorial(r) // hooks
+        if d == 2:
+            assert diagrams == math.comb(2 * (n - 2), n - 2) // (n - 1)
+        return (f"error: the enumeration would write {diagrams} diagrams of "
+                f"{entries} entries, {diagrams * entries} in all, over the "
+                f"bound of {MAX_ENUMERATE_ENTRIES} entries\n")
+
+    @pytest.mark.parametrize("d,n", [(2, 300), (2, 9999), (4, 9),
+                                     (99999999999, 100000000000)],
+                             ids=["2-300", "2-9999", "4-9", "huge"])
+    def test_work_bound_in_a_fresh_process(self, tmp_path, d, n):
+        # refused at once, before --out is opened; each of these frames
+        # once ended in a traceback or in an allocation with no limit, so
+        # the child has 1 GB of address space, and a regressed bound
+        # fails fast instead of exhausting the machine
+        target = tmp_path / "enumerate.json"
+        start = time.perf_counter()
+        proc = _spawn("enumerate", "--d", str(d), "--n", str(n),
+                      "--format", "json", "--out", str(target),
+                      stdout=subprocess.PIPE, preexec_fn=_one_gigabyte)
+        out, err = proc.communicate(timeout=120)
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, out) == (2, b"")
+        assert err.decode() == self.refusal(d, n)
+        assert not target.exists()
 
 
 class TestWallcross:
@@ -778,11 +829,17 @@ def test_full_out(capsys):
     assert err.count("\n") == 1
 
 
-def _spawn(*argv, stdout):
+def _spawn(*argv, stdout, preexec_fn=None):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
                                            / "src")}
     return subprocess.Popen([sys.executable, "-m", "growth.cli", *argv],
-                            env=env, stdout=stdout, stderr=subprocess.PIPE)
+                            env=env, stdout=stdout, stderr=subprocess.PIPE,
+                            preexec_fn=preexec_fn)
+
+
+def _one_gigabyte():
+    """Cap the address space of a child process at 1 GB."""
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from growth import moduli
 from growth.cylgrowth import (
-    CylGrowthDiagram, _Completion, cgd_enumerate, cgd_from_path,
+    CylGrowthDiagram, cgd_enumerate, cgd_from_path,
     cgd_validate, row_path,
 )
 from growth.decgd import decgd_enumerate, restrict_cgd
@@ -24,6 +24,7 @@ from growth.moduli import (
 )
 from growth.partitions import Frame, complement, covers
 from growth.tableaux import DualClass, enumerate_chains, rectify, shuffle
+from test_completion_oracle import RefCompletion
 from test_decgd import decgd_validate, lift_decgd
 from test_moduli import COVER_CASES
 
@@ -34,7 +35,7 @@ def reference_cross_cgd(g, wall):
     complementary triangle, then completed."""
     r = g.r
     a, b = wall.a, wall.b
-    solver = _Completion(g.frame, r)
+    solver = RefCompletion(g.frame, r)
     for i in range(a, b + 2):
         for j in range(i, b + 2):
             solver.seed_point(i, j, g.get(i, j))
