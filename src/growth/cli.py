@@ -6,8 +6,9 @@ on conditions that do not fit the frame's box, on output that cannot be
 written, on input files that are not valid diagrams (read by
 growth.jsonin), on a cover graph predicted to have more than
 moduli.MAX_COVER_EDGES edges, and on an enumeration predicted to write
-more than MAX_ENUMERATE_ENTRIES entries.  The --out file is opened before
-any work starts.
+more than MAX_ENUMERATE_ENTRIES entries or parts, or diagrams of more
+than MAX_DIAGRAM_ENTRIES entries.  The --out file is opened before any
+work starts.
 JSON output is streamed in chunks and is exactly the text of
 json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
@@ -28,8 +29,13 @@ from growth.partitions import Frame, fiber_size, fits, normalize
 SUITES = ("growth", "conic")
 
 # the most entries an enumeration may write: (4,8) writes 24,024 diagrams
-# of 16 x 17 entries, 6,534,528 in all, and (4,9) would write 698,377,680
+# of 16 x 17 entries, 6,534,528 in all, and (4,9) would write 698,377,680;
+# the bound holds for the parts of those entries too
 MAX_ENUMERATE_ENTRIES = 10 ** 8
+
+# the most entries one diagram may have: the solver holds about 80 bytes
+# per entry, so one solve stays under about 1 GB
+MAX_DIAGRAM_ENTRIES = 10 ** 7
 
 class UsageError(Exception):
     pass
@@ -104,9 +110,11 @@ def _shape(args, frame: Frame):
 def _enumeration_size(frame: Frame, shape) -> int:
     """The number of diagrams that enumerate lists, found before any work:
     the fiber of r = d(n-d) single boxes, or of the shape's r conditions,
-    each diagram with r x (r + 1) entries.  r is checked first, so that a
-    huge frame's rectangle is never built.  Raises UsageError past
-    MAX_ENUMERATE_ENTRIES entries."""
+    each diagram with r x (r + 1) entries of up to d parts.  r is checked
+    first, so that a huge frame's rectangle is never built.  Raises
+    UsageError past MAX_ENUMERATE_ENTRIES entries, past
+    MAX_DIAGRAM_ENTRIES entries in one diagram, and past
+    MAX_ENUMERATE_ENTRIES parts."""
     r = frame.size if shape is None else len(shape)
     entries = r * (r + 1)
     if entries > MAX_ENUMERATE_ENTRIES:
@@ -118,6 +126,16 @@ def _enumeration_size(frame: Frame, shape) -> int:
             f"the enumeration would write {diagrams} diagrams of {entries} "
             f"entries, {diagrams * entries} in all, over the bound of "
             f"{MAX_ENUMERATE_ENTRIES} entries")
+    if entries > MAX_DIAGRAM_ENTRIES:
+        raise UsageError(f"each diagram would have {entries} entries, over "
+                         f"the bound of {MAX_DIAGRAM_ENTRIES} entries for "
+                         f"one diagram")
+    parts = diagrams * entries * frame.d
+    if parts > MAX_ENUMERATE_ENTRIES:
+        raise UsageError(
+            f"the enumeration would write {diagrams} diagrams of {entries} "
+            f"entries of up to {frame.d} parts, {parts} parts in all, over "
+            f"the bound of {MAX_ENUMERATE_ENTRIES} parts")
     return diagrams
 
 

@@ -1,7 +1,7 @@
 """Cylindrical growth diagrams of dual-equivalence classes: restriction
 from fine diagrams, first-row construction (lift the row-0 classes'
-representatives to a fine diagram and restrict it), enumeration, and
-their JSON data; files are read by :mod:`growth.jsonin`.
+representatives to a fine diagram and restrict it), enumeration block
+by block, and their JSON data; files are read by :mod:`growth.jsonin`.
 
 A diagram of r conditions stores only its classes: the class a(k, l) of
 the row step from the entry at (k, l) to the one at (k, l+1) and the class
@@ -152,24 +152,18 @@ def check_shape(shape, written=None) -> tuple[tuple[int, ...], ...]:
 def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
     """All diagrams with the given sequence of contents, one per choice of
     row-0 classes, ordered by the first row.  The shape is checked by
-    :func:`check_shape`."""
+    :func:`check_shape`.  The row-0 classes grow block by block, each
+    tuple extended by the classes of the next condition that start where
+    it ends."""
     shape = check_shape(shape)
-    r = len(shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         # no diagram can exist unless the sizes sum to d(n-d)
         return []
-    results = []
-
-    def build(classes):
-        m = len(classes)
-        if m == r:
-            results.append(decgd_from_first_row(classes, frame))
-            return
-        mu = classes[-1].outer if classes else ()
-        target = sum(sum(lam) for lam in shape[:m + 1])
-        for nu in _shapes_between(mu, frame.rectangle(), target):
-            for cls in dual_classes(nu, mu, shape[m]):
-                build(classes + [cls])
-
-    build([])
-    return results
+    rect = frame.rectangle()
+    firsts = [()]
+    for target, lam in zip(accumulate(map(sum, shape)), shape):
+        firsts = [classes + (cls,) for classes in firsts
+                  for mu in [classes[-1].outer if classes else ()]
+                  for nu in _shapes_between(mu, rect, target)
+                  for cls in dual_classes(nu, mu, lam)]
+    return [decgd_from_first_row(classes, frame) for classes in firsts]

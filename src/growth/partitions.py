@@ -10,7 +10,9 @@ zeros are stripped, so () is the empty partition.  The box is a
 two shapes, by size: covers, the middles of a two-box skew, chain
 counts, Littlewood-Richardson sums, the partitions of a frame, standard
 tableaux and the growth solver's unit squares all read it.  It is total,
-and enters only shapes that can reach the size asked for.
+and enters only shapes that can reach the size asked for.  It and the
+walks over its levels go one row, size, cell or factor at a time in
+loops, so no input size sets a recursion depth.
 
 The box kernels (containment, complement, the middles of a two-box
 skew, the shapes between two partitions) are memoized: a frame holds few
@@ -41,6 +43,7 @@ from source on every start.
 """
 
 from functools import cache
+from itertools import accumulate
 from math import factorial, prod
 from operator import attrgetter
 
@@ -219,11 +222,16 @@ def is_domino(bottom: tuple[int, ...], top: tuple[int, ...]) -> bool:
 
 @cache
 def _chain_count(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
-    """Number of saturated chains from inner to outer in Young's lattice."""
-    if inner == outer:
-        return 1
-    return sum(_chain_count(inner, mu)
-               for mu in _shapes_between(inner, outer, sum(outer) - 1))
+    """Number of saturated chains from inner to outer in Young's lattice,
+    counted size by size, each layer a map from shape to chains."""
+    layer = {inner: 1}
+    for size in range(sum(inner) + 1, sum(outer) + 1):
+        counts = {}
+        for mu, count in layer.items():
+            for nu in _shapes_between(mu, outer, size):
+                counts[nu] = counts.get(nu, 0) + count
+        layer = counts
+    return layer.get(outer, 0)
 
 
 def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
@@ -238,61 +246,43 @@ def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
 def _lr2(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]) -> int:
     """Two-factor Littlewood-Richardson coefficient: count semistandard
     fillings of outer/inner with content whose reverse reading word is a
-    lattice word."""
+    lattice word, grown cell by cell in that order (rows top to bottom,
+    right to left), each level the values placed and their counts."""
     if sum(outer) != sum(inner) + sum(content) or not contains(outer, inner):
         return 0
-    rows = len(outer)
-    inner_full = list(inner) + [0] * (rows - len(inner))
-    maxval = len(content)
-    # cells in reverse reading order: rows top to bottom, right to left
-    cells = [(i, j) for i in range(rows)
-             for j in range(outer[i] - 1, inner_full[i] - 1, -1)]
-    grid = {}
-    cnt = [0] * (maxval + 2)
-    total = 0
-
-    def place(idx: int):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        i, j = cells[idx]
-        lo = 1
-        if i > 0 and j < (outer[i - 1] if i - 1 < rows else 0) and j >= inner_full[i - 1]:
-            lo = grid[(i - 1, j)] + 1  # strict down columns
-        hi = maxval
-        if (i, j + 1) in grid:
-            hi = grid[(i, j + 1)]  # weak along rows
-        for v in range(lo, hi + 1):
-            if cnt[v] >= content[v - 1]:
-                continue
-            if v > 1 and cnt[v - 1] < cnt[v] + 1:
-                continue  # lattice word condition
-            grid[(i, j)] = v
-            cnt[v] += 1
-            place(idx + 1)
-            cnt[v] -= 1
-            del grid[(i, j)]
-
-    place(0)
-    return total
+    inner = inner + (0,) * (len(outer) - len(inner))
+    cells = [(i, j) for i in range(len(outer))
+             for j in range(outer[i] - 1, inner[i] - 1, -1)]
+    # values[0] = 0 and values[1] = len(content) bound a cell with no
+    # cell of the skew shape above it or to its right
+    at = {cell: idx for idx, cell in enumerate(cells, 2)}
+    level = [((0, len(content)), (0,) * len(content))]
+    for i, j in cells:
+        above, right = at.get((i - 1, j), 0), at.get((i, j + 1), 1)
+        # strict down columns, weak along rows, the content, lattice words
+        level = [(values + (v,),
+                  counts[:v - 1] + (counts[v - 1] + 1,) + counts[v:])
+                 for values, counts in level
+                 for v in range(values[above] + 1, values[right] + 1)
+                 if counts[v - 1] < content[v - 1]
+                 and (v == 1 or counts[v - 2] > counts[v - 1])]
+    return len(level)
 
 
 @cache
 def _lr_multi(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
               outer: tuple[int, ...]) -> int:
-    """Chains inner -> outer with steps weighted by two-factor coefficients."""
-    if not factors:
-        return 1 if inner == outer else 0
-    head, rest = factors[0], factors[1:]
-    if not rest:
-        return _lr2(outer, inner, head)
-    total = 0
-    for nu in _shapes_between(inner, outer, sum(inner) + sum(head)):
-        c = _lr2(nu, inner, head)
-        if c:
-            total += c * _lr_multi(nu, rest, outer)
-    return total
+    """Chains inner -> outer with steps weighted by two-factor coefficients,
+    summed factor by factor, each layer a map from shape to weight."""
+    layer = {inner: 1}
+    for head in factors:
+        weights = {}
+        for mu, weight in layer.items():
+            for nu in _shapes_between(mu, outer, sum(mu) + sum(head)):
+                if c := _lr2(nu, mu, head):
+                    weights[nu] = weights.get(nu, 0) + weight * c
+        layer = weights
+    return layer.get(outer, 0)
 
 
 @cache
@@ -300,28 +290,22 @@ def _shapes_between(inner: tuple[int, ...], outer: tuple[int, ...],
                     target_size: int) -> tuple[tuple[int, ...], ...]:
     """All partitions nu with inner <= nu <= outer and |nu| = target_size,
     in lexicographic order.  The walk fills the rows of outer from the
-    top, carrying the boxes left to place, and enters only parts that
-    leave a completion: the rows below must still take what inner puts
-    in them, and each holds at most the part just placed."""
+    top, a level per row, carrying the boxes left to place, and enters
+    only parts that leave a completion: the rows below must still take
+    what inner puts in them, and each holds at most the part just placed."""
     if not contains(outer, inner):
         return ()
     rows = len(outer)
     inner = (inner + (0,) * rows)[:rows]
-    below = [sum(inner[row + 1:]) for row in range(rows)]
-    out = []
-
-    def walk(row: int, prev: int, left: int, acc: list[int]):
-        if row == rows:
-            if not left:
-                out.append(normalize(acc))
-            return
-        lo = max(inner[row], -(-left // (rows - row)))
-        hi = min(outer[row], prev, left - below[row])
-        for v in range(lo, hi + 1):
-            walk(row + 1, v, left - v, acc + [v])
-
-    walk(0, outer[0] if outer else 0, target_size, [])
-    return tuple(out)
+    below = list(accumulate(reversed(inner), initial=0))[-2::-1]
+    level = [((), outer[0] if outer else 0, target_size)]
+    for row in range(rows):
+        # the parts after a zero are zeros, which a partition drops
+        level = [(acc + (v,) if v else acc, v, left - v)
+                 for acc, prev, left in level
+                 for v in range(max(inner[row], -(-left // (rows - row))),
+                                min(outer[row], prev, left - below[row]) + 1)]
+    return tuple(acc for acc, _, left in level if not left)
 
 
 def partitions_in(frame: Frame):

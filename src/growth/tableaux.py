@@ -4,10 +4,11 @@ Two tableaux are dual equivalent exactly when their classes
 :meth:`DualClass.of` are equal: the canonical representative keeps its
 tableau's shape, so equal classes have equal shapes.
 
-A tableau is a tuple of partitions, each adding one box to the previous
-(a chain walked by ``growth.partitions._shapes_between``); entry k is the
-box added at step k.  All jeu de taquin is done through the local rule
-on unit squares of a growth rectangle.
+A tableau is a tuple of partitions, each adding one box to the previous;
+entry k is the box added at step k.  :func:`enumerate_chains` grows them
+a box at a time, in a loop over the levels of
+``growth.partitions._shapes_between``.  All jeu de taquin is done
+through the local rule on unit squares of a growth rectangle.
 
 Only :func:`validate_chain` and the public :func:`shuffle` check their
 chains.  Rectification, canonical forms and class shuffles take chains
@@ -126,24 +127,15 @@ def canonical_rep(t: Chain) -> Chain:
 def enumerate_chains(outer, inner) -> list[Chain]:
     """All standard tableaux of shape outer/inner, as chains, in
     lexicographic order of the chain; none unless outer contains inner.
-    Each step walks :func:`_shapes_between`, which lists the shapes one
-    box larger in that order."""
+    The chains grow one box at a time, each prefix extended by the shapes
+    one box larger that :func:`_shapes_between` lists, in that order."""
     outer, inner = normalize(outer), normalize(inner)
-    out = []
-    acc = []
-
-    def build(shapes, size):
-        for nu in shapes:
-            acc.append(nu)
-            if nu == outer:
-                out.append(tuple(acc))
-            else:
-                build(_shapes_between(nu, outer, size + 1), size + 1)
-            acc.pop()
-
     # inner alone, or nothing unless outer contains it
-    build(_shapes_between(inner, outer, sum(inner)), sum(inner))
-    return out
+    chains = [(nu,) for nu in _shapes_between(inner, outer, sum(inner))]
+    for size in range(sum(inner) + 1, sum(outer) + 1):
+        chains = [chain + (nu,) for chain in chains
+                  for nu in _shapes_between(chain[-1], outer, size)]
+    return chains
 
 
 class DualClass(_Value):

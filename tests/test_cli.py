@@ -842,6 +842,77 @@ def _one_gigabyte():
     resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
 
 
+def _run_capped(*argv, stdout=subprocess.DEVNULL):
+    """Run the command in a fresh process with 1 GB of address space;
+    returns its exit code, stdout, stderr text and seconds."""
+    start = time.perf_counter()
+    proc = _spawn(*argv, stdout=stdout, preexec_fn=_one_gigabyte)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err.decode(), time.perf_counter() - start
+
+
+# inputs whose work bound passes on the diagram count alone, and the
+# start of the line that refuses each: 999 dominoes and a box in one row,
+# one diagram of 99,970,002 entries, and one of 640,800 entries of 800
+# parts each
+THIN_REFUSALS = {
+    "dominoes": (("cover", "--d", "1", "--n", "2000", "--shape",
+                  ";".join(["2"] * 999 + ["1"])),
+                 "error: the cover graph would have "),
+    "1-9999": (("enumerate", "--d", "1", "--n", "9999"),
+               "error: each diagram would have 99970002 entries, over the "
+               "bound of 10000000 entries for one diagram\n"),
+    "800-801": (("enumerate", "--d", "800", "--n", "801"),
+                "error: the enumeration would write 1 diagrams of 640800 "
+                "entries of up to 800 parts, 512640000 parts in all, over "
+                "the bound of 100000000 parts\n"),
+}
+
+
+class TestThinInputs:
+    """Frames and conditions whose lattice walks are a thousand levels
+    deep: each lists its diagram or is refused at once, and none ends in
+    a traceback."""
+
+    def test_thin_frame(self):
+        # (1,1000): one diagram of 999,000 entries, grown from the one
+        # tableau of a row of 999 boxes
+        code, _, err, _ = _run_capped("enumerate", "--d", "1", "--n", "1000",
+                                      "--format", "text")
+        assert (code, err) == (0, "1 diagrams\n")
+
+    def test_long_condition(self):
+        # a condition of 1,000 boxes: its tableau, its Littlewood-Richardson
+        # filling and its class are a thousand steps long
+        argv = ("--d", "1", "--n", "1100", "--shape", "1000;98;1",
+                "--format", "text")
+        assert _run_capped("cover", *argv, stdout=subprocess.PIPE)[:3] == \
+            (0, b"1 nodes, 0 edges, 1 components\n", "")
+        code, _, err, _ = _run_capped("enumerate", *argv)
+        assert (code, err) == (0, "1 diagrams\n")
+
+    @pytest.mark.parametrize("argv,line", THIN_REFUSALS.values(),
+                             ids=THIN_REFUSALS)
+    def test_refused_at_once(self, tmp_path, argv, line):
+        target = tmp_path / "out.txt"
+        code, out, err, seconds = _run_capped(
+            *argv, "--out", str(target), stdout=subprocess.PIPE)
+        assert seconds < 1
+        assert (code, out) == (2, b"")
+        assert err.startswith(line) and err.count("\n") == 1, err[:200]
+        assert err.endswith("\n")
+        assert not target.exists()
+
+    def test_parts_inside_the_bound(self):
+        # (450,451) writes one diagram of 202,950 entries of 450 parts,
+        # 91,327,500 parts; (4,8) and (3,9) write 26,138,112 and 89,791,416
+        assert _enumeration_size(Frame(450, 451), None) == 1
+        for d, n, parts in [(4, 8, 26138112), (3, 9, 89791416)]:
+            r = d * (n - d)
+            assert _enumeration_size(Frame(d, n), None) * r * (r + 1) * d \
+                == parts <= MAX_ENUMERATE_ENTRIES
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses writes")
 def test_full_stdout():

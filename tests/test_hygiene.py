@@ -158,3 +158,49 @@ def test_detects_unreferenced_members():
 def test_no_test_only_public_members():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreferenced_members(sources) == []
+
+
+# the modules whose lattice walks go level by level, so that no input size
+# sets a recursion depth
+WALK_MODULES = ("partitions", "tableaux", "decgd")
+
+
+def recursive_functions(source: str) -> list[str]:
+    """name (line) of each function or method of the module that defines a
+    nested function (a lambda included) or calls itself, by its name or
+    as a method of self or cls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inside = list(ast.walk(node))[1:]
+        nested = any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)) for n in inside)
+        calls = [n.func for n in inside if isinstance(n, ast.Call)]
+        itself = any(
+            isinstance(f, ast.Name) and f.id == node.name
+            or isinstance(f, ast.Attribute) and f.attr == node.name
+            and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+            for f in calls)
+        if nested or itself:
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_detects_recursive_functions():
+    source = ("def flat(x):\n    return Base.flat(x) + other(x)\n\n\n"
+              "def calls(n):\n    return calls(n - 1) if n else 0\n\n\n"
+              "def nests(xs):\n    return sorted(xs, key=lambda x: -x)\n\n\n"
+              "class Shape:\n    def size(self):\n        return self.size()\n"
+              "\n    def walk(self):\n        def step():\n            pass\n"
+              "        return step\n")
+    # a call of another class's method of the same name is no recursion
+    assert recursive_functions(source) == [
+        "calls (line 5)", "nests (line 9)", "size (line 14)",
+        "walk (line 17)"]
+
+
+@pytest.mark.parametrize("stem", WALK_MODULES)
+def test_walks_are_loops(stem):
+    path = Path(growth.__file__).parent / f"{stem}.py"
+    assert recursive_functions(path.read_text()) == []
