@@ -6,9 +6,10 @@ on conditions that do not fit the frame's box, on output that cannot be
 written, on input files that are not valid diagrams (read by
 growth.jsonin), on a cover graph predicted to have more than
 moduli.MAX_COVER_EDGES edges, and on an enumeration predicted to write
-more than MAX_ENUMERATE_ENTRIES entries or parts, or diagrams of more
-than MAX_DIAGRAM_ENTRIES entries.  The --out file is opened before any
-work starts.
+more than MAX_ENUMERATE_ENTRIES entries or parts, and on enumerations
+and covers of a frame whose fine diagrams have more than
+MAX_DIAGRAM_ENTRIES entries.  The --out file is opened before any work
+starts.
 JSON output is streamed in chunks and is exactly the text of
 json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
@@ -33,8 +34,10 @@ SUITES = ("growth", "conic")
 # the bound holds for the parts of those entries too
 MAX_ENUMERATE_ENTRIES = 10 ** 8
 
-# the most entries one diagram may have: the solver holds about 80 bytes
-# per entry, so one solve stays under about 1 GB
+# the most entries one diagram may have: every diagram of a frame, of
+# classes too, is solved as a fine diagram of d(n-d) x (d(n-d) + 1)
+# entries, and the solver holds about 80 bytes per entry, so one solve
+# stays under about 1 GB
 MAX_DIAGRAM_ENTRIES = 10 ** 7
 
 class UsageError(Exception):
@@ -107,29 +110,37 @@ def _shape(args, frame: Frame):
     return shape
 
 
+def _fine_size(frame: Frame):
+    """Raise UsageError if the frame's fine diagrams have more than
+    MAX_DIAGRAM_ENTRIES entries, before any of them is solved."""
+    fine = frame.size * (frame.size + 1)
+    if fine > MAX_DIAGRAM_ENTRIES:
+        raise UsageError(f"each fine diagram of the frame would have {fine} "
+                         f"entries, over the bound of {MAX_DIAGRAM_ENTRIES} "
+                         f"entries for one diagram")
+
+
 def _enumeration_size(frame: Frame, shape) -> int:
     """The number of diagrams that enumerate lists, found before any work:
     the fiber of r = d(n-d) single boxes, or of the shape's r conditions,
     each diagram with r x (r + 1) entries of up to d parts.  r is checked
-    first, so that a huge frame's rectangle is never built.  Raises
-    UsageError past MAX_ENUMERATE_ENTRIES entries, past
-    MAX_DIAGRAM_ENTRIES entries in one diagram, and past
+    first, so that a huge frame's rectangle is never built, and the fine
+    diagrams next, so that no fiber of a frame too large is counted.
+    Raises UsageError past MAX_ENUMERATE_ENTRIES entries, past
+    MAX_DIAGRAM_ENTRIES entries in one fine diagram, and past
     MAX_ENUMERATE_ENTRIES parts."""
     r = frame.size if shape is None else len(shape)
     entries = r * (r + 1)
     if entries > MAX_ENUMERATE_ENTRIES:
         raise UsageError(f"each diagram would have {entries} entries, over "
                          f"the bound of {MAX_ENUMERATE_ENTRIES} entries")
+    _fine_size(frame)
     diagrams = fiber_size(frame, [(1,)] * r if shape is None else shape)
     if diagrams * entries > MAX_ENUMERATE_ENTRIES:
         raise UsageError(
             f"the enumeration would write {diagrams} diagrams of {entries} "
             f"entries, {diagrams * entries} in all, over the bound of "
             f"{MAX_ENUMERATE_ENTRIES} entries")
-    if entries > MAX_DIAGRAM_ENTRIES:
-        raise UsageError(f"each diagram would have {entries} entries, over "
-                         f"the bound of {MAX_DIAGRAM_ENTRIES} entries for "
-                         f"one diagram")
     parts = diagrams * entries * frame.d
     if parts > MAX_ENUMERATE_ENTRIES:
         raise UsageError(
@@ -223,6 +234,7 @@ def cmd_wallcross(args) -> int:
 def cmd_cover(args) -> int:
     frame = _frame(args)
     shape = _shape(args, frame)
+    _fine_size(frame)
     from growth.moduli import (build_cover_graph, cover_size, export,
                                graph_components)
     try:

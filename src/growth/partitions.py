@@ -11,8 +11,9 @@ two shapes, by size: covers, the middles of a two-box skew, chain
 counts, Littlewood-Richardson sums, the partitions of a frame, standard
 tableaux and the growth solver's unit squares all read it.  It is total,
 and enters only shapes that can reach the size asked for.  It and the
-walks over its levels go one row, size, cell or factor at a time in
-loops, so no input size sets a recursion depth.
+walks over its levels go one row, size or factor at a time in loops,
+and ``_lr2`` fills one cell at a time in a depth-first loop, so no input
+size sets a recursion depth.
 
 The box kernels (containment, complement, the middles of a two-box
 skew, the shapes between two partitions) are memoized: a frame holds few
@@ -246,27 +247,44 @@ def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
 def _lr2(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]) -> int:
     """Two-factor Littlewood-Richardson coefficient: count semistandard
     fillings of outer/inner with content whose reverse reading word is a
-    lattice word, grown cell by cell in that order (rows top to bottom,
-    right to left), each level the values placed and their counts."""
+    lattice word, filled cell by cell in that order (rows top to bottom,
+    right to left).  The search is depth first, in a loop over one list of
+    values and one of counts, so it holds O(cells) however many fillings
+    it tries."""
     if sum(outer) != sum(inner) + sum(content) or not contains(outer, inner):
         return 0
     inner = inner + (0,) * (len(outer) - len(inner))
     cells = [(i, j) for i in range(len(outer))
              for j in range(outer[i] - 1, inner[i] - 1, -1)]
-    # values[0] = 0 and values[1] = len(content) bound a cell with no
-    # cell of the skew shape above it or to its right
-    at = {cell: idx for idx, cell in enumerate(cells, 2)}
-    level = [((0, len(content)), (0,) * len(content))]
-    for i, j in cells:
-        above, right = at.get((i - 1, j), 0), at.get((i, j + 1), 1)
-        # strict down columns, weak along rows, the content, lattice words
-        level = [(values + (v,),
-                  counts[:v - 1] + (counts[v - 1] + 1,) + counts[v:])
-                 for values, counts in level
-                 for v in range(values[above] + 1, values[right] + 1)
-                 if counts[v - 1] < content[v - 1]
-                 and (v == 1 or counts[v - 2] > counts[v - 1])]
-    return len(level)
+    at = {cell: idx for idx, cell in enumerate(cells)}
+    bounds = [(at.get((i - 1, j), -1), at.get((i, j + 1), -2))
+              for i, j in cells]
+    # values[k] is 0 while cell k is unfilled; the last two bound a cell
+    # with no cell of the skew shape to its right or above it, and
+    # counts[0] counts nothing
+    values = [0] * len(cells) + [len(content), 0]
+    counts = [0] * (len(content) + 1)
+    total, k = 0, 0  # k: the cell being filled, len(cells) once all are
+    while k >= 0:
+        if k == len(cells):
+            total, k = total + 1, k - 1
+            continue
+        above, right = bounds[k]
+        counts[values[k]] -= 1
+        # the next value: strict down columns, weak along rows, the
+        # content, lattice words
+        v = max(values[k], values[above]) + 1
+        while v <= values[right] and (counts[v] >= content[v - 1] or
+                                      v > 1 and counts[v - 1] <= counts[v]):
+            v += 1
+        if v > values[right]:
+            values[k] = 0
+            k -= 1
+        else:
+            values[k] = v
+            counts[v] += 1
+            k += 1
+    return total
 
 
 @cache

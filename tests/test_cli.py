@@ -853,15 +853,19 @@ def _run_capped(*argv, stdout=subprocess.DEVNULL):
 
 # inputs whose work bound passes on the diagram count alone, and the
 # start of the line that refuses each: 999 dominoes and a box in one row,
-# one diagram of 99,970,002 entries, and one of 640,800 entries of 800
-# parts each
+# one fine diagram of 99,970,002 entries, listed as itself or restricted
+# to three classes, and one diagram of 640,800 entries of 800 parts each
+FINE_9999 = ("error: each fine diagram of the frame would have 99970002 "
+             "entries, over the bound of 10000000 entries for one diagram\n")
 THIN_REFUSALS = {
     "dominoes": (("cover", "--d", "1", "--n", "2000", "--shape",
                   ";".join(["2"] * 999 + ["1"])),
                  "error: the cover graph would have "),
-    "1-9999": (("enumerate", "--d", "1", "--n", "9999"),
-               "error: each diagram would have 99970002 entries, over the "
-               "bound of 10000000 entries for one diagram\n"),
+    "1-9999": (("enumerate", "--d", "1", "--n", "9999"), FINE_9999),
+    "1-9999-classes": (("enumerate", "--d", "1", "--n", "9999", "--shape",
+                        "9000;997;1"), FINE_9999),
+    "1-9999-cover": (("cover", "--d", "1", "--n", "9999", "--shape",
+                      "9000;997;1"), FINE_9999),
     "800-801": (("enumerate", "--d", "800", "--n", "801"),
                 "error: the enumeration would write 1 diagrams of 640800 "
                 "entries of up to 800 parts, 512640000 parts in all, over "

@@ -1,11 +1,12 @@
 """Differential tests of the lattice walks: the loops that go level by
-level (``_shapes_between``, ``_chain_count``, ``_lr2``, ``_lr_multi``,
-``enumerate_chains`` and ``decgd_enumerate``) against the depth-first
-recursive versions they replaced, kept here as oracles.  The recursive
-versions cannot reach the thin shapes at the end, whose walks are a
-thousand levels deep; closed forms check those."""
+level (``_shapes_between``, ``_chain_count``, ``_lr_multi``,
+``enumerate_chains`` and ``decgd_enumerate``) and ``_lr2``'s depth-first
+loop against the recursive versions they replaced, kept here as oracles.
+The recursive versions cannot reach the thin shapes at the end, whose
+walks are a thousand levels deep; closed forms check those."""
 
 import random
+import tracemalloc
 from functools import cache
 from itertools import product
 
@@ -174,6 +175,19 @@ def test_lr2():
             (outer, inner, content)
         nonzero += want > 0
     assert nonzero > 400
+
+
+def test_lr2_holds_one_filling():
+    # a wide search: 1,488 fillings of 40 cells, and more partial ones,
+    # which a walk holding a level at a time would keep all at once
+    tracemalloc.start()
+    try:
+        assert _lr2.__wrapped__(tuple(range(10, 0, -1)), (5, 4, 3, 2, 1),
+                                (8, 7, 6, 5, 4, 3, 3, 2, 1, 1)) == 1488
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000, peak
 
 
 @pytest.mark.parametrize("seed", range(4))
