@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
-from growth.jsonout import JsonText, write_array, write_json
+from growth.jsonout import JsonText, count_text, write_array, write_json
 from growth.partitions import Frame, fiber_size, fits, normalize
 
 # the handlers import growth.decgd, growth.moduli and growth.jsonin, so
@@ -136,17 +136,18 @@ def _enumeration_size(frame: Frame, shape) -> int:
                          f"the bound of {MAX_ENUMERATE_ENTRIES} entries")
     _fine_size(frame)
     diagrams = fiber_size(frame, [(1,)] * r if shape is None else shape)
+    written = count_text(diagrams)
     if diagrams * entries > MAX_ENUMERATE_ENTRIES:
         raise UsageError(
-            f"the enumeration would write {diagrams} diagrams of {entries} "
-            f"entries, {diagrams * entries} in all, over the bound of "
-            f"{MAX_ENUMERATE_ENTRIES} entries")
+            f"the enumeration would write {written} diagrams of {entries} "
+            f"entries, {count_text(diagrams * entries)} in all, over the "
+            f"bound of {MAX_ENUMERATE_ENTRIES} entries")
     parts = diagrams * entries * frame.d
     if parts > MAX_ENUMERATE_ENTRIES:
         raise UsageError(
-            f"the enumeration would write {diagrams} diagrams of {entries} "
-            f"entries of up to {frame.d} parts, {parts} parts in all, over "
-            f"the bound of {MAX_ENUMERATE_ENTRIES} parts")
+            f"the enumeration would write {written} diagrams of {entries} "
+            f"entries of up to {frame.d} parts, {count_text(parts)} parts in "
+            f"all, over the bound of {MAX_ENUMERATE_ENTRIES} parts")
     return diagrams
 
 
@@ -174,8 +175,11 @@ def _output(args):
 
 
 def _diagram_text(obj) -> str:
-    return "\n".join(" ".join(",".join(map(str, p)) or "." for p in row)
-                     for row in obj.rows)
+    # a diagram holds few distinct partitions: each is rendered once
+    texts = dict.fromkeys(p for row in obj.rows for p in row)
+    for p in texts:
+        texts[p] = ",".join(map(str, p)) or "."
+    return "\n".join(" ".join([texts[p] for p in row]) for row in obj.rows)
 
 
 def cmd_enumerate(args) -> int:

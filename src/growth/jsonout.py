@@ -15,10 +15,14 @@ memoized texts without a call.  It holds each tuple it memoizes, so no id
 is reused, and equal values of other types, such as ``(1,)``, ``(True,)``
 and ``(1.0,)``, never share a text.  Any other value, such as all the
 rows of one diagram, is rendered afresh and not kept: ``enumerate``
-writes a diagram as a head rendered once and its rows' memoized texts."""
+writes a diagram as a head rendered once and its rows' memoized texts.
+
+:func:`count_text` writes the counts of the refusal lines of ``enumerate``
+and ``cover``, which may pass the digits Python converts to text."""
 
 import json
 from collections import defaultdict
+from math import log10
 
 
 class JsonText:
@@ -95,3 +99,19 @@ def write_json(value, out) -> None:
     """Write json.dumps(value, indent=2, sort_keys=True) + "\\n" to the
     stream out, in one write."""
     out.write(JsonText()(value) + "\n")
+
+
+def count_text(count: int) -> str:
+    """A count of at most 1,000 digits in decimal, and a longer one as "a
+    number of N digits", N exact.  Neither calls str() on more than 500
+    digits, so the text does not depend on the limit of int-to-str
+    conversion, which an environment variable may set as low as 640."""
+    if count < 10 ** 1000:
+        high, low = divmod(count, 10 ** 500)
+        return f"{high}{low:0500d}" if high else str(low)
+    # a count of b bits, at least 2^(b-1), has at least int(b log10(2))
+    # digits; one less leaves room for the rounding of the float
+    digits = int(count.bit_length() * log10(2)) - 1
+    while 10 ** digits <= count:
+        digits += 1
+    return f"a number of {digits} digits"

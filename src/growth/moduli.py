@@ -15,7 +15,7 @@ from math import factorial, prod
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, cgd_from_path
 from growth.decgd import Decgd, _lift, check_shape, decgd_enumerate
-from growth.jsonout import JsonText, write_array
+from growth.jsonout import JsonText, count_text, write_array
 from growth.partitions import (
     Frame, _shapes_between, _Value, complement, fiber_size, normalize,
 )
@@ -219,9 +219,9 @@ def cover_size(frame: Frame, shape) -> tuple[int, int]:
     nodes = facet_count * fiber_size(frame, shape)
     edges = nodes * wall_count // 2
     if edges > MAX_COVER_EDGES:
-        raise ValueError(f"the cover graph would have {nodes} nodes and "
-                         f"{edges} edges, over the bound of "
-                         f"{MAX_COVER_EDGES} edges")
+        raise ValueError(f"the cover graph would have {count_text(nodes)} "
+                         f"nodes and {count_text(edges)} edges, over the "
+                         f"bound of {MAX_COVER_EDGES} edges")
     return nodes, edges
 
 

@@ -7,13 +7,14 @@ zeros are stripped, so () is the empty partition.  The box is a
 :class:`Frame` passed explicitly to every operation that needs it.
 
 :func:`_shapes_between` is the one enumeration of the partitions between
-two shapes, by size: covers, the middles of a two-box skew, chain
-counts, Littlewood-Richardson sums, the partitions of a frame, standard
-tableaux and the growth solver's unit squares all read it.  It is total,
-and enters only shapes that can reach the size asked for.  It and the
-walks over its levels go one row, size or factor at a time in loops,
-and ``_lr2`` fills one cell at a time in a depth-first loop, so no input
-size sets a recursion depth.
+two shapes, by size: covers, the middles of a two-box skew, the
+partitions of a frame, standard tableaux, the growth solver's unit
+squares and :func:`_lr_layer` read it.  It is total, and enters only
+shapes that can reach the size asked for.  :func:`_lr_layer` is the one
+weighted walk, a factor a step: chain counts, Littlewood-Richardson
+coefficients and fiber sizes read its last layer.  Both go a row or a
+factor at a time in loops, and ``_lr2`` fills one cell at a time in a
+depth-first loop, so no input size sets a recursion depth.
 
 The box kernels (containment, complement, the middles of a two-box
 skew, the shapes between two partitions) are memoized: a frame holds few
@@ -223,16 +224,10 @@ def is_domino(bottom: tuple[int, ...], top: tuple[int, ...]) -> bool:
 
 @cache
 def _chain_count(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
-    """Number of saturated chains from inner to outer in Young's lattice,
-    counted size by size, each layer a map from shape to chains."""
-    layer = {inner: 1}
-    for size in range(sum(inner) + 1, sum(outer) + 1):
-        counts = {}
-        for mu, count in layer.items():
-            for nu in _shapes_between(mu, outer, size):
-                counts[nu] = counts.get(nu, 0) + count
-        layer = counts
-    return layer.get(outer, 0)
+    """Number of saturated chains from inner to outer in Young's lattice:
+    outer's weight in the last layer of :func:`_lr_layer`, a box a step."""
+    steps = ((1,),) * (sum(outer) - sum(inner))
+    return _lr_layer(inner, steps, outer).get(outer, 0)
 
 
 def syt_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
@@ -287,11 +282,11 @@ def _lr2(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...
     return total
 
 
-@cache
-def _lr_multi(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
-              outer: tuple[int, ...]) -> int:
-    """Chains inner -> outer with steps weighted by two-factor coefficients,
-    summed factor by factor, each layer a map from shape to weight."""
+def _lr_layer(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
+              outer: tuple[int, ...]) -> dict:
+    """The last layer of chains from inner below outer, a step per factor
+    weighted by its two-factor coefficient: each shape reached, mapped to
+    its weight.  Not cached, so no caller can change a cached layer."""
     layer = {inner: 1}
     for head in factors:
         weights = {}
@@ -300,7 +295,14 @@ def _lr_multi(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
                 if c := _lr2(nu, mu, head):
                     weights[nu] = weights.get(nu, 0) + weight * c
         layer = weights
-    return layer.get(outer, 0)
+    return layer
+
+
+@cache
+def _lr_multi(inner: tuple[int, ...], factors: tuple[tuple[int, ...], ...],
+              outer: tuple[int, ...]) -> int:
+    """Outer's weight in the last layer of :func:`_lr_layer`."""
+    return _lr_layer(inner, factors, outer).get(outer, 0)
 
 
 @cache
@@ -359,11 +361,11 @@ def fiber_size(frame: Frame, shape) -> int:
     do not sum to d(n-d).
 
     The coefficient is symmetric in its factors, so the single boxes go
-    last: it is the sum over mu of the coefficient of mu in the other
-    conditions times the standard tableaux of rect/mu.  Turned by 180
-    degrees, rect/mu is the straight shape complement(mu), whose tableaux
-    the hook-length formula counts.  So no walk visits the shapes of the
-    box that only the single boxes reach."""
+    last: it sums, over the last layer of one :func:`_lr_layer` walk of
+    the other conditions in the rectangle, each mu's coefficient times the
+    tableaux of rect/mu, which turned by 180 degrees is the straight shape
+    complement(mu), counted by the hook-length formula.  So no walk visits
+    the shapes that only the single boxes reach."""
     return _fiber_size(frame, tuple(shape))
 
 
@@ -372,10 +374,8 @@ def _fiber_size(frame: Frame, shape: tuple[tuple[int, ...], ...]) -> int:
     """:func:`fiber_size` on a tuple of conditions, memoized: the tree sums
     ask for the fiber of each vertex labeling twice."""
     others = tuple(lam for lam in shape if lam != (1,))
-    size = sum(map(sum, others))
     boxes = len(shape) - len(others)
-    if size + boxes != frame.size:
+    if sum(map(sum, others)) + boxes != frame.size:
         return 0
     return sum(c * factorial(boxes) // prod(hook_lengths(complement(mu, frame)))
-               for mu in _shapes_between((), frame.rectangle(), size)
-               if (c := _lr_multi((), others, mu)))
+               for mu, c in _lr_layer((), others, frame.rectangle()).items())

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.checks import golden_diagram, golden_figure_entries, load_golden
 from growth.cli import (
-    MAX_ENUMERATE_ENTRIES, _enumeration_size, main, parse_shape,
+    MAX_ENUMERATE_ENTRIES, UsageError, _enumeration_size, main, parse_shape,
 )
 from growth.cylgrowth import cgd_enumerate
 from growth.decgd import decgd_enumerate
@@ -746,6 +746,31 @@ class TestCover:
         # them took tens of seconds and hundreds of megabytes
         assert self.refused_in_a_fresh_process(tmp_path, 7, 21, 98) < 5
 
+    def test_mixed_work_bound_in_a_fresh_process(self, tmp_path):
+        # 18 dominoes and 36 boxes on (6,18): one walk of the dominoes in
+        # the 6 x 12 box gives their coefficient on every shape of 36
+        # boxes; a walk per shape took about 44 s and 921 MB
+        target = tmp_path / "cover.json"
+        code, out, err, seconds = _run_capped(
+            "cover", "--d", "6", "--n", "18",
+            "--shape", ";".join(["2"] * 18 + ["1"] * 36),
+            "--format", "json", "--out", str(target), stdout=subprocess.PIPE)
+        assert seconds < 5
+        assert (code, out) == (2, b"")
+        assert err == MIXED_6_18
+        assert not target.exists()
+
+
+# the refusal of 18 dominoes and 36 boxes on (6,18), as the walk of one
+# coefficient per shape printed it
+MIXED_6_18 = (
+    "error: the cover graph would have "
+    "30924733244354236052123746201570830928180578278439896752922637905835"
+    "523068003152575479152640000000000000 nodes and "
+    "21291678838737891521887199259781517094052328144705868914387236198167"
+    "757632320170548217396592640000000000000 edges, over the bound of "
+    "2000000 edges\n")
+
 
 # conditions wider or taller than the d x (n-d) box, and parts that are
 # not weakly decreasing
@@ -907,6 +932,31 @@ class TestThinInputs:
         assert err.endswith("\n")
         assert not target.exists()
 
+    def test_count_past_the_digit_limit(self, tmp_path):
+        # 1,580 dominoes and a box in one row: 1580!/2 nodes, more digits
+        # than Python converts to text, named by their number of digits
+        target = tmp_path / "out.txt"
+        code, out, err, seconds = _run_capped(
+            "cover", "--d", "1", "--n", "3162",
+            "--shape", ";".join(["2"] * 1580 + ["1"]),
+            "--out", str(target), stdout=subprocess.PIPE)
+        assert seconds < 1
+        assert (code, out) == (2, b"")
+        assert err == ("error: the cover graph would have a number of 4370 "
+                       "digits nodes and a number of 4376 digits edges, over "
+                       "the bound of 2000000 edges\n")
+        assert len(err.encode()) < 300
+        assert not target.exists()
+
+    def test_enumeration_count_past_the_digit_limit(self):
+        # (56,112): the tableaux of the 56 x 56 box have 4,278 digits
+        with pytest.raises(UsageError) as info:
+            _enumeration_size(Frame(56, 112), None)
+        assert str(info.value) == (
+            "the enumeration would write a number of 4278 digits diagrams "
+            "of 9837632 entries, a number of 4285 digits in all, over the "
+            "bound of 100000000 entries")
+
     def test_parts_inside_the_bound(self):
         # (450,451) writes one diagram of 202,950 entries of 450 parts,
         # 91,327,500 parts; (4,8) and (3,9) write 26,138,112 and 89,791,416
@@ -926,6 +976,24 @@ def test_full_stdout():
         err = proc.communicate(timeout=120)[1].decode()
     assert proc.returncode == 2
     assert err == "error: cannot write stdout: No space left on device\n"
+
+
+def entry_text(diagram):
+    """The text format: a line per row, each entry's parts joined by
+    commas, "." for the empty partition."""
+    return "\n".join(" ".join(",".join(map(str, p)) or "." for p in row)
+                     for row in diagram.rows)
+
+
+@pytest.mark.parametrize("argv,diagrams", [
+    (("--d", "3", "--n", "6"), lambda: cgd_enumerate(Frame(3, 6))),
+    (("--d", "2", "--n", "5", "--shape", "2;1;1;1;1"),
+     lambda: decgd_enumerate(Frame(2, 5), [(2,), (1,), (1,), (1,), (1,)]))],
+    ids=["36", "25-2;1^4"])
+def test_text_renders_every_entry(capsys, argv, diagrams):
+    code, out, _ = run(capsys, "enumerate", *argv, "--format", "text")
+    assert code == 0
+    assert out == "\n".join(entry_text(g) + "\n" for g in diagrams())
 
 
 def test_reader_closes_stdout():

@@ -5,6 +5,7 @@ of diagrams."""
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from growth.cli import main
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
-from growth.jsonout import JsonText, write_json
+from growth.jsonout import JsonText, count_text, write_json
 from growth.moduli import build_cover_graph
 from growth.partitions import Frame
 from test_moduli import graph_to_json
@@ -266,3 +267,30 @@ def test_json_round_trip(frame, shape):
         data = diagram.to_json()
         assert read(json.loads(json.dumps(data))) == diagram
         assert read(json.loads(written(data))) == diagram
+
+
+def test_count_text():
+    # exact digits on both sides of each power of ten up to 10^6000 and of
+    # powers of two; counts of at most 1,000 digits are written out
+    for k in range(1, 6000, 7):
+        for count, digits in ((10 ** k - 1, k), (10 ** k, k + 1),
+                              (10 ** k + 1, k + 1)):
+            assert count_text(count) == (
+                repr(count) if digits <= 1000
+                else f"a number of {digits} digits"), count
+    for bits in range(3330, 14000, 97):
+        for count in (2 ** bits - 1, 2 ** bits):
+            digits = len(repr(count))
+            assert count_text(count) == f"a number of {digits} digits"
+    assert count_text(0) == "0"
+
+
+def test_count_text_ignores_the_conversion_limit():
+    # the least limit an environment variable can set
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert count_text(10 ** 999 + 1) == "1" + "0" * 998 + "1"
+        assert count_text(7 * 10 ** 5000) == "a number of 5001 digits"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -2,20 +2,24 @@
 level (``_shapes_between``, ``_chain_count``, ``_lr_multi``,
 ``enumerate_chains`` and ``decgd_enumerate``) and ``_lr2``'s depth-first
 loop against the recursive versions they replaced, kept here as oracles.
-The recursive versions cannot reach the thin shapes at the end, whose
-walks are a thousand levels deep; closed forms check those."""
+``fiber_size``, which reads the last layer of one weighted walk, is
+checked against the sum over the shapes of the other conditions, one
+coefficient per shape, that it replaced.  The recursive versions cannot
+reach the thin shapes at the end, whose walks are a thousand levels deep;
+closed forms check those."""
 
 import random
 import tracemalloc
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
 from growth.decgd import check_shape, decgd_enumerate, decgd_from_first_row
 from growth.partitions import (
-    Frame, _chain_count, _lr2, _lr_multi, _shapes_between, contains,
-    fiber_size, normalize, partitions_in,
+    Frame, _chain_count, _lr2, _lr_multi, _shapes_between, complement,
+    contains, fiber_size, hook_lengths, normalize, partitions_in,
 )
 from growth.tableaux import dual_classes, enumerate_chains
 from test_partitions import DIFF_FRAMES
@@ -105,6 +109,21 @@ def ref_lr_multi(inner, factors, outer):
         if c:
             total += c * ref_lr_multi(nu, rest, outer)
     return total
+
+
+def ref_fiber_size(frame, shape):
+    """The fiber as a sum over each shape mu that the conditions other than
+    single boxes fill: their coefficient on mu, one walk per mu, times the
+    hook-length count of the tableaux of complement(mu)."""
+    others = tuple(lam for lam in shape if lam != (1,))
+    size = sum(map(sum, others))
+    boxes = len(shape) - len(others)
+    if size + boxes != frame.size:
+        return 0
+    return sum(c * factorial(boxes)
+               // prod(hook_lengths(complement(mu, frame)))
+               for mu in ref_shapes_between((), frame.rectangle(), size)
+               if (c := ref_lr_multi((), others, mu)))
 
 
 def ref_enumerate_chains(outer, inner):
@@ -207,6 +226,41 @@ def test_lr_multi(seed):
         want = ref_lr_multi(inner, factors, outer)
         assert _lr_multi.__wrapped__(inner, factors, outer) == want, \
             (inner, factors, outer)
+        nonzero += want > 0
+    assert nonzero > 20
+
+
+@pytest.mark.parametrize("frame", [Frame(2, 6), Frame(3, 6)], ids=str)
+@pytest.mark.parametrize("r", [3, 4])
+def test_fiber_size_on_every_shape(frame, r):
+    # every multiset of r nonempty conditions of the frame; most miss its
+    # size, and those that fill it mix single boxes with other shapes
+    parts = partitions_in(frame)[1:]
+    filled = 0
+    for shape in combinations_with_replacement(parts, r):
+        want = ref_fiber_size(frame, shape)
+        assert fiber_size(frame, shape) == want, shape
+        filled += want > 0
+    assert filled > 10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fiber_size_on_mixed_shapes(seed):
+    # random conditions filling frames up to (4,8), about half of them
+    # single boxes, in a random order
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(40):
+        frame = Frame(rng.randint(2, 4), rng.randint(6, 8))
+        parts = [lam for lam in partitions_in(frame) if 0 < sum(lam) <= 6]
+        shape, left = [], frame.size
+        while left:
+            lam = (1,) if rng.random() < 0.5 else \
+                rng.choice([lam for lam in parts if sum(lam) <= left])
+            shape.append(lam)
+            left -= sum(lam)
+        want = ref_fiber_size(frame, shape)
+        assert fiber_size(frame, shape) == want, (frame, shape)
         nonzero += want > 0
     assert nonzero > 20
 
