@@ -274,28 +274,34 @@ def cgd_validate(g: CylGrowthDiagram) -> tuple[bool, list[str]]:
     return (False, problems)
 
 
+def _orbits(firsts, grow, step: int) -> list:
+    """The diagram of each row-0 value in firsts, in order, grown once per
+    orbit of the rotations by multiples of step.  Rotating every stored
+    table (the fields after frame and r) by t gives the diagram grown from
+    its row t, and each condition a diagram meets holds on every row
+    alike, so a rotation needs no new solve or validation."""
+    found = {}
+    for first in firsts:
+        if first in found:
+            continue
+        g = grow(first)
+        tables = [getattr(g, name) for name in g.__slots__[2:]]
+        # an orbit closes when its row 0 comes round again
+        for t in range(0, g.r, step):
+            if tables[0][t] in found:
+                break
+            found[tables[0][t]] = type(g)(g.frame, g.r, *(
+                table[t:] + table[:t] for table in tables))
+    return [found[first] for first in firsts]
+
+
 def cgd_enumerate(frame: Frame) -> list[CylGrowthDiagram]:
     """One diagram per standard tableau of the full rectangle, in
-    lexicographic order of the row-0 chain.
-
-    Row t of a diagram is row 0 of its rotation rows[t:] + rows[:t], the
-    t-th promotion of its row-0 tableau, so one solve along row 0 gives
-    the diagrams of a whole promotion orbit.  Every solve is validated;
-    a rotation is not, since every condition of :func:`cgd_validate` is
-    invariant under it."""
-    r = frame.size
-    path = row_path(r)
+    lexicographic order of the row-0 chain.  Row t of a diagram is the
+    t-th promotion of its row-0 tableau, so one solve along row 0 gives a
+    whole promotion orbit."""
+    path = row_path(frame.size)
     # enumerate_chains gives only chains of normalized one-box steps from
     # the empty shape to the rectangle, so they are not checked again
-    chains = enumerate_chains(frame.rectangle(), ())
-    found = {}
-    for chain in chains:
-        if chain in found:
-            continue
-        rows = _Completion(frame, path, chain).solve().rows
-        # an orbit shorter than r closes when row t is row 0 again
-        for t in range(r):
-            if rows[t] in found:
-                break
-            found[rows[t]] = CylGrowthDiagram(frame, r, rows[t:] + rows[:t])
-    return [found[chain] for chain in chains]
+    return _orbits(enumerate_chains(frame.rectangle(), ()),
+                   lambda chain: _Completion(frame, path, chain).solve(), 1)

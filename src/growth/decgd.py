@@ -1,7 +1,7 @@
 """Cylindrical growth diagrams of dual-equivalence classes: restriction
 from fine diagrams, first-row construction (lift the row-0 classes'
-representatives to a fine diagram and restrict it), enumeration block
-by block, and their JSON data; files are read by :mod:`growth.jsonin`.
+representatives to a fine diagram and restrict it), enumeration by
+rotation orbits, and JSON data; files are read by :mod:`growth.jsonin`.
 
 A diagram of r conditions stores only its classes: the class a(k, l) of
 the row step from the entry at (k, l) to the one at (k, l+1) and the class
@@ -12,10 +12,11 @@ between, and the contents are the rectification shapes of the row-0
 classes.  Everything is periodic under (k, l) -> (k+r, l+r) and stored on
 residues of k."""
 
+from functools import partial
 from itertools import accumulate
 
 from growth.cylgrowth import (
-    CylGrowthDiagram, _check_steps, cgd_from_path, row_path,
+    CylGrowthDiagram, _check_steps, _orbits, cgd_from_path, row_path,
 )
 from growth.partitions import Frame, _shapes_between, _Value, normalize
 from growth.tableaux import DualClass, dual_classes
@@ -154,7 +155,8 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
     row-0 classes, ordered by the first row.  The shape is checked by
     :func:`check_shape`.  The row-0 classes grow block by block, each
     tuple extended by the classes of the next condition that start where
-    it ends."""
+    it ends; a diagram is grown from them once per orbit of the rotations
+    by multiples of the contents' period, which keep the contents."""
     shape = check_shape(shape)
     if sum(sum(lam) for lam in shape) != frame.size:
         # no diagram can exist unless the sizes sum to d(n-d)
@@ -166,4 +168,6 @@ def decgd_enumerate(frame: Frame, shape) -> list[Decgd]:
                   for mu in [classes[-1].outer if classes else ()]
                   for nu in _shapes_between(mu, rect, target)
                   for cls in dual_classes(nu, mu, lam)]
-    return [decgd_from_first_row(classes, frame) for classes in firsts]
+    period = next(t for t in range(1, len(shape) + 1)
+                  if shape[t:] + shape[:t] == shape)
+    return _orbits(firsts, partial(decgd_from_first_row, frame=frame), period)

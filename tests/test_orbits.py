@@ -1,7 +1,10 @@
 """Tests of enumeration by promotion orbits: the orbit path against the
 per-chain list it replaced, validation of every output, rotation as
 re-solving from another row, and the cyclic sieving phenomenon for
-promotion on rectangles (Rhoades 2010) with the q-hook polynomial."""
+promotion on rectangles (Rhoades 2010) with the q-hook polynomial.  Class
+diagrams are grown once per orbit of the rotations that keep their
+contents; their fibers are checked against one construction per first
+row."""
 
 import cmath
 from math import gcd
@@ -16,8 +19,11 @@ from growth import checks
 from growth.cylgrowth import (
     _Completion, cgd_enumerate, cgd_from_path, cgd_validate, row_path,
 )
+from growth.decgd import decgd_enumerate, decgd_from_first_row, restrict_cgd
 from growth.partitions import Frame, added_box, syt_count
-from growth.tableaux import enumerate_chains
+from growth.tableaux import DualClass, enumerate_chains
+from test_decgd import decgd_validate
+from test_walks import ref_decgd_enumerate
 
 FRAMES = [Frame(d, n) for n in range(2, 8) for d in range(1, n)]
 DIAGRAMS = {frame: cgd_enumerate(frame) for frame in FRAMES}
@@ -127,3 +133,65 @@ def test_sieve_failure_names_frame_and_k(monkeypatch):
     assert check_counts() == (
         False, "Frame(d=2, n=5): rotation by 2 fixes 5 diagrams, the q-hook "
         "sieve gives 2")
+
+
+BOX, DOMINO, COLUMN, HOOK = (1,), (2,), (1, 1), (2, 1)
+# (frame, contents, diagrams, orbits of the rotations by multiples of the
+# contents' period)
+CLASS_FIBERS = [
+    (Frame(2, 4), (BOX,) * 4, 2, 1),
+    (Frame(3, 6), (DOMINO, BOX) * 3, 6, 4),
+    (Frame(3, 6), (HOOK, BOX, DOMINO, COLUMN, BOX), 4, 4),
+    (Frame(2, 7), (BOX,) * 10, 42, 6),
+    (Frame(2, 8), (DOMINO, BOX) * 4, 30, 10),
+    (Frame(3, 7), (BOX,) * 12, 462, 44),
+    (Frame(3, 7), (DOMINO, DOMINO, BOX, BOX) * 2, 45, 27),
+    (Frame(3, 8), (BOX,) * 15, 6006, 406),
+]
+
+
+def shape_id(frame, shape, *counts) -> str:
+    return f"({frame.d},{frame.n}) " + ";".join(
+        ",".join(map(str, lam)) for lam in shape)
+
+
+@pytest.mark.parametrize("frame,shape,count,orbits", CLASS_FIBERS,
+                         ids=[shape_id(*case) for case in CLASS_FIBERS])
+def test_class_fiber_by_orbits(frame, shape, count, orbits, monkeypatch):
+    solves = []
+    solve = _Completion.solve
+    monkeypatch.setattr(_Completion, "solve",
+                        lambda self: solves.append(self) or solve(self))
+    fiber = decgd_enumerate(frame, shape)
+    assert len(fiber) == count
+    # Burnside: the orbits of the rotations by multiples of the period p
+    # are the average number of diagrams each of them fixes; row 0 fixes
+    # a diagram, so a rotation fixes it when it fixes the row classes
+    r = len(shape)
+    p = next(t for t in range(1, r + 1) if shape[t:] + shape[:t] == shape)
+    fixed = sum(d.a[t:] + d.a[:t] == d.a
+                for t in range(0, r, p) for d in fiber)
+    assert fixed * p % r == 0
+    assert len(solves) == fixed * p // r == orbits
+    for d in fiber:
+        assert decgd_validate(d) == (True, [])
+    if count <= 462:
+        assert fiber == ref_decgd_enumerate(frame, shape)
+    else:
+        # the per-first-row list on every eleventh diagram; the first rows
+        # are the row-0 chains in lexicographic order
+        assert [d.a[0] for d in fiber] == [
+            tuple(DualClass.of(chain[i:i + 2]) for i in range(r))
+            for chain in enumerate_chains(frame.rectangle(), ())]
+        for d in fiber[::11]:
+            assert d == decgd_from_first_row(d.a[0], frame)
+
+
+@pytest.mark.parametrize("frame", [
+    Frame(2, 4), Frame(2, 5), Frame(2, 6), Frame(3, 6), Frame(2, 7),
+    Frame(3, 7),
+], ids=str)
+def test_box_fiber_is_the_fine_enumeration_restricted(frame):
+    r = frame.size
+    assert decgd_enumerate(frame, (BOX,) * r) == [
+        restrict_cgd(g, (1,) * r) for g in DIAGRAMS[frame]]
