@@ -15,6 +15,7 @@ json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -176,10 +177,11 @@ def _output(args):
 
 def _diagram_text(obj) -> str:
     # a diagram holds few distinct partitions: each is rendered once
-    texts = dict.fromkeys(p for row in obj.rows for p in row)
+    rows = obj.rows  # a class diagram builds its rows on every read
+    texts = dict.fromkeys(p for row in rows for p in row)
     for p in texts:
         texts[p] = ",".join(map(str, p)) or "."
-    return "\n".join(" ".join([texts[p] for p in row]) for row in obj.rows)
+    return "\n".join(" ".join([texts[p] for p in row]) for row in rows)
 
 
 def cmd_enumerate(args) -> int:
@@ -323,15 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {"enumerate": cmd_enumerate, "wallcross": cmd_wallcross,
-               "cover": cmd_cover, "verify": cmd_verify}[args.command]
+    """Run one command and return its exit code.  Called without argv, as
+    the program, main freezes the collector as it returns, so that the
+    interpreter's shutdown does not traverse a heap that dies with the
+    process; the output is written and flushed by then.  Called with
+    argv, main leaves the caller's collector alone."""
     try:
-        return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        handler = {"enumerate": cmd_enumerate, "wallcross": cmd_wallcross,
+                   "cover": cmd_cover, "verify": cmd_verify}[args.command]
+        try:
+            return handler(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

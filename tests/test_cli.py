@@ -1,6 +1,7 @@
 """Tests for the command-line interface: enumeration, wall crossing,
 cover graphs, the verification suites, and exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -1056,6 +1057,51 @@ def test_enumerate_reference_digest(tmp_path, capsys, workload, command):
     # the benchmark's enumerate inputs reproduce their recorded output bytes
     assert _output_digest(tmp_path, capsys, command) == \
         REFERENCES[workload][command]
+
+
+ALL_REFERENCES = _references(*REFERENCES)
+
+
+@pytest.mark.parametrize("workload,command", ALL_REFERENCES,
+                         ids=[f"{w}-{c.split()[6]}" if w == "cover-mixed5"
+                              else w for w, c in ALL_REFERENCES])
+def test_reference_digest_as_the_program(workload, command):
+    # run as the program, main freezes the collector as it returns: the
+    # output is complete by then, so every recorded digest holds
+    proc = _spawn(*command.split(), stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    if workload == "verify":
+        out = re.sub(rb" \(\d+\.\d+s\)", b"", out)
+    assert hashlib.sha256(out).hexdigest() == REFERENCES[workload][command]
+
+
+def test_program_freezes_the_collector():
+    code = ("import gc, sys; from growth.cli import main; "
+            "sys.argv[1:] = ['enumerate', '--d', '2', '--n', '4']; "
+            "frozen = gc.get_freeze_count(); code = main(); "
+            "print(frozen, gc.get_freeze_count(), code, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                           / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    # the last line of stderr, after the command's count of diagrams
+    frozen, after, exit_code = map(int, run.stderr.splitlines()[-1].split())
+    assert (frozen, exit_code) == (0, 0) and after > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--d", "2", "--n", "4"],
+    ["enumerate", "--d", "2", "--n", "1"],
+    ["verify", "--only", "algebra"]], ids=["done", "usage", "argparse"])
+def test_library_call_leaves_the_collector(capsys, argv):
+    before = gc.get_freeze_count(), gc.isenabled()
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestVerify:
