@@ -92,8 +92,7 @@ def _frame(args) -> Frame:
 
 def _shape(args, frame: Frame):
     """The conditions of --shape: at least three, each of at least one box
-    and fitting the frame's box.  Sizes that do not sum to d(n-d) give no
-    diagrams; a note says so."""
+    and fitting the frame's box."""
     from growth.decgd import check_shape
     try:
         shape = check_shape(parse_shape(args.shape), args.shape)
@@ -105,10 +104,17 @@ def _shape(args, frame: Frame):
                 f"condition {m} of {args.shape!r} does not fit the "
                 f"{frame.d} x {frame.cols} box of d = {frame.d}, "
                 f"n = {frame.n}")
-    if sum(sum(lam) for lam in shape) != frame.size:
-        print(f"note: no diagrams, the sizes must satisfy "
-              f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
     return shape
+
+
+def _no_diagrams(frame: Frame, shape) -> bool:
+    """Whether the conditions' sizes miss d(n-d), so that there are no
+    diagrams and no work to bound; a note says so."""
+    if sum(sum(lam) for lam in shape) == frame.size:
+        return False
+    print(f"note: no diagrams, the sizes must satisfy "
+          f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
+    return True
 
 
 def _fine_size(frame: Frame):
@@ -187,7 +193,8 @@ def _diagram_text(obj) -> str:
 def cmd_enumerate(args) -> int:
     frame = _frame(args)
     shape = None if args.shape is None else _shape(args, frame)
-    _enumeration_size(frame, shape)
+    if shape is None or not _no_diagrams(frame, shape):
+        _enumeration_size(frame, shape)
     with _output(args) as out:
         if shape is None:
             diagrams = cgd_enumerate(frame)
@@ -240,13 +247,14 @@ def cmd_wallcross(args) -> int:
 def cmd_cover(args) -> int:
     frame = _frame(args)
     shape = _shape(args, frame)
-    _fine_size(frame)
     from growth.moduli import (build_cover_graph, cover_size, export,
                                graph_components)
-    try:
-        cover_size(frame, shape)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if not _no_diagrams(frame, shape):
+        _fine_size(frame)
+        try:
+            cover_size(frame, shape)
+        except ValueError as exc:
+            raise UsageError(str(exc))
     with _output(args) as out:
         graph = build_cover_graph(frame, shape)
         summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "

@@ -59,6 +59,9 @@ class Wall(_Value):
     __slots__ = ("a", "b", "r")
 
     def __init__(self, a: int, b: int, r: int):
+        if r < 4:
+            raise ValueError(
+                f"{r} marked points have no wall (a wall needs r >= 4)")
         length = b - a + 1
         if not (2 <= length <= r - 2):
             raise ValueError(

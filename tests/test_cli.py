@@ -39,6 +39,37 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _spawn(*argv, stdout, preexec_fn=None, flags=()):
+    """The command as the program, `python [flags] -m growth.cli argv`, in
+    a fresh process with stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                           / "src")}
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "growth.cli", *argv], env=env,
+        stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn)
+
+
+# warnings, deprecations included, are errors
+DEV_FLAGS = ("-X", "dev", "-W", "error")
+
+
+def _one_gigabyte():
+    """Cap the address space of a child process at 1 GB."""
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+
+def _run_capped(*argv, flags=()):
+    """Run the command as the program, in a fresh process with 1 GB of
+    address space; returns its exit code, stdout and stderr text, and
+    seconds."""
+    start = time.perf_counter()
+    proc = _spawn(*argv, stdout=subprocess.PIPE, preexec_fn=_one_gigabyte,
+                  flags=flags)
+    out, err = proc.communicate(timeout=120)
+    return (proc.returncode, out.decode(), err.decode(),
+            time.perf_counter() - start)
+
+
 class TestParseShape:
     def test_grammar(self):
         assert parse_shape("3,1;2;1;1") == ((3, 1), (2,), (1,), (1,))
@@ -50,25 +81,41 @@ class TestParseShape:
 
 
 class TestEnumerate:
-    def test_fine_count(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--d", "2", "--n", "5",
-                             "--format", "json")
-        assert code == 0
+    def test_fine_count(self):
+        code, out, err, _ = _run_capped("enumerate", "--d", "2", "--n", "5",
+                                        "--format", "json")
+        assert (code, err) == (0, "5 diagrams\n")
         assert len(json.loads(out)) == 5
-        assert "5 diagrams" in err
+        # (3,8) is inside the bound and lists its hook-length count
+        code, _, err, _ = _run_capped("enumerate", "--d", "3", "--n", "8",
+                                      "--format", "text")
+        assert (code, err) == (0, "6006 diagrams\n")
 
-    def test_decgd_count(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--d", "2", "--n", "4",
-                             "--shape", "1;1;1;1", "--format", "json")
+    def test_decgd_count(self):
+        code, out, _, _ = _run_capped("enumerate", "--d", "2", "--n", "4",
+                                      "--shape", "1;1;1;1", "--format", "json")
         assert code == 0
         assert len(json.loads(out)) == 2
+        # so does the fiber of fifteen single boxes on (3,8), grown once
+        # per rotation orbit as the fine diagrams are
+        code, _, err, seconds = _run_capped(
+            "enumerate", "--d", "3", "--n", "8",
+            "--shape", ";".join(["1"] * 15), "--format", "text")
+        assert (code, err) == (0, "6006 diagrams\n") and seconds < 60
 
-    def test_size_mismatch_is_empty_success(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--d", "2", "--n", "4",
-                             "--shape", "2,2;1;1", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == []
-        assert "d(n-d)" in err
+    def test_size_mismatch_is_empty_success(self):
+        # no diagrams, so no work to bound: the empty array at once, where
+        # the fine diagrams of (1,9999) and the diagrams of 10,001
+        # conditions are each over a bound
+        for d, n, shape in [(2, 4, "2,2;1;1"), (2, 4, "1;1;1"),
+                            (1, 9999, "1;1;1"),
+                            (2, 4, ";".join(["1"] * 10001))]:
+            code, out, err, seconds = _run_capped(
+                "enumerate", "--d", str(d), "--n", str(n), "--shape", shape,
+                "--format", "json")
+            assert (code, out) == (0, "[]\n") and seconds < 5
+            assert err == (f"note: no diagrams, the sizes must satisfy sum "
+                           f"|lam_i| = d(n-d) = {d * (n - d)}\n0 diagrams\n")
 
     def test_malformed_shape(self, capsys):
         code, _, err = run(capsys, "enumerate", "--d", "2", "--n", "4",
@@ -81,12 +128,12 @@ class TestEnumerate:
         assert code == 2 and "empty condition" in err
         assert out == ""
 
-    def test_missing_frame(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "required: --d, --n" in err
+    def test_missing_frame(self):
+        # and cover without its conditions
+        for argv, missing in [(["enumerate"], "--d, --n"),
+                              (["cover", "--d", "2", "--n", "4"], "--shape")]:
+            code, out, err, _ = _run_capped(*argv)
+            assert (code, out) == (2, "") and f"required: {missing}" in err
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "--d", "2", "--n", "4",
@@ -133,14 +180,12 @@ class TestEnumerate:
         # the child has 1 GB of address space, and a regressed bound
         # fails fast instead of exhausting the machine
         target = tmp_path / "enumerate.json"
-        start = time.perf_counter()
-        proc = _spawn("enumerate", "--d", str(d), "--n", str(n),
-                      "--format", "json", "--out", str(target),
-                      stdout=subprocess.PIPE, preexec_fn=_one_gigabyte)
-        out, err = proc.communicate(timeout=120)
-        assert time.perf_counter() - start < 5
-        assert (proc.returncode, out) == (2, b"")
-        assert err.decode() == self.refusal(d, n)
+        code, out, err, seconds = _run_capped(
+            "enumerate", "--d", str(d), "--n", str(n), "--format", "json",
+            "--out", str(target))
+        assert seconds < 5
+        assert (code, out) == (2, "")
+        assert err == self.refusal(d, n)
         assert not target.exists()
 
 
@@ -164,12 +209,21 @@ class TestWallcross:
         for i, j, expected in golden_figure_entries("wall_example"):
             assert crossed.get(i, j) == expected
 
-    def test_twice(self, capsys, tmp_path):
-        _, path = self._top_file(tmp_path)
-        code, _, err = run(capsys, "wallcross", "--input", path,
-                           "--wall", "4,6", "--twice", "--format", "json")
-        assert code == 0
-        assert "restores" in err
+    def test_twice(self, tmp_path):
+        # fine and class diagrams of (2,5), on walls that wrap past r
+        # (b > r) too
+        _, top = self._top_file(tmp_path)
+        fine, cls = tmp_path / "fine.json", tmp_path / "class.json"
+        fine.write_text(json.dumps(cgd_enumerate(Frame(2, 5))[0].to_json()))
+        cls.write_text(json.dumps(decgd_enumerate(
+            Frame(2, 5), [(2,)] + [(1,)] * 4)[0].to_json()))
+        for path, wall in [(top, "4,6"), (fine, "1,3"), (fine, "5,7"),
+                           (cls, "1,2"), (cls, "4,6")]:
+            code, out, err, _ = _run_capped(
+                "wallcross", "--input", str(path), "--wall", wall, "--twice",
+                "--format", "json")
+            assert (code, err) == (0, "crossing twice restores the diagram\n")
+            json.loads(out)
 
     def test_decgd_input(self, capsys, tmp_path):
         d = decgd_enumerate(F24, [(1,)] * 4)[0]
@@ -191,15 +245,21 @@ class TestWallcross:
         code, _, err = run(capsys, "wallcross", "--input", path,
                            "--wall", "1,1")
         assert code == 2
+        # the diagrams of (1,4) have r = 3, and no wall
+        path = tmp_path / "r3.json"
+        path.write_text(json.dumps(cgd_enumerate(Frame(1, 4))[0].to_json()))
+        assert run(capsys, "wallcross", "--input", str(path),
+                   "--wall", "1,2") == (2, "", "error: 3 marked points have "
+                                        "no wall (a wall needs r >= 4)\n")
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}", b"[" * 100000, b"[" * 100000 + b"]" * 100000],
         ids=["not-utf-8", "deep", "deep-balanced"])
-    def test_unreadable_file(self, capsys, tmp_path, content):
+    def test_unreadable_file(self, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        code, out, err = run(capsys, "wallcross", "--input", str(path),
-                             "--wall", "1,2")
+        code, out, err, _ = _run_capped("wallcross", "--input", str(path),
+                                        "--wall", "1,2")
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read diagram from {path}: ")
         assert err.count("\n") == 1
@@ -286,49 +346,49 @@ class TestWallcrossMalformed:
     """Diagram files that parse as JSON but are not diagrams: exit 2 with
     the first problem, never a traceback or a crossed diagram."""
 
-    def _run(self, capsys, tmp_path, data, wall):
+    def _run(self, tmp_path, data, wall):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "wallcross", "--input", str(path),
-                             "--wall", wall, "--format", "json")
+        code, out, err, _ = _run_capped("wallcross", "--input", str(path),
+                                        "--wall", wall, "--format", "json")
         assert code == 2 and out == ""
         assert err.startswith("error: malformed diagram")
         return err
 
-    def test_fine_too_few_rows(self, capsys, tmp_path):
+    def test_fine_too_few_rows(self, tmp_path):
         data = golden_diagram("growth_example").to_json()
         data["rows"] = data["rows"][:-1]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "'rows' must be 6 rows of 7 entries" in err
 
-    def test_fine_wrong_r(self, capsys, tmp_path):
+    def test_fine_wrong_r(self, tmp_path):
         data = golden_diagram("growth_example").to_json()
         data["r"] += 1
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "r = 7" in err
 
-    def test_class_wrong_shape(self, capsys, tmp_path):
+    def test_class_wrong_shape(self, tmp_path):
         data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
         data["shape"] = data["shape"][:-1]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "r conditions" in err
 
-    def test_class_permuted_shape(self, capsys, tmp_path):
+    def test_class_permuted_shape(self, tmp_path):
         # structurally sound, but the first-row classes carry other contents
         shape = [(2,), (1, 1), (1,), (1,)]
         data = decgd_enumerate(Frame(2, 5), shape)[0].to_json()
         data["shape"] = data["shape"][::-1]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "wrong content" in err
 
-    def test_class_wrong_a_shape(self, capsys, tmp_path):
+    def test_class_wrong_a_shape(self, tmp_path):
         data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
         data["a"] = data["b"]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "the row-0 classes grow no diagram: representatives 1 " \
             "and 2 do not meet" in err
 
-    def test_class_other_b(self, capsys, tmp_path):
+    def test_class_other_b(self, tmp_path):
         # another class of the same skew shape in b: the rows still hold,
         # but the file is not the diagram its row-0 classes grow
         d = decgd_enumerate(Frame(2, 5), [(2,)] + [(1,)] * 4)[0]
@@ -338,22 +398,22 @@ class TestWallcrossMalformed:
             for other in dual_classes(cls.outer, cls.inner) if other != cls)
         data = json.loads(json.dumps(d.to_json()))
         data["b"][k][m] = [list(p) for p in other.representative]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert f"b({k},{k + m}) is not the class that the row-0 classes " \
             f"grow" in err
 
     @pytest.mark.parametrize("wall", ["1,2", "1,3", "2,3"])
-    def test_class_empty_condition(self, capsys, tmp_path, wall):
+    def test_class_empty_condition(self, tmp_path, wall):
         # restricted with an empty first block, the classes themselves
         # carry the empty condition, as --shape "0;2;1;1" would
         d = reference_restrict_cgd(cgd_enumerate(F24)[0], (0, 2, 1, 1))
         assert d.shape[0] == ()
-        err = self._run(capsys, tmp_path,
+        err = self._run(tmp_path,
                         json.loads(json.dumps(d.to_json())), wall)
         assert err.count("\n") == 1
         assert "condition 1 of " in err and " is empty; " in err
 
-    def test_class_other_tableau(self, capsys, tmp_path):
+    def test_class_other_tableau(self, tmp_path):
         # another tableau of the class names the same diagram, but the
         # file is not that diagram's JSON
         d = decgd_enumerate(Frame(2, 6), [(2, 1), (2, 1), (1,), (1,)])[0]
@@ -362,22 +422,22 @@ class TestWallcrossMalformed:
                      if t != cls.representative and DualClass.of(t) is cls)
         data = json.loads(json.dumps(d.to_json()))
         data["a"][0][0] = [list(p) for p in other]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "a[0][0]: not the representative of its class" in err
 
-    def test_class_without_a(self, capsys, tmp_path):
+    def test_class_without_a(self, tmp_path):
         # on single boxes its rows are a fine diagram's, but the file is
         # neither kind of diagram
         data = decgd_enumerate(F24, [(1,)] * 4)[0].to_json()
         del data["a"]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert "the keys are ['b', 'frame', 'r', 'rows', 'shape'], " \
             "not ['frame', 'r', 'rows']" in err
 
     @pytest.mark.parametrize("kind", ["fine", "class"])
     @pytest.mark.parametrize("extra", [True, False],
                              ids=["extra-key", "missing-key"])
-    def test_frame_keys(self, capsys, tmp_path, kind, extra):
+    def test_frame_keys(self, tmp_path, kind, extra):
         # the frame holds exactly d and n: an extra key would not survive
         # to_json, and a missing one is named with the frame
         d = (cgd_enumerate(F24)[0] if kind == "fine" else
@@ -387,13 +447,13 @@ class TestWallcrossMalformed:
             data["frame"]["x"] = 1
         else:
             del data["frame"]["n"]
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         keys = "['d', 'n', 'x']" if extra else "['d']"
         assert err.count("\n") == 1
         assert f"frame: the keys are {keys}, not ['d', 'n']" in err
 
-    def test_not_an_object(self, capsys, tmp_path):
-        err = self._run(capsys, tmp_path, [1, 2], "1,2")
+    def test_not_an_object(self, tmp_path):
+        err = self._run(tmp_path, [1, 2], "1,2")
         assert "not a JSON object" in err
 
     @pytest.mark.parametrize("kind,where,value,want", [
@@ -406,20 +466,19 @@ class TestWallcrossMalformed:
         pytest.param("fine", ("rows", 0, 2), [1] * 100000,
                      "rows[0][2]: (1, 1, 1", id="long-out-of-frame"),
     ])
-    def test_long_value_clipped(self, capsys, tmp_path, kind, where, value,
-                                want):
+    def test_long_value_clipped(self, tmp_path, kind, where, value, want):
         # one short line names the field and echoes only the start of the
         # value, however long or deep the value is
         data = json.loads(json.dumps(
             (cgd_enumerate(F24)[0] if kind == "fine" else
              decgd_enumerate(F24, [(1,)] * 4)[0]).to_json()))
         _at(data, where[:-1])[where[-1]] = value
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert err.count("\n") == 1 and len(err.encode()) < 300, err[:400]
         assert want in err and "..." in err
 
     @pytest.mark.parametrize("kind,where,value,want", FIELD_CASES)
-    def test_field_path(self, capsys, tmp_path, kind, where, value, want):
+    def test_field_path(self, tmp_path, kind, where, value, want):
         # edited as JSON data: to_json holds the diagram's own tuples
         data = json.loads(json.dumps(
             (golden_diagram("growth_example") if kind == "fine" else
@@ -428,7 +487,7 @@ class TestWallcrossMalformed:
         for key in where[:-1]:
             target = target[key]
         target[where[-1]] = value
-        err = self._run(capsys, tmp_path, data, "1,2")
+        err = self._run(tmp_path, data, "1,2")
         assert want in err
 
 
@@ -575,7 +634,7 @@ NUMBER_CASES = [(field, text, x) for x in NOT_DIGITS for field, text in (
 
 @pytest.mark.parametrize("field,value,number", NUMBER_CASES,
                          ids=[f"{f}={v!a}" for f, v, _ in NUMBER_CASES])
-def test_numbers_are_ascii_digits(capsys, tmp_path, field, value, number):
+def test_numbers_are_ascii_digits(tmp_path, field, value, number):
     # exit 2 with one error line that shows the refused number
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(cgd_enumerate(Frame(2, 5))[0].to_json()))
@@ -585,11 +644,7 @@ def test_numbers_are_ascii_digits(capsys, tmp_path, field, value, number):
     else:
         options[field] = value
         argv = ["cover"] + [f"--{k}={v}" for k, v in options.items()]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err, _ = _run_capped(*argv)
     assert code == 2 and out == "" and "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and number in errors[0], err
@@ -668,11 +723,22 @@ def test_fuzz_argv(capsys, tmp_path, command, data):
 
 
 class TestCover:
-    def test_summary(self, capsys):
-        code, out, _ = run(capsys, "cover", "--d", "2", "--n", "4",
-                           "--shape", "1;1;1;1")
-        assert code == 0
-        assert "6 nodes, 6 edges, 1 components" in out
+    def test_summary(self):
+        # class covers, the (3,6) one with every crossing found in its
+        # target fiber; and the empty fiber of h_12 e_2 on (2,14), found
+        # before a facet is listed: facets refuses the 11!/2 facets of
+        # r = 12.  Warnings are errors in these runs.
+        for d, n, shape, summary in [
+                (2, 4, "1;1;1;1", "6 nodes, 6 edges, 1 components"),
+                (2, 5, "2;1;1;1;1", "36 nodes, 90 edges, 1 components"),
+                (3, 6, "2;1;2;1;2;1", "360 nodes, 1620 edges, 1 components"),
+                (2, 14, "12;1,1;" + ";".join(["1"] * 10),
+                 "0 nodes, 0 edges, 0 components")]:
+            code, out, err, seconds = _run_capped(
+                "cover", "--d", str(d), "--n", str(n), "--shape", shape,
+                "--format", "text", flags=DEV_FLAGS)
+            assert (code, out, err) == (0, summary + "\n", "")
+            assert seconds < 60
 
     def test_dot(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
@@ -684,11 +750,17 @@ class TestCover:
         assert text.startswith("graph cover {") and text.rstrip().endswith("}")
         assert "6 nodes" in err
 
-    def test_size_mismatch_note(self, capsys):
-        code, out, err = run(capsys, "cover", "--d", "2", "--n", "5",
-                             "--shape", "2;1;1")
-        assert code == 0
-        assert "0 nodes, 0 edges" in out and "d(n-d) = 6" in err
+    def test_size_mismatch_note(self):
+        # the empty graph at once, before any work bound, as enumerate
+        # lists no diagrams
+        for d, n, shape in [(2, 5, "2;1;1"), (1, 9999, "1;1;1"),
+                            (2, 4, ";".join(["1"] * 10001))]:
+            code, out, err, seconds = _run_capped(
+                "cover", "--d", str(d), "--n", str(n), "--shape", shape)
+            assert (code, out) == (0, "0 nodes, 0 edges, 0 components\n")
+            assert err == (f"note: no diagrams, the sizes must satisfy sum "
+                           f"|lam_i| = d(n-d) = {d * (n - d)}\n")
+            assert seconds < 5
 
     @staticmethod
     def refusal(d, n, boxes):
@@ -708,32 +780,21 @@ class TestCover:
 
     @pytest.mark.parametrize("d,n,boxes", [(3, 6, 9), (2, 30, 56)],
                              ids=["36-1^9", "2-30-1^56"])
-    def test_work_bound(self, capsys, tmp_path, d, n, boxes):
+    def test_work_bound(self, tmp_path, d, n, boxes):
         # refused before --out is opened, and at once
-        target = tmp_path / "cover.json"
-        start = time.perf_counter()
-        code, out, err = run(capsys, "cover", "--d", str(d), "--n", str(n),
-                             "--shape", ";".join(["1"] * boxes),
-                             "--format", "json", "--out", str(target))
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        assert err == self.refusal(d, n, boxes)
-        assert not target.exists()
+        assert self.refused_in_a_fresh_process(tmp_path, d, n, boxes) < 1
 
     def refused_in_a_fresh_process(self, tmp_path, d, n, boxes):
         """Run the cover of boxes single boxes on (d,n) in a new process,
         with no cache filled by an earlier test, and check its refusal;
         returns the seconds it took."""
         target = tmp_path / "cover.json"
-        start = time.perf_counter()
-        proc = _spawn("cover", "--d", str(d), "--n", str(n),
-                      "--shape", ";".join(["1"] * boxes),
-                      "--format", "json", "--out", str(target),
-                      stdout=subprocess.PIPE)
-        out, err = proc.communicate(timeout=120)
-        seconds = time.perf_counter() - start
-        assert (proc.returncode, out) == (2, b"")
-        assert err.decode() == self.refusal(d, n, boxes)
+        code, out, err, seconds = _run_capped(
+            "cover", "--d", str(d), "--n", str(n),
+            "--shape", ";".join(["1"] * boxes),
+            "--format", "json", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == self.refusal(d, n, boxes)
         assert not target.exists()
         return seconds
 
@@ -755,9 +816,9 @@ class TestCover:
         code, out, err, seconds = _run_capped(
             "cover", "--d", "6", "--n", "18",
             "--shape", ";".join(["2"] * 18 + ["1"] * 36),
-            "--format", "json", "--out", str(target), stdout=subprocess.PIPE)
+            "--format", "json", "--out", str(target))
         assert seconds < 5
-        assert (code, out) == (2, b"")
+        assert (code, out) == (2, "")
         assert err == MIXED_6_18
         assert not target.exists()
 
@@ -803,14 +864,14 @@ def test_condition_outside_the_frame_is_named(capsys, command):
 # a condition of no boxes, first or last, as 0 or 0,0
 EMPTY_CONDITION = [(command, shape) for command in ("enumerate", "cover")
                    for shape in ("0;2;1;1", "2;1;1;0", "0,0;2;1;1",
-                                 "2;1;1;0,0")]
+                                 "2;1;1;0,0", "0;1;1;1;1")]
 
 
 @pytest.mark.parametrize("command,shape", EMPTY_CONDITION,
                          ids=[f"{c}-{s}" for c, s in EMPTY_CONDITION])
-def test_empty_condition(capsys, command, shape):
-    code, out, err = run(capsys, command, "--d", "2", "--n", "4",
-                         "--shape", shape, "--format", "json")
+def test_empty_condition(command, shape):
+    code, out, err, _ = _run_capped(command, "--d", "2", "--n", "4",
+                                    "--shape", shape, "--format", "json")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "empty" in err
@@ -822,13 +883,13 @@ def test_empty_condition(capsys, command, shape):
     "verify --only conic",
     "wallcross --input {fine} --wall 1,3 --twice --format json"],
     ids=["cover", "enumerate", "verify", "wallcross"])
-def test_unwritable_out(tmp_path, capsys, command):
+def test_unwritable_out(tmp_path, command):
     # the output is opened before any work, so nothing else is reported
     fine = tmp_path / "fine.json"
     fine.write_text(json.dumps(cgd_enumerate(Frame(2, 5))[0].to_json()))
     target = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, *command.format(fine=fine).split(),
-                         "--out", str(target))
+    code, out, err, _ = _run_capped(*command.format(fine=fine).split(),
+                                    "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1 and not target.parent.exists()
@@ -853,28 +914,6 @@ def test_full_out(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write /dev/full: ")
     assert err.count("\n") == 1
-
-
-def _spawn(*argv, stdout, preexec_fn=None):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
-                                           / "src")}
-    return subprocess.Popen([sys.executable, "-m", "growth.cli", *argv],
-                            env=env, stdout=stdout, stderr=subprocess.PIPE,
-                            preexec_fn=preexec_fn)
-
-
-def _one_gigabyte():
-    """Cap the address space of a child process at 1 GB."""
-    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
-
-
-def _run_capped(*argv, stdout=subprocess.DEVNULL):
-    """Run the command in a fresh process with 1 GB of address space;
-    returns its exit code, stdout, stderr text and seconds."""
-    start = time.perf_counter()
-    proc = _spawn(*argv, stdout=stdout, preexec_fn=_one_gigabyte)
-    out, err = proc.communicate(timeout=120)
-    return proc.returncode, out, err.decode(), time.perf_counter() - start
 
 
 # inputs whose work bound passes on the diagram count alone, and the
@@ -907,17 +946,17 @@ class TestThinInputs:
     def test_thin_frame(self):
         # (1,1000): one diagram of 999,000 entries, grown from the one
         # tableau of a row of 999 boxes
-        code, _, err, _ = _run_capped("enumerate", "--d", "1", "--n", "1000",
-                                      "--format", "text")
-        assert (code, err) == (0, "1 diagrams\n")
+        code, _, err, seconds = _run_capped("enumerate", "--d", "1",
+                                            "--n", "1000", "--format", "text")
+        assert (code, err) == (0, "1 diagrams\n") and seconds < 30
 
     def test_long_condition(self):
         # a condition of 1,000 boxes: its tableau, its Littlewood-Richardson
         # filling and its class are a thousand steps long
         argv = ("--d", "1", "--n", "1100", "--shape", "1000;98;1",
                 "--format", "text")
-        assert _run_capped("cover", *argv, stdout=subprocess.PIPE)[:3] == \
-            (0, b"1 nodes, 0 edges, 1 components\n", "")
+        assert _run_capped("cover", *argv)[:3] == \
+            (0, "1 nodes, 0 edges, 1 components\n", "")
         code, _, err, _ = _run_capped("enumerate", *argv)
         assert (code, err) == (0, "1 diagrams\n")
 
@@ -925,10 +964,9 @@ class TestThinInputs:
                              ids=THIN_REFUSALS)
     def test_refused_at_once(self, tmp_path, argv, line):
         target = tmp_path / "out.txt"
-        code, out, err, seconds = _run_capped(
-            *argv, "--out", str(target), stdout=subprocess.PIPE)
+        code, out, err, seconds = _run_capped(*argv, "--out", str(target))
         assert seconds < 1
-        assert (code, out) == (2, b"")
+        assert (code, out) == (2, "")
         assert err.startswith(line) and err.count("\n") == 1, err[:200]
         assert err.endswith("\n")
         assert not target.exists()
@@ -940,9 +978,9 @@ class TestThinInputs:
         code, out, err, seconds = _run_capped(
             "cover", "--d", "1", "--n", "3162",
             "--shape", ";".join(["2"] * 1580 + ["1"]),
-            "--out", str(target), stdout=subprocess.PIPE)
+            "--out", str(target))
         assert seconds < 1
-        assert (code, out) == (2, b"")
+        assert (code, out) == (2, "")
         assert err == ("error: the cover graph would have a number of 4370 "
                        "digits nodes and a number of 4376 digits edges, over "
                        "the bound of 2000000 edges\n")
@@ -1004,25 +1042,26 @@ def test_reader_closes_stdout():
                   stdout=subprocess.PIPE)
     assert proc.stdout.read(10) == b'{\n  "edges'
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 0
     assert err == "300 nodes, 1350 edges, 1 components\n"
 
 
 OUT_COMMANDS = ["cover --d 2 --n 4 --shape 1;1;1;1 --format json",
                 "cover --d 2 --n 4 --shape 1;1;1;1 --format dot",
-                "enumerate --d 2 --n 4 --format json"]
+                "enumerate --d 2 --n 4 --format json",
+                "enumerate --d 3 --n 7 --format json"]
 
 
 @pytest.mark.parametrize("command", OUT_COMMANDS,
-                         ids=["cover-json", "cover-dot", "enumerate-json"])
-def test_out_matches_stdout(tmp_path, capsys, command):
+                         ids=["cover-json", "cover-dot", "enumerate-json",
+                              "enumerate-37-json"])
+def test_out_matches_stdout(tmp_path, command):
     # --out writes exactly the bytes that stdout gets, and nothing to stdout
-    assert main(command.split()) == 0
-    printed = capsys.readouterr().out
+    code, printed, _, _ = _run_capped(*command.split())
+    assert code == 0
     target = tmp_path / "out"
-    assert main(command.split() + ["--out", str(target)]) == 0
-    assert capsys.readouterr().out == ""
+    assert _run_capped(*command.split(), "--out", str(target))[:2] == (0, "")
     assert target.read_bytes() == printed.encode()
 
 
@@ -1068,7 +1107,7 @@ ALL_REFERENCES = _references(*REFERENCES)
 def test_reference_digest_as_the_program(workload, command):
     # run as the program, main freezes the collector as it returns: the
     # output is complete by then, so every recorded digest holds
-    proc = _spawn(*command.split(), stdout=subprocess.PIPE)
+    proc = _spawn(*command.split(), stdout=subprocess.PIPE, flags=DEV_FLAGS)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err.decode()
     if workload == "verify":
@@ -1124,25 +1163,31 @@ class TestVerify:
         want = REFERENCES["verify"]["verify"]
         assert hashlib.sha256(text).hexdigest() == want
 
-    def test_json_records(self, capsys):
-        code, out, err = run(capsys, "verify", "--only", "conic",
-                             "--format", "json")
-        assert code == 0 and "all 3 checks passed" in err
-        records = json.loads(out)
-        assert [r["name"] for r in records] == \
-            ["conic-g24", "six-point", "flag6"]
-        for record in records:
-            assert set(record) == {"name", "suite", "ok", "detail",
-                                   "seconds"}
-            assert record["suite"] == "conic" and record["ok"] is True
-            assert record["seconds"] >= 0
+    def test_json_records(self):
+        # one suite, and all nine checks
+        conic = ["conic-g24", "six-point", "flag6"]
+        for only, names in [(["--only", "conic"], conic),
+                            ([], ["figure-growth", "figure-wall", "counts",
+                                  "decgd-counts", *conic, "cover-r4",
+                                  "properties"])]:
+            code, out, err, _ = _run_capped("verify", *only, "--format",
+                                            "json")
+            assert (code, err) == (0, f"all {len(names)} checks passed\n")
+            records = json.loads(out)
+            assert [r["name"] for r in records] == names
+            for record in records:
+                assert set(record) == {"name", "suite", "ok", "detail",
+                                       "seconds"}
+                assert record["suite"] == ("conic" if record["name"] in conic
+                                           else "growth")
+                assert record["ok"] is True and record["seconds"] >= 0
 
-    def test_dot_format_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--format", "dot"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "argument --format: invalid choice" in err
+    def test_dot_format_rejected(self):
+        # only cover writes dot
+        for argv in (["verify"], ["enumerate", "--d", "2", "--n", "4"]):
+            code, out, err, _ = _run_capped(*argv, "--format", "dot")
+            assert (code, out) == (2, "")
+            assert "argument --format: invalid choice" in err
 
     def test_suites_match_checks(self):
         import growth.checks

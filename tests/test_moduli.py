@@ -25,10 +25,10 @@ from growth.cylgrowth import (
 from growth.decgd import decgd_enumerate, restrict_cgd
 from growth.jsonin import read_cgd
 from growth.moduli import (
-    MAX_COVER_EDGES, MonodromyGraph, Wall, _FiberTables, all_trees,
-    build_cover_graph, canonical_order, cross_cgd, cross_decgd, cross_facet,
-    export, facets, fiber_count, graph_components, node_labelings,
-    transport_cgd, transport_decgd, walls,
+    MAX_COVER_EDGES, MonodromyGraph, Wall, _FiberTables, _key_paths,
+    all_trees, build_cover_graph, canonical_order, cross_cgd, cross_decgd,
+    cross_facet, export, facets, fiber_count, graph_components,
+    node_labelings, transport_cgd, transport_decgd, walls,
 )
 from growth.partitions import (
     Frame, complement, lr_coefficient, normalize, partitions_in, syt_count,
@@ -339,6 +339,44 @@ class TestTransport:
                     assert repeat(fn, x, ("ref", t), 2) == x
 
 
+# a fine fiber of r = 6 and one of r = 8, and two class fibers of r = 5
+# and r = 6: a transport reads the entries of a moved path
+KEY_FIBERS = [
+    (transport_cgd, cgd_enumerate(F25)),
+    (transport_cgd, cgd_enumerate(F26)),
+    (transport_decgd, decgd_enumerate(F26, [(2,), (2,), (2,), BOX, BOX])),
+    (transport_decgd, decgd_enumerate(F26, [(2,), (1, 1)] + [BOX] * 4)),
+]
+
+
+def moved(path, gmap):
+    """The path whose entries a diagram moved back along gmap, the inverse
+    transporter, reads on path: a rotation by t moves (k, l) to
+    (k - t, l - t), and a reflection to (t + 3 - l, t + 3 - k), which
+    turns right steps into up steps."""
+    kind, t = gmap
+    if kind == "rot":
+        return [(k - t, l - t) for k, l in path]
+    return [(t + 3 - l, t + 3 - k) for k, l in path]
+
+
+@pytest.mark.parametrize("transport,fiber", KEY_FIBERS,
+                         ids=["25", "26-r8", "26-2;2;2;1;1",
+                              "26-2;1,1;1;1;1;1"])
+def test_transported_path_is_the_moved_path(transport, fiber):
+    # the path key of a crossing table reads the target h moved back by
+    # the inverse transporter; it is h read along the moved path, with no
+    # diagram moved
+    r = fiber[0].r
+    paths = [path for w in walls(r) for path in _key_paths(w)]
+    for gmap in transporters(r):
+        back = ("rot", -gmap[1] % r) if gmap[0] == "rot" else gmap
+        for h in fiber:
+            moved_back = transport(h, back)
+            for path in paths:
+                assert moved_back.along(path) == h.along(moved(path, gmap))
+
+
 class TestCoverGraph:
     def test_empty_fiber_lists_no_facet(self):
         # h_10 e_2 fits no 2-row box, so no diagram lies over any of the
@@ -426,8 +464,10 @@ class TestCoverGraph:
         frame = Frame(2, 30)
         nodes = factorial(55) // 2 * syt_count(frame.rectangle())
         edges = nodes * (56 * 53 // 2) // 2
+        start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             build_cover_graph(frame, [BOX] * 56)
+        assert time.perf_counter() - start < 60
         assert str(info.value) == (
             f"the cover graph would have {nodes} nodes and {edges} edges, "
             f"over the bound of {MAX_COVER_EDGES} edges")

@@ -151,6 +151,10 @@ def test_wall_error():
     with pytest.raises(ValueError) as exc:
         Wall(0, 1, 6)
     assert str(exc.value) == "interval start must lie in [1, r]"
+    with pytest.raises(ValueError) as exc:
+        Wall(1, 2, 3)
+    assert str(exc.value) == \
+        "3 marked points have no wall (a wall needs r >= 4)"
 
 
 def test_error_message_repr():
