@@ -4,12 +4,12 @@ graphs, and run the verification suites.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on conditions that do not fit the frame's box, on output that cannot be
 written, on input files that are not valid diagrams (read by
-growth.jsonin), on a cover graph predicted to have more than
-moduli.MAX_COVER_EDGES edges, and on an enumeration predicted to write
-more than MAX_ENUMERATE_ENTRIES entries or parts, and on enumerations
-and covers of a frame whose fine diagrams have more than
-MAX_DIAGRAM_ENTRIES entries.  The --out file is opened before any work
-starts.
+growth.jsonin), and past a work bound: a frame whose fine diagrams have
+more than cylgrowth.MAX_DIAGRAM_ENTRIES entries, for every command,
+wallcross included; a cover graph predicted to have more than
+moduli.MAX_COVER_EDGES edges; an enumeration predicted to write more
+than MAX_ENUMERATE_ENTRIES parts.  The --out file is opened after the
+bounds are checked and before any other work starts.
 JSON output is streamed in chunks and is exactly the text of
 json.dumps(..., indent=2, sort_keys=True) + "\\n".  Outputs are
 deterministic, and no environment variable changes them."""
@@ -20,7 +20,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
+from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate, check_fine_size
 from growth.jsonout import JsonText, count_text, write_array, write_json
 from growth.partitions import Frame, fiber_size, fits, normalize
 
@@ -30,16 +30,10 @@ from growth.partitions import Frame, fiber_size, fits, normalize
 # the suites of growth.checks, which is imported only by verify
 SUITES = ("growth", "conic")
 
-# the most entries an enumeration may write: (4,8) writes 24,024 diagrams
-# of 16 x 17 entries, 6,534,528 in all, and (4,9) would write 698,377,680;
-# the bound holds for the parts of those entries too
+# the most parts an enumeration may write, which bounds its entries too:
+# (4,8) writes 24,024 diagrams of 16 x 17 entries of up to 4 parts,
+# 26,138,112 parts in all, and (4,9) would write 2,793,510,720
 MAX_ENUMERATE_ENTRIES = 10 ** 8
-
-# the most entries one diagram may have: every diagram of a frame, of
-# classes too, is solved as a fine diagram of d(n-d) x (d(n-d) + 1)
-# entries, and the solver holds about 80 bytes per entry, so one solve
-# stays under about 1 GB
-MAX_DIAGRAM_ENTRIES = 10 ** 7
 
 class UsageError(Exception):
     pass
@@ -107,54 +101,39 @@ def _shape(args, frame: Frame):
     return shape
 
 
-def _no_diagrams(frame: Frame, shape) -> bool:
-    """Whether the conditions' sizes miss d(n-d), so that there are no
-    diagrams and no work to bound; a note says so."""
-    if sum(sum(lam) for lam in shape) == frame.size:
-        return False
-    print(f"note: no diagrams, the sizes must satisfy "
-          f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
-    return True
-
-
-def _fine_size(frame: Frame):
-    """Raise UsageError if the frame's fine diagrams have more than
-    MAX_DIAGRAM_ENTRIES entries, before any of them is solved."""
-    fine = frame.size * (frame.size + 1)
-    if fine > MAX_DIAGRAM_ENTRIES:
-        raise UsageError(f"each fine diagram of the frame would have {fine} "
-                         f"entries, over the bound of {MAX_DIAGRAM_ENTRIES} "
-                         f"entries for one diagram")
+def _bound_work(frame: Frame, shape, size) -> None:
+    """The gate of enumerate and cover, passed before --out is opened.
+    Conditions whose sizes miss d(n-d) give no diagrams and no work, which
+    a note says.  Otherwise raises UsageError past the solver's bound on
+    the frame's fine diagrams (cylgrowth.check_fine_size), checked first
+    so that no rectangle of a huge frame is built and no fiber of it
+    counted, and then past the bound of size(frame, shape)."""
+    if shape is not None and sum(map(sum, shape)) != frame.size:
+        print(f"note: no diagrams, the sizes must satisfy "
+              f"sum |lam_i| = d(n-d) = {frame.size}", file=sys.stderr)
+        return
+    try:
+        check_fine_size(frame)
+        size(frame, shape)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _enumeration_size(frame: Frame, shape) -> int:
     """The number of diagrams that enumerate lists, found before any work:
     the fiber of r = d(n-d) single boxes, or of the shape's r conditions,
-    each diagram with r x (r + 1) entries of up to d parts.  r is checked
-    first, so that a huge frame's rectangle is never built, and the fine
-    diagrams next, so that no fiber of a frame too large is counted.
-    Raises UsageError past MAX_ENUMERATE_ENTRIES entries, past
-    MAX_DIAGRAM_ENTRIES entries in one fine diagram, and past
-    MAX_ENUMERATE_ENTRIES parts."""
+    each diagram with r x (r + 1) entries of up to d parts.  Raises
+    ValueError past MAX_ENUMERATE_ENTRIES parts, which bounds the entries
+    too; the frame must be inside check_fine_size, which bounds r."""
     r = frame.size if shape is None else len(shape)
     entries = r * (r + 1)
-    if entries > MAX_ENUMERATE_ENTRIES:
-        raise UsageError(f"each diagram would have {entries} entries, over "
-                         f"the bound of {MAX_ENUMERATE_ENTRIES} entries")
-    _fine_size(frame)
     diagrams = fiber_size(frame, [(1,)] * r if shape is None else shape)
-    written = count_text(diagrams)
-    if diagrams * entries > MAX_ENUMERATE_ENTRIES:
-        raise UsageError(
-            f"the enumeration would write {written} diagrams of {entries} "
-            f"entries, {count_text(diagrams * entries)} in all, over the "
-            f"bound of {MAX_ENUMERATE_ENTRIES} entries")
     parts = diagrams * entries * frame.d
     if parts > MAX_ENUMERATE_ENTRIES:
-        raise UsageError(
-            f"the enumeration would write {written} diagrams of {entries} "
-            f"entries of up to {frame.d} parts, {count_text(parts)} parts in "
-            f"all, over the bound of {MAX_ENUMERATE_ENTRIES} parts")
+        raise ValueError(
+            f"the enumeration would write {count_text(diagrams)} diagrams of "
+            f"{entries} entries of up to {frame.d} parts, {count_text(parts)} "
+            f"parts in all, over the bound of {MAX_ENUMERATE_ENTRIES} parts")
     return diagrams
 
 
@@ -193,8 +172,7 @@ def _diagram_text(obj) -> str:
 def cmd_enumerate(args) -> int:
     frame = _frame(args)
     shape = None if args.shape is None else _shape(args, frame)
-    if shape is None or not _no_diagrams(frame, shape):
-        _enumeration_size(frame, shape)
+    _bound_work(frame, shape, _enumeration_size)
     with _output(args) as out:
         if shape is None:
             diagrams = cgd_enumerate(frame)
@@ -249,12 +227,7 @@ def cmd_cover(args) -> int:
     shape = _shape(args, frame)
     from growth.moduli import (build_cover_graph, cover_size, export,
                                graph_components)
-    if not _no_diagrams(frame, shape):
-        _fine_size(frame)
-        try:
-            cover_size(frame, shape)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    _bound_work(frame, shape, cover_size)
     with _output(args) as out:
         graph = build_cover_graph(frame, shape)
         summary = (f"{len(graph.nodes)} nodes, {len(graph.edges)} edges, "

@@ -123,6 +123,23 @@ class _Numbering:
 
 _numbering = cache(_Numbering)
 
+# the most entries one diagram may have: every diagram of a frame, of
+# classes too, is solved as a fine diagram of d(n-d) x (d(n-d) + 1)
+# entries, and the solver holds about 80 bytes per entry, so one solve
+# stays under about 1 GB
+MAX_DIAGRAM_ENTRIES = 10 ** 7
+
+
+def check_fine_size(frame: Frame) -> None:
+    """Raise ValueError if the frame's fine diagrams have more than
+    MAX_DIAGRAM_ENTRIES entries.  Every solve checks it first; commands
+    and the file reader check it before any other work on the frame."""
+    fine = frame.size * (frame.size + 1)
+    if fine > MAX_DIAGRAM_ENTRIES:
+        raise ValueError(f"each fine diagram of the frame would have {fine} "
+                         f"entries, over the bound of {MAX_DIAGRAM_ENTRIES} "
+                         f"entries for one diagram")
+
 
 class _Completion:
     """Fixpoint solver growing the fundamental domain from a checked path
@@ -139,9 +156,11 @@ class _Completion:
     gets its other middle (:func:`other_middle`).  Growth out of a path
     only meets squares whose bottom and top are known, and from a valid
     chain it only deduces entries of the one diagram that chain fixes.
-    The solved diagram holds tuples."""
+    The solved diagram holds tuples.  A frame past
+    :func:`check_fine_size` is refused before anything is built."""
 
     def __init__(self, frame: Frame, path, chain):
+        check_fine_size(frame)
         self.frame = frame
         self.r = r = frame.size
         self.table = _numbering(frame)

@@ -7,7 +7,7 @@ class-diagram file is read as the diagram that its row-0 classes grow."""
 import json
 from itertools import product
 
-from growth.cylgrowth import CylGrowthDiagram, cgd_validate
+from growth.cylgrowth import CylGrowthDiagram, cgd_validate, check_fine_size
 from growth.decgd import Decgd, check_shape, decgd_from_first_row
 from growth.partitions import Frame, fits, normalize
 from growth.tableaux import DualClass, validate_chain
@@ -84,7 +84,8 @@ def _clip(text: str) -> str:
 
 def _json_head(data: dict, *keys: str) -> tuple[Frame, int]:
     """The frame and r of a diagram's data, whose keys must be exactly
-    frame, r and the given ones."""
+    frame, r and the given ones.  A frame past the solver's bound
+    (:func:`check_fine_size`) is refused before any table is read."""
     _json_keys(data, "frame", "r", *keys)
     frame = data["frame"]
     if not isinstance(frame, dict):
@@ -95,6 +96,7 @@ def _json_head(data: dict, *keys: str) -> tuple[Frame, int]:
         frame = Frame(d, n)
     except ValueError as exc:
         raise ValueError(f"frame: {_clip(str(exc))}") from None
+    check_fine_size(frame)
     return frame, _json_int(data["r"], "r")
 
 

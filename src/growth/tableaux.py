@@ -107,9 +107,9 @@ def rectify(t: Chain) -> Chain:
     return _shuffle(superstandard(t[0]), t)[0]
 
 
-@cache
 def rshape(t: Chain) -> tuple[int, ...]:
-    """Rectification shape of t."""
+    """Rectification shape of t; its one caller, :func:`_class_of`, runs
+    once per class."""
     return rectify(t)[-1]
 
 

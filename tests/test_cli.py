@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growth.checks import golden_diagram, golden_figure_entries, load_golden
 from growth.cli import (
-    MAX_ENUMERATE_ENTRIES, UsageError, _enumeration_size, main, parse_shape,
+    MAX_ENUMERATE_ENTRIES, _enumeration_size, main, parse_shape,
 )
-from growth.cylgrowth import cgd_enumerate
+from growth.cylgrowth import MAX_DIAGRAM_ENTRIES, cgd_enumerate
 from growth.decgd import decgd_enumerate
 from growth.jsonin import read_cgd, read_decgd
 from growth.moduli import MAX_COVER_EDGES, Wall, cross_cgd
@@ -68,6 +69,14 @@ def _run_capped(*argv, flags=()):
     out, err = proc.communicate(timeout=120)
     return (proc.returncode, out.decode(), err.decode(),
             time.perf_counter() - start)
+
+
+def fine_refusal(entries: int) -> str:
+    """The solver's refusal of a frame whose fine diagrams have the given
+    number of entries."""
+    return (f"each fine diagram of the frame would have {entries} entries, "
+            f"over the bound of {MAX_DIAGRAM_ENTRIES} entries for one "
+            f"diagram")
 
 
 class TestParseShape:
@@ -153,23 +162,24 @@ class TestEnumerate:
 
     @staticmethod
     def refusal(d, n):
-        """The line that refuses the fine diagrams of (d,n): r(r+1)
-        entries each, and, when that alone is within the bound, the
-        hook-length count of the rectangle's tableaux (Catalan numbers
-        for d = 2)."""
+        """The line that refuses the fine diagrams of (d,n): the solver's
+        bound on their r(r+1) entries, r = d(n-d), and, when they are
+        within it, the parts written: the hook-length count of the
+        rectangle's tableaux (Catalan numbers for d = 2), r(r+1) entries
+        each, of up to d parts."""
         r = d * (n - d)
         entries = r * (r + 1)
-        if entries > MAX_ENUMERATE_ENTRIES:
-            return (f"error: each diagram would have {entries} entries, over "
-                    f"the bound of {MAX_ENUMERATE_ENTRIES} entries\n")
+        if entries > MAX_DIAGRAM_ENTRIES:
+            return f"error: {fine_refusal(entries)}\n"
         hooks = math.prod(d - i + n - d - j - 1
                           for i in range(d) for j in range(n - d))
         diagrams = math.factorial(r) // hooks
         if d == 2:
             assert diagrams == math.comb(2 * (n - 2), n - 2) // (n - 1)
         return (f"error: the enumeration would write {diagrams} diagrams of "
-                f"{entries} entries, {diagrams * entries} in all, over the "
-                f"bound of {MAX_ENUMERATE_ENTRIES} entries\n")
+                f"{entries} entries of up to {d} parts, "
+                f"{diagrams * entries * d} parts in all, over the bound of "
+                f"{MAX_ENUMERATE_ENTRIES} parts\n")
 
     @pytest.mark.parametrize("d,n", [(2, 300), (2, 9999), (4, 9),
                                      (99999999999, 100000000000)],
@@ -989,12 +999,12 @@ class TestThinInputs:
 
     def test_enumeration_count_past_the_digit_limit(self):
         # (56,112): the tableaux of the 56 x 56 box have 4,278 digits
-        with pytest.raises(UsageError) as info:
+        with pytest.raises(ValueError) as info:
             _enumeration_size(Frame(56, 112), None)
         assert str(info.value) == (
             "the enumeration would write a number of 4278 digits diagrams "
-            "of 9837632 entries, a number of 4285 digits in all, over the "
-            "bound of 100000000 entries")
+            "of 9837632 entries of up to 56 parts, a number of 4286 digits "
+            "parts in all, over the bound of 100000000 parts")
 
     def test_parts_inside_the_bound(self):
         # (450,451) writes one diagram of 202,950 entries of 450 parts,
@@ -1004,6 +1014,75 @@ class TestThinInputs:
             r = d * (n - d)
             assert _enumeration_size(Frame(d, n), None) * r * (r + 1) * d \
                 == parts <= MAX_ENUMERATE_ENTRIES
+
+
+def d1_class_json(n: int, sizes) -> dict:
+    """The JSON of the one class diagram of Frame(1, n) whose contents are
+    rows of the given sizes, in closed form: row k holds the partial sums
+    of the sizes rotated by k, and each class is the one chain of rows
+    between its ends."""
+    r = len(sizes)
+    sums = [list(accumulate(sizes[k:] + sizes[:k], initial=0))
+            for k in range(r)]
+
+    def chain(lo, hi):
+        return [[m] if m else [] for m in range(lo, hi + 1)]
+
+    return {"frame": {"d": 1, "n": n}, "r": r,
+            "shape": [[size] for size in sizes],
+            "rows": [[[m] if m else [] for m in row] for row in sums],
+            "a": [[chain(row[m], row[m + 1]) for m in range(r)]
+                  for row in sums],
+            "b": [[chain(sums[k][m], sums[k - 1][m + 1]) for m in range(r)]
+                  for k in range(r)]}
+
+
+class TestFineBound:
+    """The solver refuses a frame whose fine diagrams are past
+    MAX_DIAGRAM_ENTRIES, on every path into it: the commands check the
+    frame before --out is opened, the file reader as soon as the frame is
+    read, and every solve as it starts."""
+
+    @pytest.mark.parametrize("n,sizes", [
+        (7, [3, 1, 1, 1]), (7, [1, 2, 1, 2]), (7, [2, 2, 2]),
+        (6, [1, 1, 1, 1, 1]),
+    ])
+    def test_d1_class_json(self, n, sizes):
+        fiber = decgd_enumerate(Frame(1, n), [(size,) for size in sizes])
+        assert [json.loads(json.dumps(g.to_json())) for g in fiber] == \
+            [d1_class_json(n, sizes)]
+
+    @pytest.mark.parametrize("n", [5001, 3301])
+    def test_wallcross_refused_at_once(self, tmp_path, n):
+        # a genuine file of four conditions, of 312 KB on (1,5001): with
+        # no bound, the one solve of (1,5001) ended in a MemoryError
+        # traceback under the cap, and (1,3301) ran 33 s
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d1_class_json(n, [n - 4, 1, 1, 1])))
+        target = tmp_path / "out.json"
+        code, out, err, seconds = _run_capped(
+            "wallcross", "--input", str(path), "--wall", "1,2",
+            "--out", str(target))
+        assert seconds < 2
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed diagram in {path}: " \
+            f"{fine_refusal((n - 1) * n)}\n"
+        assert not target.exists()
+
+    def test_solver_refuses_at_once(self):
+        # cgd_from_path on the row chain of (1,5001), run as a script in
+        # place of the program: -c ends the interpreter's options, so the
+        # program's arguments after it are only the script's argv
+        script = ("from growth.cylgrowth import cgd_from_path, row_path\n"
+                  "from growth.partitions import Frame\n"
+                  "chain = [()] + [(m,) for m in range(1, 5001)]\n"
+                  "try:\n"
+                  "    cgd_from_path(row_path(5000), chain, Frame(1, 5001))\n"
+                  "except ValueError as exc:\n"
+                  "    print(exc)\n")
+        code, out, err, seconds = _run_capped(flags=("-c", script))
+        assert seconds < 2
+        assert (code, out, err) == (0, fine_refusal(5000 * 5001) + "\n", "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -4,9 +4,10 @@ the local rule, the glide complement and the anchors commute with
 conjugation.  Dual equivalence commutes with it too (Haiman 1992), so
 conjugating each class representative of a class diagram gives a class
 diagram of the conjugate contents.  Both maps must take a fiber one to
-one onto the fiber on the other side.  The counts of both sides agree,
-and the lattice walks under them (``_shapes_between``,
-``enumerate_chains``) give the conjugates of each other's results."""
+one onto the fiber on the other side, and commute with wall crossing.
+The counts of both sides agree, and the lattice walks under them
+(``_shapes_between``, ``enumerate_chains``) give the conjugates of each
+other's results."""
 
 from functools import cache
 
@@ -14,7 +15,8 @@ import pytest
 
 from growth.cylgrowth import CylGrowthDiagram, cgd_enumerate
 from growth.decgd import Decgd, decgd_enumerate
-from growth.moduli import all_trees, cover_size, fiber_count
+from growth.moduli import (
+    all_trees, cover_size, cross_cgd, cross_decgd, fiber_count, walls)
 from growth.partitions import (
     Frame, _shapes_between, contains, fiber_size, partitions_in)
 from growth.tableaux import DualClass, enumerate_chains
@@ -83,6 +85,31 @@ def test_class_fibers_correspond(frame, shape):
     assert fiber
     assert_onto(fiber, decgd_enumerate(Frame(frame.cols, frame.n),
                                        [conjugate(lam) for lam in shape]))
+
+
+@pytest.mark.parametrize("frame", [Frame(2, 5), Frame(2, 6), Frame(3, 6)],
+                         ids=str)
+def test_fine_crossings_transpose(frame):
+    # the wallcross output of a transposed diagram is the transposed
+    # output, on every wall
+    for g in cgd_enumerate(frame):
+        for wall in walls(g.r):
+            assert cross_cgd(transpose(g), wall) == \
+                transpose(cross_cgd(g, wall)), (g.rows[0], wall)
+
+
+@pytest.mark.parametrize("frame,shape", [
+    (Frame(2, 6), (DOMINO, DOMINO, DOMINO, BOX, BOX)),
+    (Frame(2, 6), (DOMINO, COLUMN, BOX, BOX, BOX, BOX)),
+    (Frame(3, 6), (HOOK,) + (BOX,) * 6),
+], ids=str)
+def test_class_crossings_transpose(frame, shape):
+    fiber = decgd_enumerate(frame, shape)
+    assert fiber
+    for d in fiber:
+        for wall in walls(d.r):
+            assert cross_decgd(transpose(d), wall) == \
+                transpose(cross_decgd(d, wall)), (d.a[0], wall)
 
 
 # the shapes whose fiber counts the properties check sums over every tree
